@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hsq.fedsim import (CSV_COLUMNS, FedConfig, LrSchedule, QuantizerScheme,
                         RoundLog, curly_l, logs_to_csv, lr_theorem1,
                         lr_theorem3, partition_indices, run,
                         theorem1_gap_bound, vq_bound)
-from hsq.problems import Quadratic
+from hsq.problems import Logistic, Quadratic
 from hsq.quantizers import Variant
 from hsq.rng import Stream
 from hsq.wire import payload_bits
@@ -303,3 +304,35 @@ def test_logs_to_csv_roundtrips_full_precision():
     text = logs_to_csv([RoundLog(1, val, val, 1, 1, [0])])
     cell = text.strip().split("\n")[1].split(",")[1]
     assert float(cell) == val
+
+
+# SHA-256 of logs_to_csv for a short seeded Logistic(dim=48) run per scheme,
+# recorded before the scheme table replaced the per-scheme client loop. A
+# refactor of the simulator or of any compressor must leave these unchanged.
+_HSQ_UNBIASED = QuantizerScheme(name="hsq", d_prime=16, m=256, s=63, variant=Variant.UNBIASED)
+_PINNED_RUNS = {
+    "identity": (QuantizerScheme(name="identity"), False,
+                 "cbe145484a3c1f86282af5ae94e086f36a2a92f09c229a57fa87eebfc31fa84e"),
+    "hsq-unbiased-s63": (_HSQ_UNBIASED, False,
+                         "f391b78ffd3685068150a5f3a1df7e5695b82d3682178688d5b971ca8fee3819"),
+    "hsq-greedy-s0": (QuantizerScheme(name="hsq", d_prime=10, m=32, s=0, variant=Variant.GREEDY),
+                      False, "5c70579d985b06e33c40ff3207c3b40077d3b521760bbb890ddfbea25b52eada"),
+    "qsgd": (QuantizerScheme(name="qsgd", s=15, bucket_size=32), False,
+             "65d54c3ff013cc6dec8201b7aac1c311206de9c0154ddb113b1075a1b3224b54"),
+    "terngrad": (QuantizerScheme(name="terngrad"), False,
+                 "186e90a8acc07a3a38ee85ef7daad6229725010e5cb26633349f9256dceac853"),
+    "signsgd": (QuantizerScheme(name="signsgd"), False,
+                "abdf66e8541a60244d52ead228e998197326fe0dde1d58115d3a2abb08a6d226"),
+    "hsq-downlink": (_HSQ_UNBIASED, True,
+                     "54d822e349705199d13909b84e901a15d3cfe52f26a8ee7d045b5f636a12f4b5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_RUNS))
+def test_scheme_csv_digest_pinned(case):
+    scheme, downlink, digest = _PINNED_RUNS[case]
+    cfg = FedConfig(num_clients=20, clients_per_round=5, rounds=20, local_batch=4,
+                    scheme=scheme, lr=LrSchedule(eta=0.1), downlink_compressed=downlink,
+                    seed=3)
+    csv = logs_to_csv(run(cfg, Logistic(dim=48, seed=5)).logs)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
