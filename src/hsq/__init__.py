@@ -1,7 +1,6 @@
 """Hyper-sphere gradient compression toolkit and federated SGD simulator."""
 
-from .codebook import (Codebook, CodebookMethod, SketchedCodebook, SketchPath,
-                       generate, load_codebook, save_codebook, sketch)
+from .codebook import Codebook, CodebookMethod, generate, load_codebook, save_codebook
 from .errors import (ConfigError, DimensionMismatch, EmptyInput, HsqError,
                      InvalidGradient, InvalidShape, OutOfRange, Overflow,
                      RankDeficient, UnknownScheme, WireFormatError)
@@ -25,13 +24,13 @@ __all__ = [
     "DimensionMismatch", "EmptyInput", "FedConfig", "HsqError",
     "InvalidGradient", "InvalidShape", "Logistic", "LrSchedule", "OutOfRange",
     "Overflow", "Problem", "Quadratic", "QuantizerScheme", "RankDeficient",
-    "RoundLog", "SegmentCode", "SimResult", "SketchPath", "SketchedCodebook",
-    "Stream", "TinyMLP", "UnknownScheme", "Variant", "WireFormatError",
+    "RoundLog", "SegmentCode", "SimResult", "Stream", "TinyMLP", "UnknownScheme",
+    "Variant", "WireFormatError",
     "aggregate", "compress", "compression_ratio", "curly_l", "decode",
     "decode_frame", "decode_pseudo_norm", "encode_frame",
     "estimate_second_moment", "finite_diff_check", "generate",
     "hsq_payload_bits", "load_codebook", "logs_to_csv", "lr_theorem1",
     "lr_theorem3", "payload_bits", "quantize_greedy", "quantize_pseudo_norm",
-    "quantize_unbiased", "run", "save_codebook", "segment_gradient", "sketch",
+    "quantize_unbiased", "run", "save_codebook", "segment_gradient",
     "theorem1_gap_bound", "vq_bound",
 ]

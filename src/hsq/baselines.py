@@ -140,9 +140,17 @@ def decode_terngrad(code: TernGradCode) -> np.ndarray:
     return code.scaler * code.ternary.astype(np.float64)
 
 
+TERNGRAD_SCALER_BITS = 32
+
+
+def ternary_bits(d: int) -> float:
+    """log2(3) bits per ternary coordinate."""
+    return d * math.log2(3.0)
+
+
 def terngrad_bits(d: int) -> float:
-    """log2(3) bits per ternary coordinate plus the 32-bit scaler."""
-    return d * math.log2(3.0) + 32.0
+    """The ternary payload plus the 32-bit scaler."""
+    return ternary_bits(d) + TERNGRAD_SCALER_BITS
 
 
 # ---------------------------------------------------------------------------

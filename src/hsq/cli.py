@@ -119,20 +119,15 @@ def _problem_from_dict(raw: dict, violations: list[str]) -> Problem | None:
     if "seed" not in raw:
         violations.append("problem.seed: required")
         return None
+    if kind != "tinymlp" and "dim" not in raw:
+        violations.append(f"problem.dim: required for {kind}")
+        return None
+    extra = {"num_samples": raw["num_samples"]} if "num_samples" in raw else {}
     try:
         if kind == "quadratic":
-            if "dim" not in raw:
-                violations.append("problem.dim: required for quadratic")
-                return None
-            extra = {"num_samples": raw["num_samples"]} if "num_samples" in raw else {}
             return Quadratic(raw["dim"], raw["seed"], **extra)
         if kind == "logistic":
-            if "dim" not in raw:
-                violations.append("problem.dim: required for logistic")
-                return None
-            extra = {"num_samples": raw["num_samples"]} if "num_samples" in raw else {}
             return Logistic(raw["dim"], raw["seed"], **extra)
-        extra = {"num_samples": raw["num_samples"]} if "num_samples" in raw else {}
         layers = tuple(raw.get("layer_sizes", (2, 8, 2)))
         return TinyMLP(layers, raw["seed"], **extra)
     except (ValueError, TypeError) as exc:

@@ -8,7 +8,7 @@ pure function of (method, dim, count, seed) on the portable stream from
 
 Column generation avoids LAPACK so the matrix is reproducible from the
 seed on any platform: orthonormalization is done by modified Gram-Schmidt
-with one re-orthogonalization pass. The pseudoinverse and the singular
+with one re-orthogonalization pass. The pseudo-inverse and the singular
 values are derived metadata (computed from the columns at construction)
 and are allowed to use the dense linear-algebra routines.
 """
@@ -25,7 +25,6 @@ from .errors import InvalidShape, RankDeficient, WireFormatError
 from .rng import Stream
 
 UNIT_NORM_TOL = 1e-12
-IDENTITY_TOL = 1e-9
 RANK_TOL = 1e-10
 
 KMEANS_POOL_FACTOR = 256
@@ -63,7 +62,7 @@ class Codebook:
         dim: segment length d' (rows).
         count: number of codewords m (columns), m >= dim.
         columns: d'-by-m float64 matrix, each column unit norm.
-        pinv: m-by-d' pseudoinverse columns.T @ inv(columns @ columns.T).
+        pinv: m-by-d' pseudo-inverse columns.T @ inv(columns @ columns.T).
         sigma_min: smallest singular value of ``columns``.
         sigma_max: largest singular value of ``columns``.
         seed: generation seed (0 for custom matrices).
@@ -86,7 +85,7 @@ class Codebook:
 
         Raises:
             InvalidShape: not a 2-D matrix with count >= dim, or columns
-                that are not unit norm.
+                that are not finite and unit norm.
             RankDeficient: smallest singular value below 1e-10.
         """
         columns = np.ascontiguousarray(columns, dtype=np.float64)
@@ -97,6 +96,8 @@ class Codebook:
             raise InvalidShape("segment length must be at least 1")
         if count < dim:
             raise InvalidShape(f"need at least as many codewords as dimensions, got m={count} < {dim}")
+        if not np.all(np.isfinite(columns)):
+            raise InvalidShape("codebook entries must be finite")
         norms = np.linalg.norm(columns, axis=0)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -112,15 +113,6 @@ class Codebook:
         return cls(dim=dim, count=count, columns=columns, pinv=pinv,
                    sigma_min=sigma_min, sigma_max=sigma_max,
                    seed=int(seed), method=method)
-
-
-def pseudoinverse(columns: np.ndarray) -> np.ndarray:
-    """Min-norm right inverse C.T @ inv(C @ C.T) of a full-row-rank matrix."""
-    gram = columns @ columns.T
-    eigvals = np.linalg.eigvalsh(gram)
-    if np.sqrt(max(eigvals[0], 0.0)) < RANK_TOL:
-        raise RankDeficient("matrix is numerically rank deficient")
-    return np.linalg.solve(gram, columns).T
 
 
 def _orthonormalize(a: np.ndarray) -> np.ndarray:
@@ -209,55 +201,6 @@ def generate(method: CodebookMethod | str, dim: int, count: int, seed: int) -> C
     else:
         columns = _kmeans_columns(dim, count, stream)
     return Codebook.from_columns(columns, seed=seed, method=method)
-
-
-# ---------------------------------------------------------------------------
-# Johnson-Lindenstrauss sketching of the projection matrices
-# ---------------------------------------------------------------------------
-
-class SketchPath(enum.Enum):
-    """Which projection the sketch replaces."""
-
-    UNBIASED = "unbiased"  # rows of the pseudoinverse
-    GREEDY = "greedy"      # rows of columns.T (correlations)
-
-
-@dataclass(frozen=True)
-class SketchedCodebook:
-    """Seeded Gaussian sketch of a codebook's projection matrix.
-
-    ``project(g)`` approximates ``pinv @ g`` (unbiased path) or
-    ``columns.T @ g`` (greedy path) as ``bar_c @ (h.T @ g / sqrt(k))``
-    with ``bar_c = M @ h / sqrt(k)``. The two 1/sqrt(k) factors combine
-    to 1/k, which is exactly the unbiased scaling since
-    E[h @ h.T] = k * I for i.i.d. standard normal entries.
-    """
-
-    base: Codebook
-    sketch_dim: int
-    path: SketchPath
-    h: np.ndarray       # dim x k
-    bar_c: np.ndarray   # m x k
-
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Approximate the m correlation/projection coefficients of g."""
-        return self.bar_c @ (self.h.T @ g / np.sqrt(self.sketch_dim))
-
-
-def sketch(cb: Codebook, k: int, seed: int,
-           path: SketchPath | str = SketchPath.UNBIASED) -> SketchedCodebook:
-    """Sketch a codebook's projection matrix down to k inner products.
-
-    Requires 1 <= k < dim; with k = dim there is nothing to save (use the
-    exact matrices instead).
-    """
-    path = SketchPath(path)
-    if not 1 <= k < cb.dim:
-        raise InvalidShape(f"sketch size must satisfy 1 <= k < dim, got k={k}, dim={cb.dim}")
-    h = Stream(seed).derive("sketch", path.value, k).normal_matrix(cb.dim, k)
-    m = cb.pinv if path is SketchPath.UNBIASED else cb.columns.T
-    bar_c = m @ h / np.sqrt(k)
-    return SketchedCodebook(base=cb, sketch_dim=k, path=path, h=h, bar_c=bar_c)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,9 @@ from . import baselines
 from .codebook import Codebook, CodebookMethod, generate
 from .errors import ConfigError
 from .problems import Problem
-from .quantizers import Variant, aggregate, compress, decode
+from .quantizers import Variant
 from .rng import Stream
-from .wire import payload_bits
-
-SCHEME_NAMES = ("identity", "hsq", "qsgd", "terngrad", "signsgd")
+from .wire import SCHEMES, payload_bits
 
 CSV_COLUMNS = ("round", "loss", "grad_norm_sq", "uplink_bits",
                "downlink_bits", "cumulative_bits")
@@ -55,8 +53,8 @@ class QuantizerScheme:
 
     def violations(self) -> list[str]:
         out = []
-        if self.name not in SCHEME_NAMES:
-            out.append(f"scheme.name: {self.name!r} not one of {SCHEME_NAMES}")
+        if self.name not in SCHEMES:
+            out.append(f"scheme.name: {self.name!r} not one of {tuple(SCHEMES)}")
             return out
         if self.name == "hsq":
             if self.d_prime is None or self.d_prime < 1:
@@ -221,12 +219,6 @@ def partition_indices(num_samples: int, num_clients: int, stream: Stream) -> lis
     return shards
 
 
-def _client_payload_bits(scheme: QuantizerScheme, d: int) -> float:
-    name = "sgd" if scheme.name == "identity" else scheme.name
-    return payload_bits(name, d, d_prime=scheme.d_prime, m=scheme.m,
-                        s=scheme.s, bucket_size=scheme.bucket_size)
-
-
 def run(cfg: FedConfig, problem: Problem,
         on_round: Callable[[int, np.ndarray], None] | None = None) -> SimResult:
     """Simulate cfg.rounds federated rounds on the given problem.
@@ -247,14 +239,13 @@ def run(cfg: FedConfig, problem: Problem,
     cb = None
     if sch.name == "hsq":
         cb = generate(sch.codebook_method, sch.d_prime, sch.m, cfg.seed)
+    step = SCHEMES[sch.name].step
 
     d = problem.dim
-    per_client = _client_payload_bits(sch, d)
+    per_client = payload_bits(sch.name, d, d_prime=sch.d_prime, m=sch.m, s=sch.s,
+                              bucket_size=sch.bucket_size)
     uplink_per_round = int(math.ceil(cfg.clients_per_round * per_client))
-    if cfg.downlink_compressed:
-        downlink_per_client = _client_payload_bits(sch, d)
-    else:
-        downlink_per_client = 32.0 * d
+    downlink_per_client = per_client if cfg.downlink_compressed else 32.0 * d
     downlink_per_round = int(math.ceil(cfg.clients_per_round * downlink_per_client))
 
     x = np.array(problem.x0, dtype=np.float64, copy=True)
@@ -267,8 +258,7 @@ def run(cfg: FedConfig, problem: Problem,
         sampled = root.derive("sample", t).choice_without_replacement(
             cfg.num_clients, cfg.clients_per_round)
 
-        decoded_or_raw = []
-        compressed = []
+        decoded = []
         for cid in sampled:
             cid = int(cid)
             shard = shards[cid]
@@ -279,31 +269,12 @@ def run(cfg: FedConfig, problem: Problem,
                     shard.shape[0], cfg.local_batch)
                 batch = shard[pick]
             g = problem.stochastic_gradient(x, batch)
-
-            if sch.name == "identity":
-                decoded_or_raw.append(g)
-            elif sch.name == "hsq":
-                compressed.append(compress(g, cb, sch.s, sch.variant,
-                                           root.derive("quantize", t, cid)))
-            elif sch.name == "qsgd":
-                code = baselines.compress_qsgd(g, sch.s, root.derive("quantize", t, cid),
-                                               sch.bucket_size)
-                decoded_or_raw.append(baselines.decode_qsgd(code))
-            elif sch.name == "terngrad":
-                code = baselines.compress_terngrad(g, root.derive("quantize", t, cid))
-                decoded_or_raw.append(baselines.decode_terngrad(code))
-            else:  # signsgd
-                decoded_or_raw.append(baselines.decode_sign(baselines.compress_sign(g)))
-
-        if sch.name == "hsq":
-            g_bar = aggregate(compressed, cb)
-        else:
-            g_bar = np.mean(decoded_or_raw, axis=0)
+            decoded.append(step(g, sch, cb, root.derive("quantize", t, cid)))
+        g_bar = np.mean(decoded, axis=0)
 
         if cfg.downlink_compressed:
-            delta = -eta * g_bar
-            frame = compress(delta, cb, sch.s, sch.variant, root.derive("downlink", t))
-            x = x + decode(frame, cb)
+            # validate() allows this only for hsq, so step is hsq's compress -> decode
+            x = x + step(-eta * g_bar, sch, cb, root.derive("downlink", t))
         else:
             x = x - eta * g_bar
 

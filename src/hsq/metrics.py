@@ -25,8 +25,8 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import UnknownScheme
-from .quantizers import (Variant, compress, decode, quantize_greedy,
-                         sample_unbiased_codes, segment_gradient)
+from .quantizers import (Variant, compress, decode, decode_pseudo_norm, quantize_greedy,
+                         rounding_cell, sample_unbiased_codes, segment_gradient)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
@@ -91,17 +91,15 @@ def pseudo_norm_z(u: float, u_min: float, u_max: float, s: int, n_draws: int,
                   rng: Stream) -> float:
     """z-score of the decoded stochastic-rounding mean against u.
 
-    Vectorized replica of the single-draw rounding rule; deterministic
-    cases (u on a grid point, or a degenerate interval) return 0.
+    Draws n_draws roundings from the grid cell of u at once;
+    deterministic cases (u on a grid point, or a degenerate interval)
+    return 0.
     """
-    delta = (u_max - u_min) / s
+    uu, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
     if delta == 0.0:
         return 0.0
-    uu = min(max(u, u_min), u_max)
-    k = min(int((uu - u_min) / delta), s - 1)
-    p_lower = ((k + 1) * delta + u_min - uu) / delta
     draws = np.where(rng.uniforms(n_draws) < p_lower, k, k + 1)
-    decoded = u_min + draws * delta
+    decoded = decode_pseudo_norm(draws, u_min, u_max, s)
     mean, sd = float(decoded.mean()), float(decoded.std())
     if sd == 0.0:
         return 0.0 if mean == uu else math.inf

@@ -86,6 +86,29 @@ def _check_gradient(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _select_unbiased(g: np.ndarray, cb: Codebook, rng: Stream, n: int | None = None):
+    """The unbiased selection rule for one finite segment g.
+
+    Picks codeword i with probability |p_i| / ||p||_1, p = pinv @ g, by
+    inverse CDF on one uniform (n None) or on n uniforms, and sets
+    u_i = sign(p_i) * ||p||_1. The all-zero segment picks index 0 with
+    u = 0 and draws nothing. Returns (indices, u values), scalar-shaped
+    when n is None.
+    """
+    if not np.any(g):
+        shape = () if n is None else n
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    p = cb.pinv @ g
+    abs_p = np.abs(p)
+    l1 = float(abs_p.sum())
+    cdf = np.cumsum(abs_p / l1)
+    draws = rng.uniform() if n is None else rng.uniforms(n)
+    # Searching the first m-1 boundaries clamps the index to m-1, which
+    # guards against the cumsum's last entry rounding below a draw.
+    idx = np.searchsorted(cdf[:-1], draws, side="right")
+    return idx, np.copysign(l1, p[idx])
+
+
 def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple[float, int]:
     """Probabilistic codeword selection; unbiased in expectation.
 
@@ -100,15 +123,8 @@ def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple
     g = _check_gradient(g_segment)
     if g.shape[0] != cb.dim:
         raise DimensionMismatch(f"segment length {g.shape[0]} != codebook dim {cb.dim}")
-    if not np.any(g):
-        return 0.0, 0
-    p = cb.pinv @ g
-    abs_p = np.abs(p)
-    l1 = float(abs_p.sum())
-    cdf = np.cumsum(abs_p / l1)
-    i = int(np.searchsorted(cdf, rng.uniform(), side="right"))
-    i = min(i, cb.count - 1)  # guard the cumsum's last-entry rounding
-    return float(math.copysign(l1, p[i])), i
+    i, u = _select_unbiased(g, cb, rng)
+    return float(u), int(i)
 
 
 def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
@@ -142,17 +158,32 @@ def quantize_pseudo_norm(u: float, u_min: float, u_max: float, s: int, rng: Stre
         raise OutOfRange(f"empty interval: u_min={u_min} > u_max={u_max}")
     if u < u_min - RANGE_SLACK or u > u_max + RANGE_SLACK:
         raise OutOfRange(f"u={u} outside [{u_min}, {u_max}]")
-    u = min(max(u, u_min), u_max)
-    delta = (u_max - u_min) / s
+    _, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
     if delta == 0.0:
         return 0
-    k = min(int((u - u_min) / delta), s - 1)
-    p_lower = ((k + 1) * delta + u_min - u) / delta
     return k if rng.uniform() < p_lower else k + 1
 
 
-def decode_pseudo_norm(level: int, u_min: float, u_max: float, s: int) -> float:
-    """Grid value u_min + level * (u_max - u_min) / s."""
+def rounding_cell(u: float, u_min: float, u_max: float,
+                  s: int) -> tuple[float, float, int, float]:
+    """Locate u on the s+1 point grid of [u_min, u_max].
+
+    Returns (u clamped into the interval, grid step delta, k, p_lower):
+    the clamped u lies between grid points k and k+1 and rounds down to
+    k with probability p_lower, which keeps the rounding unbiased. A
+    degenerate interval has delta = 0, k = 0 and p_lower = 1.
+    """
+    u = min(max(u, u_min), u_max)
+    delta = (u_max - u_min) / s
+    if delta == 0.0:
+        return u, delta, 0, 1.0
+    k = min(int((u - u_min) / delta), s - 1)
+    return u, delta, k, ((k + 1) * delta + u_min - u) / delta
+
+
+def decode_pseudo_norm(level: int | np.ndarray, u_min: float, u_max: float,
+                       s: int) -> float | np.ndarray:
+    """Grid value u_min + level * (u_max - u_min) / s, elementwise for arrays."""
     if s < 1:
         raise ValueError("no grid when s = 0")
     return u_min + level * ((u_max - u_min) / s)
@@ -271,13 +302,4 @@ def sample_unbiased_codes(g_segment: np.ndarray, cb: Codebook, n: int,
     calls of :func:`quantize_unbiased` with fresh uniforms, but fast
     enough for 1e5-sample estimator checks.
     """
-    g = _check_gradient(g_segment)
-    if not np.any(g):
-        return np.zeros(n, dtype=np.int64), np.zeros(n)
-    p = cb.pinv @ g
-    abs_p = np.abs(p)
-    l1 = float(abs_p.sum())
-    cdf = np.cumsum(abs_p / l1)
-    idx = np.searchsorted(cdf, rng.uniforms(n), side="right")
-    np.minimum(idx, cb.count - 1, out=idx)
-    return idx, np.copysign(l1, p[idx])
+    return _select_unbiased(_check_gradient(g_segment), cb, rng, n)

@@ -23,7 +23,8 @@ first). The final byte is zero-padded.
 Bit accounting (payload_bits / compression_ratio) excludes this fixed
 header by default so that ratios describe the per-coordinate cost in
 the large-d limit; pass include_header=True to amortize it over one
-message of length d.
+message of length d. SCHEMES is the one table of uplink compressors:
+their bit accounting and the simulator's per-client step.
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .baselines import QSGD_BUCKET_SIZE, qsgd_dense_bits, sign_bits, terngrad_bits
+from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
+                        compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
+                        qsgd_dense_bits, sign_bits, ternary_bits)
 from .errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError
-from .quantizers import CompressedGradient, SegmentCode
+from .quantizers import CompressedGradient, SegmentCode, compress, decode, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -45,8 +49,6 @@ HEADER_BITS = HEADER.size * 8  # 248
 
 SCHEME_HSQ = 1
 _U32_MAX = 0xFFFFFFFF
-
-SCHEMES = ("sgd", "hsq", "qsgd", "terngrad", "signsgd")
 
 
 def index_bits(m: int) -> int:
@@ -158,6 +160,8 @@ def decode_frame(buf: bytes) -> CompressedGradient:
         raise WireFormatError(f"unsupported scheme code {scheme}")
     if d < 1 or d_prime < 1 or m < 1:
         raise WireFormatError("d, d', m must all be >= 1")
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        raise WireFormatError(f"u_min={u_min}, u_max={u_max} must be finite")
     if u_min > u_max:
         raise WireFormatError(f"u_min={u_min} > u_max={u_max}")
 
@@ -167,10 +171,11 @@ def decode_frame(buf: bytes) -> CompressedGradient:
     if len(buf) - HEADER.size != expect:
         raise WireFormatError(
             f"payload is {len(buf) - HEADER.size} bytes, expected {expect}")
+    if buf[-1] & ((1 << (8 * expect - n_seg * record)) - 1):
+        raise WireFormatError("padding bits of the last byte must be zero")
 
     r = _BitReader(buf[HEADER.size:])
     ib = index_bits(m)
-    delta = (u_max - u_min) / s if s >= 1 else 0.0
     segments = []
     for _ in range(n_seg):
         idx = r.read(ib)
@@ -181,10 +186,12 @@ def decode_frame(buf: bytes) -> CompressedGradient:
             if level > s:
                 raise WireFormatError(f"level {level} out of range for s={s}")
             segments.append(SegmentCode(codeword_index=idx,
-                                        pseudo_norm=u_min + level * delta,
+                                        pseudo_norm=decode_pseudo_norm(level, u_min, u_max, s),
                                         level=level))
         else:
             (u,) = struct.unpack(">f", r.read(32).to_bytes(4, "big"))
+            if not math.isfinite(u):
+                raise WireFormatError(f"raw pseudo-norm {u} is not finite")
             segments.append(SegmentCode(codeword_index=idx, pseudo_norm=float(u),
                                         level=None))
     return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
@@ -210,15 +217,14 @@ def random_frame(stream) -> CompressedGradient:
     s = 0 if stream.derive("s0").uniforms(1)[0] < 1 / 3 else pick(1, 127, "s")
     a, b = np.sort(np.float32(stream.derive("uminmax").normals(2) * 10))
     u_min, u_max = float(a), float(b)
-    delta = (u_max - u_min) / s if s >= 1 else 0.0
 
     idx = (stream.derive("idx").uniforms(n_seg) * m).astype(int) % m
     segments = []
     for j in range(n_seg):
         if s >= 1:
             level = int(stream.derive("lvl", j).uniforms(1)[0] * (s + 1)) % (s + 1)
-            segments.append(SegmentCode(codeword_index=int(idx[j]),
-                                        pseudo_norm=u_min + level * delta, level=level))
+            segments.append(SegmentCode(codeword_index=int(idx[j]), level=level,
+                                        pseudo_norm=decode_pseudo_norm(level, u_min, u_max, s)))
         else:
             raw = float(np.float32(stream.derive("raw", j).normals(1)[0] * 10))
             segments.append(SegmentCode(codeword_index=int(idx[j]),
@@ -230,6 +236,65 @@ def random_frame(stream) -> CompressedGradient:
 def hsq_payload_bits(d: int, d_prime: int, m: int, s: int) -> int:
     """ceil(d/d') records of index + level (or raw f32) bits, unpadded."""
     return -(-d // d_prime) * (index_bits(m) + level_bits(s))
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the package knows about one uplink compressor.
+
+    payload_bits(d, d_prime, m, s, bucket_size) is the cost of one
+    gradient of length d without the fixed per-message header_bits;
+    step(g, params, cb, rng) compresses one client gradient and returns
+    what the coordinator decodes from it, reading s / variant /
+    bucket_size from params (a fedsim.QuantizerScheme);
+    natural_d(d_prime, bucket_size) is the length compression_ratio uses
+    when d is omitted. Parameters a scheme does not use are ignored;
+    missing ones it needs raise ValueError.
+    """
+
+    payload_bits: Callable[..., float]
+    step: Callable[..., np.ndarray]
+    header_bits: int = 0
+    natural_d: Callable[..., int] = lambda d_prime, bucket_size: 1
+
+
+def _hsq_bits(d, d_prime, m, s, bucket_size) -> float:
+    if d_prime is None or m is None or s is None:
+        raise ValueError("hsq accounting needs d_prime, m and s")
+    return float(hsq_payload_bits(d, d_prime, m, s))
+
+
+def _hsq_natural_d(d_prime, bucket_size) -> int:
+    if d_prime is None:
+        raise ValueError("hsq accounting needs d_prime")
+    return d_prime
+
+
+def _qsgd_bits(d, d_prime, m, s, bucket_size) -> float:
+    if s is None:
+        raise ValueError("qsgd accounting needs s (levels)")
+    return qsgd_dense_bits(d, s, bucket_size)
+
+
+SCHEMES = {
+    "identity": Scheme(payload_bits=lambda d, *_: 32.0 * d, step=lambda g, *_: g),
+    "hsq": Scheme(payload_bits=_hsq_bits, header_bits=HEADER_BITS, natural_d=_hsq_natural_d,
+                  step=lambda g, p, cb, rng: decode(compress(g, cb, p.s, p.variant, rng), cb)),
+    "qsgd": Scheme(payload_bits=_qsgd_bits, natural_d=lambda d_prime, bucket_size: bucket_size,
+                   step=lambda g, p, cb, rng: decode_qsgd(
+                       compress_qsgd(g, p.s, rng, p.bucket_size))),
+    "terngrad": Scheme(payload_bits=lambda d, *_: ternary_bits(d),
+                       header_bits=TERNGRAD_SCALER_BITS,
+                       step=lambda g, p, cb, rng: decode_terngrad(compress_terngrad(g, rng))),
+    "signsgd": Scheme(payload_bits=lambda d, *_: sign_bits(d),
+                      step=lambda g, *_: decode_sign(compress_sign(g))),
+}
+
+
+def _scheme(name: str) -> Scheme:
+    if name not in SCHEMES:
+        raise UnknownScheme(f"unknown scheme {name!r}; expected one of {tuple(SCHEMES)}")
+    return SCHEMES[name]
 
 
 def payload_bits(scheme: str, d: int, d_prime: int | None = None,
@@ -244,32 +309,12 @@ def payload_bits(scheme: str, d: int, d_prime: int | None = None,
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if scheme == "sgd":
-        return 32.0 * d
-    if scheme == "hsq":
-        if d_prime is None or m is None or s is None:
-            raise ValueError("hsq accounting needs d_prime, m and s")
-        return float(hsq_payload_bits(d, d_prime, m, s))
-    if scheme == "qsgd":
-        if s is None:
-            raise ValueError("qsgd accounting needs s (levels)")
-        return qsgd_dense_bits(d, s, bucket_size)
-    if scheme == "terngrad":
-        return d * math.log2(3.0)
-    if scheme == "signsgd":
-        return sign_bits(d)
-    raise UnknownScheme(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return _scheme(scheme).payload_bits(d, d_prime, m, s, bucket_size)
 
 
 def scheme_header_bits(scheme: str) -> int:
     """Fixed per-message overhead excluded from payload accounting."""
-    if scheme == "hsq":
-        return HEADER_BITS
-    if scheme == "terngrad":
-        return 32
-    if scheme in ("sgd", "qsgd", "signsgd"):
-        return 0
-    raise UnknownScheme(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return _scheme(scheme).header_bits
 
 
 def compression_ratio(scheme: str, d: int | None = None,
@@ -284,14 +329,7 @@ def compression_ratio(scheme: str, d: int | None = None,
     d-dependent distortion.
     """
     if d is None:
-        if scheme == "hsq":
-            if d_prime is None:
-                raise ValueError("hsq accounting needs d_prime")
-            d = d_prime
-        elif scheme == "qsgd":
-            d = bucket_size
-        else:
-            d = 1
+        d = _scheme(scheme).natural_d(d_prime, bucket_size)
     bits = payload_bits(scheme, d, d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
     if include_header:
         bits += scheme_header_bits(scheme)

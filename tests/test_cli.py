@@ -50,7 +50,7 @@ def test_ratio_grid_skips_underspecified_schemes(capsys):
     assert main(["ratio"]) == 0
     report = json.loads(capsys.readouterr().out)
     names = {row["scheme"] for row in report["grid"]}
-    assert {"sgd", "terngrad", "signsgd"} <= names
+    assert {"identity", "terngrad", "signsgd"} <= names
     assert "hsq" not in names  # needs --dprime/--m/--s
 
 

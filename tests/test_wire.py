@@ -229,12 +229,94 @@ def test_decode_rejects_out_of_range_level():
         decode_frame(bytes(blob))
 
 
+def test_decode_rejects_non_finite_bounds():
+    # encode_frame refuses non-finite u_min/u_max, so decode must too
+    for offset in (23, 27):
+        for bad in (math.nan, math.inf, -math.inf):
+            blob = bytearray(encode_frame(_frame()))
+            blob[offset:offset + 4] = struct.pack("<f", bad)
+            with pytest.raises(WireFormatError):
+                decode_frame(bytes(blob))
+
+
+def test_decode_rejects_non_finite_raw_norm():
+    segs = [SegmentCode(codeword_index=5, pseudo_norm=0.5, level=None)]
+    for bad in (math.nan, math.inf, -math.inf):
+        blob = bytearray(encode_frame(_frame(s=0, segments=segs)))
+        blob[HEADER.size + 1:HEADER.size + 5] = struct.pack(">f", bad)  # after 8 index bits
+        with pytest.raises(WireFormatError):
+            decode_frame(bytes(blob))
+
+
+def test_decode_rejects_set_padding_bit():
+    # 14 payload bits leave the low 2 bits of the second byte as padding
+    for bit in (0, 1):
+        blob = bytearray(encode_frame(_frame()))
+        blob[-1] |= 1 << bit
+        with pytest.raises(WireFormatError):
+            decode_frame(bytes(blob))
+
+
+def _flip(blob: bytes, pos: int) -> bytes:
+    out = bytearray(blob)
+    out[pos // 8] ^= 0x80 >> (pos % 8)  # MSB-first, like the payload
+    return bytes(out)
+
+
+def _mutants(blob: bytes, cg: CompressedGradient, st: Stream):
+    """Bit flips (every padding bit included), truncations, extensions and
+    non-finite patches of the f32 header fields and raw pseudo-norms."""
+    nbits = 8 * len(blob)
+    record = index_bits(cg.codeword_count) + level_bits(cg.levels)
+    used = 8 * HEADER.size + len(cg.segments) * record
+    for u in st.derive("flip").uniforms(8):
+        yield _flip(blob, int(u * nbits))
+    for pos in range(used, nbits):
+        yield _flip(blob, pos)
+    for u in st.derive("cut").uniforms(3):
+        yield blob[:int(u * len(blob))]
+    yield blob + bytes([int(st.derive("ext").uniforms(1)[0] * 256)])
+    yield blob + bytes(4)
+    j = int(st.derive("seg").uniforms(1)[0] * len(cg.segments))
+    shift = nbits - (8 * HEADER.size + j * record + index_bits(cg.codeword_count)) - 32
+    for bad in (math.nan, math.inf, -math.inf):
+        for offset in (23, 27):  # u_min, u_max
+            yield blob[:offset] + struct.pack("<f", bad) + blob[offset + 4:]
+        if cg.levels == 0:  # overwrite segment j's raw f32 pseudo-norm
+            (raw,) = struct.unpack(">I", struct.pack(">f", bad))
+            n = int.from_bytes(blob, "big") & ~(0xFFFFFFFF << shift) | (raw << shift)
+            yield n.to_bytes(len(blob), "big")
+
+
+def test_decode_mutants_roundtrip_or_raise_wire_format_error():
+    # every byte string decode_frame accepts must re-encode to itself
+    stream = Stream(2024)
+    frames = [random_frame(stream.derive("random", i)) for i in range(30)]
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 32, seed=3)
+    for i, (s, variant) in enumerate([(0, Variant.UNBIASED), (7, Variant.GREEDY),
+                                      (63, Variant.UNBIASED), (0, Variant.GREEDY)]):
+        g = stream.derive("g", i).normals(21)
+        frames.append(compress(g, cb, s, variant, stream.derive("q", i)))
+    accepted = rejected = 0
+    for i, cg in enumerate(frames):
+        blob = encode_frame(cg)
+        for mutant in _mutants(blob, cg, stream.derive("mutate", i)):
+            try:
+                back = decode_frame(mutant)
+            except WireFormatError:
+                rejected += 1
+                continue
+            assert encode_frame(back) == mutant
+            accepted += 1
+    assert accepted > 50 and rejected > 200
+
+
 # ---------------------------------------------------------------------------
 # accounting
 
 
 def test_payload_bits_per_scheme():
-    assert payload_bits("sgd", 100) == 3200.0
+    assert payload_bits("identity", 100) == 3200.0
     assert payload_bits("hsq", 64, d_prime=8, m=64, s=0) == 8 * (6 + 32)
     assert payload_bits("hsq", 64, d_prime=16, m=256, s=63) == 4 * 14
     assert payload_bits("signsgd", 77) == 77.0
@@ -250,7 +332,7 @@ def test_payload_bits_rejects_unknown_scheme():
 def test_scheme_header_bits():
     assert scheme_header_bits("hsq") == HEADER_BITS
     assert scheme_header_bits("terngrad") == 32
-    assert scheme_header_bits("sgd") == 0
+    assert scheme_header_bits("identity") == 0
     assert scheme_header_bits("signsgd") == 0
     with pytest.raises(UnknownScheme):
         scheme_header_bits("nope")
@@ -263,7 +345,7 @@ def test_compression_ratio_reference_values():
     assert f"{compression_ratio('hsq', d_prime=64, m=256, s=63):.1f}" == "146.3"
     assert f"{compression_ratio('terngrad'):.1f}" == "20.2"
     assert f"{compression_ratio('signsgd'):.1f}" == "32.0"
-    assert compression_ratio("sgd") == 1.0
+    assert compression_ratio("identity") == 1.0
 
 
 def test_compression_ratio_header_overhead_shrinks_with_d():
