@@ -86,7 +86,7 @@ def _check_gradient(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _select_unbiased(g: np.ndarray, cb: Codebook, rng: Stream, n: int | None = None):
+def _select_unbiased(g: np.ndarray, cb: Codebook, rng: Stream, n: int | None):
     """The unbiased selection rule for one finite segment g.
 
     Picks codeword i with probability |p_i| / ||p||_1, p = pinv @ g, by
@@ -123,7 +123,7 @@ def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple
     g = _check_gradient(g_segment)
     if g.shape[0] != cb.dim:
         raise DimensionMismatch(f"segment length {g.shape[0]} != codebook dim {cb.dim}")
-    i, u = _select_unbiased(g, cb, rng)
+    i, u = _select_unbiased(g, cb, rng, None)
     return float(u), int(i)
 
 
