@@ -340,3 +340,53 @@ def test_aggregate_errors():
     b = compress(np.ones(8), cb, 0, Variant.GREEDY)
     with pytest.raises(DimensionMismatch):
         aggregate([a, b], cb)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: frames, decoded gradients and their aggregate must stay
+# bit-identical across refactors of the codec's representation
+
+# (codebook method, d', m, d): every d leaves a ragged tail when d' > 1
+_PIN_GRID = (("random-gaussian", 1, 1, 37),
+             ("random-rotation", 16, 16, 105),
+             ("random-gaussian", 16, 256, 105))
+_PIN_DIGESTS = {  # (frames, decoded gradients, aggregate), keyed by m
+    1: ("28b42a475bfd4ea74359d62f2d9740155eddfbe3d58bb62087778d45740d4432",
+        "b3b2a75aa68926dcfecf21aa830913ef301f73ee081390bd4f1e94ab5d8fedc8",
+        "59772b0e90695cb2ec184e9aca93314a70a27179725699081f51753cc785e1d3"),
+    16: ("2048d4bbccfe21cf8fc4039c2b07658488ef0467e37e8ab2f5a26cbf752ac0a9",
+         "3d02a6f63ceaeb85c9e6cffab02525454e5341f4d67203b61059e8273320bc63",
+         "ac7bc61baee3969ce4b6392a2cdf6b7a068f7ef5e6e2abcf822a5afa3396468b"),
+    256: ("25d8c192e0faf69e14a1023758aae5ce44e8e773871cd1c6850622d3127affec",
+          "b6d3ab1c81070bcfdd7ae84cbe44f7419597c14cc12eb7c285a11239b9ee896e",
+          "22fb41f7b18b361b7e660a548ce449d4b203492b006acdc58235e59c99b563ef"),
+}
+
+
+@pytest.mark.parametrize("method,d_prime,m,d", _PIN_GRID)
+def test_codec_outputs_pinned(method, d_prime, m, d):
+    import hashlib
+
+    from hsq.wire import decode_frame, encode_frame
+
+    cb = generate(method, d_prime, m, seed=11)
+    st = Stream(1911).derive("pin", m)
+    n_seg = -(-d // d_prime)
+    # segment scales 2^-10 .. 2^10 (exact, no transcendental functions) and
+    # one all-zero segment
+    scales = np.exp2(np.floor(st.derive("scale").uniforms(n_seg) * 21) - 10)
+    scales[1] = 0.0
+    g = (2 * st.derive("g").uniforms(d) - 1) * np.repeat(scales, d_prime)[:d]
+    frames, decoded, cgs = hashlib.sha256(), hashlib.sha256(), []
+    for variant in (Variant.UNBIASED, Variant.GREEDY):
+        for s in (0, 7, 63):
+            cg = compress(g, cb, s, variant, st.derive("q", variant.value, s))
+            frame = encode_frame(cg)
+            x = decode(cg, cb)
+            np.testing.assert_array_equal(decode(decode_frame(frame), cb), x)
+            frames.update(frame)
+            decoded.update(x.tobytes())
+            cgs.append(cg)
+    got = (frames.hexdigest(), decoded.hexdigest(),
+           hashlib.sha256(aggregate(cgs, cb).tobytes()).hexdigest())
+    assert got == _PIN_DIGESTS[m]
