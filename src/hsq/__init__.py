@@ -9,7 +9,7 @@ from .fedsim import (FedConfig, LrSchedule, QuantizerScheme, RoundLog, SimResult
                      theorem1_gap_bound, vq_bound)
 from .problems import (Logistic, Problem, Quadratic, TinyMLP,
                        estimate_second_moment, finite_diff_check)
-from .quantizers import (CompressedGradient, SegmentCode, Variant, aggregate,
+from .quantizers import (CompressedGradient, Variant, aggregate,
                          compress, decode, decode_pseudo_norm, quantize_greedy,
                          quantize_pseudo_norm, quantize_unbiased,
                          segment_gradient)
@@ -24,7 +24,7 @@ __all__ = [
     "DimensionMismatch", "EmptyInput", "FedConfig", "HsqError",
     "InvalidGradient", "InvalidShape", "Logistic", "LrSchedule", "OutOfRange",
     "Overflow", "Problem", "Quadratic", "QuantizerScheme", "RankDeficient",
-    "RoundLog", "SegmentCode", "SimResult", "Stream", "TinyMLP", "UnknownScheme",
+    "RoundLog", "SimResult", "Stream", "TinyMLP", "UnknownScheme",
     "Variant", "WireFormatError",
     "aggregate", "compress", "compression_ratio", "curly_l", "decode",
     "decode_frame", "decode_pseudo_norm", "encode_frame",

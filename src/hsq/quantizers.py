@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,28 +41,17 @@ class Variant(enum.Enum):
     GREEDY = "greedy"
 
 
-@dataclass
-class SegmentCode:
-    """One quantized gradient segment.
-
-    ``pseudo_norm`` is the exact signed scalar u produced by codeword
-    selection. ``level`` is its grid index after stochastic rounding, or
-    None in exact-norm mode (s = 0), where the f32-rounded u itself is
-    what the wire carries.
-    """
-
-    codeword_index: int
-    pseudo_norm: float
-    level: int | None
-
-
-@dataclass
+@dataclass(eq=False)
 class CompressedGradient:
-    """A whole gradient as an ordered list of segment codes.
+    """A whole gradient as per-segment arrays, one entry per segment.
 
-    u_min/u_max are the extreme pseudo-norms of this gradient, rounded
-    outward to f32 (they travel as 32-bit floats), so every segment's u
-    stays inside the transmitted interval.
+    ``indices`` (int64) are the codeword indices. ``norms`` (float64)
+    are the exact signed pseudo-norms u from codeword selection, or in
+    exact-norm mode (s = 0) the f32-rounded u the wire carries. ``grid``
+    (int64) holds each u's level after stochastic rounding, and is None
+    when s = 0. u_min/u_max are the extreme pseudo-norms of this
+    gradient, rounded outward to f32 (they travel as 32-bit floats), so
+    every segment's u stays inside the transmitted interval.
     """
 
     total_dim: int
@@ -71,10 +60,18 @@ class CompressedGradient:
     levels: int
     u_min: float
     u_max: float
-    segments: list[SegmentCode]
+    indices: np.ndarray
+    norms: np.ndarray
+    grid: np.ndarray | None
 
     def num_segments(self) -> int:
-        return len(self.segments)
+        return len(self.indices)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompressedGradient):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def _check_gradient(g: np.ndarray) -> np.ndarray:
@@ -83,6 +80,13 @@ def _check_gradient(g: np.ndarray) -> np.ndarray:
         raise InvalidGradient(f"gradient must be 1-D, got ndim={g.ndim}")
     if not np.all(np.isfinite(g)):
         raise InvalidGradient("gradient contains NaN or Inf")
+    return g
+
+
+def _check_segment(g_segment: np.ndarray, cb: Codebook) -> np.ndarray:
+    g = _check_gradient(g_segment)
+    if g.shape[0] != cb.dim:
+        raise DimensionMismatch(f"segment length {g.shape[0]} != codebook dim {cb.dim}")
     return g
 
 
@@ -120,9 +124,7 @@ def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple
         (u, codeword_index) with u = sign(p_i) * ||p||_1, or (0.0, 0)
         for the all-zero segment.
     """
-    g = _check_gradient(g_segment)
-    if g.shape[0] != cb.dim:
-        raise DimensionMismatch(f"segment length {g.shape[0]} != codebook dim {cb.dim}")
+    g = _check_segment(g_segment, cb)
     i, u = _select_unbiased(g, cb, rng, None)
     return float(u), int(i)
 
@@ -133,9 +135,7 @@ def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
     Ties break toward the lowest index. Returns (u, codeword_index) with
     u = g . c, or (0.0, 0) for the all-zero segment.
     """
-    g = _check_gradient(g_segment)
-    if g.shape[0] != cb.dim:
-        raise DimensionMismatch(f"segment length {g.shape[0]} != codebook dim {cb.dim}")
+    g = _check_segment(g_segment, cb)
     if not np.any(g):
         return 0.0, 0
     corr = cb.columns.T @ g
@@ -252,16 +252,16 @@ def compress(g: np.ndarray, cb: Codebook, s: int,
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
 
-    codes = []
-    for (u, idx), st in zip(picks, streams):
-        if s >= 1:
-            level = quantize_pseudo_norm(u, u_min, u_max, s, st)
-            codes.append(SegmentCode(codeword_index=idx, pseudo_norm=u, level=level))
-        else:
-            codes.append(SegmentCode(codeword_index=idx, pseudo_norm=float(np.float32(u)), level=None))
+    grid = None
+    if s >= 1:
+        grid = np.array([quantize_pseudo_norm(u, u_min, u_max, s, st)
+                         for u, st in zip(norms, streams)], dtype=np.int64)
+    else:
+        norms = np.array(norms, dtype=np.float32)  # what the wire carries
     return CompressedGradient(total_dim=g.shape[0], segment_dim=cb.dim,
-                              codeword_count=cb.count, levels=s,
-                              u_min=u_min, u_max=u_max, segments=codes)
+                              codeword_count=cb.count, levels=s, u_min=u_min, u_max=u_max,
+                              indices=np.array([i for _, i in picks], dtype=np.int64),
+                              norms=np.array(norms, dtype=np.float64), grid=grid)
 
 
 def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
@@ -270,14 +270,9 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
         raise DimensionMismatch(
             f"compressed gradient carries d'={cg.segment_dim}, m={cg.codeword_count}; "
             f"codebook has d'={cb.dim}, m={cb.count}")
-    out = np.empty(len(cg.segments) * cb.dim)
-    for j, seg in enumerate(cg.segments):
-        if seg.level is not None:
-            u = decode_pseudo_norm(seg.level, cg.u_min, cg.u_max, cg.levels)
-        else:
-            u = seg.pseudo_norm
-        out[j * cb.dim:(j + 1) * cb.dim] = u * cb.columns[:, seg.codeword_index]
-    return out[:cg.total_dim]
+    u = cg.norms if cg.grid is None else decode_pseudo_norm(cg.grid, cg.u_min, cg.u_max,
+                                                             cg.levels)
+    return (cb.columns[:, cg.indices] * u).T.reshape(-1)[:cg.total_dim]
 
 
 def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:
@@ -302,4 +297,4 @@ def sample_unbiased_codes(g_segment: np.ndarray, cb: Codebook, n: int,
     calls of :func:`quantize_unbiased` with fresh uniforms, but fast
     enough for 1e5-sample estimator checks.
     """
-    return _select_unbiased(_check_gradient(g_segment), cb, rng, n)
+    return _select_unbiased(_check_segment(g_segment, cb), cb, rng, n)

@@ -40,7 +40,7 @@ from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, c
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
 from .errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError
-from .quantizers import CompressedGradient, SegmentCode, compress, decode, decode_pseudo_norm
+from .quantizers import CompressedGradient, compress, decode, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -61,37 +61,34 @@ def level_bits(s: int) -> int:
     return s.bit_length() if s >= 1 else 32
 
 
-class _BitWriter:
-    """MSB-first bit packer backed by one big integer."""
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-
-    def getvalue(self) -> bytes:
-        pad = (-self._nbits) % 8
-        return (self._acc << pad).to_bytes((self._nbits + pad) // 8, "big")
+def _to_bits(words: np.ndarray, width: int) -> np.ndarray:
+    """n x width matrix of the low ``width`` bits of each 32-bit word, MSB first."""
+    as_bytes = words.astype(">u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(as_bytes, axis=1)[:, 32 - width:]
 
 
-class _BitReader:
-    def __init__(self, data: bytes) -> None:
-        self._acc = int.from_bytes(data, "big")
-        self._total = len(data) * 8
-        self._pos = 0
-
-    def read(self, nbits: int) -> int:
-        if self._pos + nbits > self._total:
-            raise WireFormatError("payload truncated")
-        self._pos += nbits
-        return (self._acc >> (self._total - self._pos)) & ((1 << nbits) - 1)
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of _to_bits: the big-endian 32-bit words (dtype >u4) of the rows."""
+    words = np.zeros((bits.shape[0], 32), dtype=np.uint8)
+    words[:, 32 - bits.shape[1]:] = bits
+    return np.packbits(words, axis=1).view(">u4").ravel()
 
 
-def _f32_clean(x: float) -> bool:
-    return math.isfinite(x) and float(np.float32(x)) == x
+def _column(values, n_seg: int, kinds: str, name: str) -> np.ndarray:
+    """values as an array of n_seg entries of a dtype kind in kinds, else WireFormatError."""
+    a = np.asarray(values)
+    if a.shape != (n_seg,) or a.dtype.kind not in kinds:
+        raise WireFormatError(
+            f"{name} must hold {n_seg} values of dtype kind {kinds!r}; "
+            f"got shape {a.shape}, dtype {a.dtype}")
+    return a
+
+
+def _f32_clean(x) -> bool:
+    """Whether every value of x is finite and exactly representable in f32."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(x)) and np.all(x.astype(np.float32) == x))
 
 
 def encode_frame(cg: CompressedGradient) -> bytes:
@@ -103,51 +100,48 @@ def encode_frame(cg: CompressedGradient) -> bytes:
     """
     if cg.total_dim < 1:
         raise InvalidGradient("cannot encode an empty gradient")
-    if cg.segment_dim < 1 or cg.codeword_count < 1:
-        raise WireFormatError("segment_dim and codeword_count must be >= 1")
+    if cg.segment_dim < 1 or cg.codeword_count < 1 or cg.levels < 0:
+        raise WireFormatError("segment_dim and codeword_count must be >= 1, levels >= 0")
     for name, value in (("d", cg.total_dim), ("d'", cg.segment_dim),
                         ("m", cg.codeword_count), ("s", cg.levels)):
         if value > _U32_MAX:
             raise Overflow(f"{name}={value} does not fit in u32")
-    n_seg = -(-cg.total_dim // cg.segment_dim)
-    if len(cg.segments) != n_seg:
-        raise WireFormatError(
-            f"expected {n_seg} segments for d={cg.total_dim}, d'={cg.segment_dim}; "
-            f"got {len(cg.segments)}")
     if cg.u_min > cg.u_max:
         raise WireFormatError(f"u_min={cg.u_min} > u_max={cg.u_max}")
-    if not (_f32_clean(cg.u_min) and _f32_clean(cg.u_max)):
+    if not _f32_clean([cg.u_min, cg.u_max]):
         raise WireFormatError("u_min/u_max must be finite f32 values")
 
-    ib, s = index_bits(cg.codeword_count), cg.levels
-    w = _BitWriter()
-    for seg in cg.segments:
-        if not 0 <= seg.codeword_index < cg.codeword_count:
-            raise WireFormatError(f"codeword index {seg.codeword_index} out of range")
-        w.write(seg.codeword_index, ib)
-        if s >= 1:
-            if seg.level is None or not 0 <= seg.level <= s:
-                raise WireFormatError(f"level {seg.level} invalid for s={s}")
-            w.write(seg.level, level_bits(s))
-        else:
-            if seg.level is not None:
-                raise WireFormatError("s=0 frames carry raw norms, not levels")
-            if not _f32_clean(seg.pseudo_norm):
-                raise WireFormatError(f"pseudo-norm {seg.pseudo_norm} is not a finite f32")
-            (raw,) = struct.unpack(">I", struct.pack(">f", seg.pseudo_norm))
-            w.write(raw, 32)
+    n_seg, s = -(-cg.total_dim // cg.segment_dim), cg.levels
+    indices = _column(cg.indices, n_seg, "iu", "indices")
+    norms = _column(cg.norms, n_seg, "f", "norms")
+    if indices.min() < 0 or indices.max() >= cg.codeword_count:
+        raise WireFormatError(f"codeword indices must lie in [0, {cg.codeword_count})")
+    if s >= 1:
+        if cg.grid is None:
+            raise WireFormatError(f"s={s} frames carry grid levels")
+        words = _column(cg.grid, n_seg, "iu", "grid")
+        if words.min() < 0 or words.max() > s:
+            raise WireFormatError(f"grid levels must lie in [0, {s}]")
+    else:
+        if cg.grid is not None:
+            raise WireFormatError("s=0 frames carry raw norms, not levels")
+        if not _f32_clean(norms):
+            raise WireFormatError("s=0 pseudo-norms must be finite f32 values")
+        words = norms.astype(np.float32).view(np.uint32)
 
+    bits = np.hstack([_to_bits(indices, index_bits(cg.codeword_count)),
+                      _to_bits(words, level_bits(s))])
     header = HEADER.pack(MAGIC, VERSION, SCHEME_HSQ, cg.total_dim, cg.segment_dim,
                          cg.codeword_count, cg.levels, cg.u_min, cg.u_max)
-    return header + w.getvalue()
+    return header + np.packbits(bits).tobytes()
 
 
 def decode_frame(buf: bytes) -> CompressedGradient:
     """Parse a frame back into a CompressedGradient.
 
     In grid mode (s >= 1) the exact pre-rounding pseudo-norm never
-    crosses the wire, so the reconstructed segments carry the grid value
-    u_min + level*(u_max-u_min)/s in its place.
+    crosses the wire, so the reconstructed norms are the grid values
+    u_min + level*(u_max-u_min)/s.
     """
     if len(buf) < HEADER.size:
         raise WireFormatError(f"frame shorter than the {HEADER.size}-byte header")
@@ -166,7 +160,8 @@ def decode_frame(buf: bytes) -> CompressedGradient:
         raise WireFormatError(f"u_min={u_min} > u_max={u_max}")
 
     n_seg = -(-d // d_prime)
-    record = index_bits(m) + level_bits(s)
+    ib = index_bits(m)
+    record = ib + level_bits(s)
     expect = (n_seg * record + 7) // 8
     if len(buf) - HEADER.size != expect:
         raise WireFormatError(
@@ -174,29 +169,24 @@ def decode_frame(buf: bytes) -> CompressedGradient:
     if buf[-1] & ((1 << (8 * expect - n_seg * record)) - 1):
         raise WireFormatError("padding bits of the last byte must be zero")
 
-    r = _BitReader(buf[HEADER.size:])
-    ib = index_bits(m)
-    segments = []
-    for _ in range(n_seg):
-        idx = r.read(ib)
-        if idx >= m:
-            raise WireFormatError(f"codeword index {idx} out of range for m={m}")
-        if s >= 1:
-            level = r.read(level_bits(s))
-            if level > s:
-                raise WireFormatError(f"level {level} out of range for s={s}")
-            segments.append(SegmentCode(codeword_index=idx,
-                                        pseudo_norm=decode_pseudo_norm(level, u_min, u_max, s),
-                                        level=level))
-        else:
-            (u,) = struct.unpack(">f", r.read(32).to_bytes(4, "big"))
-            if not math.isfinite(u):
-                raise WireFormatError(f"raw pseudo-norm {u} is not finite")
-            segments.append(SegmentCode(codeword_index=idx, pseudo_norm=float(u),
-                                        level=None))
+    payload = np.frombuffer(buf, dtype=np.uint8, offset=HEADER.size)
+    bits = np.unpackbits(payload)[:n_seg * record].reshape(n_seg, record)
+    indices = _from_bits(bits[:, :ib]).astype(np.int64)
+    if indices.max() >= m:
+        raise WireFormatError(f"codeword index {indices.max()} out of range for m={m}")
+    words = _from_bits(bits[:, ib:])
+    if s >= 1:
+        grid = words.astype(np.int64)
+        if grid.max() > s:
+            raise WireFormatError(f"level {grid.max()} out of range for s={s}")
+        norms = decode_pseudo_norm(grid, u_min, u_max, s)
+    else:
+        grid, norms = None, words.view(">f4").astype(np.float64)
+        if not np.all(np.isfinite(norms)):
+            raise WireFormatError("raw pseudo-norms must be finite")
     return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
                               levels=s, u_min=float(u_min), u_max=float(u_max),
-                              segments=segments)
+                              indices=indices, norms=norms, grid=grid)
 
 
 def random_frame(stream) -> CompressedGradient:
@@ -218,19 +208,18 @@ def random_frame(stream) -> CompressedGradient:
     a, b = np.sort(np.float32(stream.derive("uminmax").normals(2) * 10))
     u_min, u_max = float(a), float(b)
 
-    idx = (stream.derive("idx").uniforms(n_seg) * m).astype(int) % m
-    segments = []
-    for j in range(n_seg):
-        if s >= 1:
-            level = int(stream.derive("lvl", j).uniforms(1)[0] * (s + 1)) % (s + 1)
-            segments.append(SegmentCode(codeword_index=int(idx[j]), level=level,
-                                        pseudo_norm=decode_pseudo_norm(level, u_min, u_max, s)))
-        else:
-            raw = float(np.float32(stream.derive("raw", j).normals(1)[0] * 10))
-            segments.append(SegmentCode(codeword_index=int(idx[j]),
-                                        pseudo_norm=raw, level=None))
+    idx = (stream.derive("idx").uniforms(n_seg) * m).astype(np.int64) % m
+    if s >= 1:
+        grid = np.array([int(stream.derive("lvl", j).uniforms(1)[0] * (s + 1)) % (s + 1)
+                         for j in range(n_seg)], dtype=np.int64)
+        norms = decode_pseudo_norm(grid, u_min, u_max, s)
+    else:
+        grid = None
+        norms = np.array([stream.derive("raw", j).normals(1)[0] * 10 for j in range(n_seg)],
+                         dtype=np.float32).astype(np.float64)
     return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
-                              levels=s, u_min=u_min, u_max=u_max, segments=segments)
+                              levels=s, u_min=u_min, u_max=u_max,
+                              indices=idx, norms=norms, grid=grid)
 
 
 def hsq_payload_bits(d: int, d_prime: int, m: int, s: int) -> int:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import hsq
 from hsq.cli import main
 from hsq.wire import decode_frame
 
@@ -259,13 +262,16 @@ def test_analyze_all_green(tmp_path):
 
 
 def test_console_script_runs():
+    # the child imports the same hsq as this process, installed or not
+    path = [str(Path(hsq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-m", "hsq.cli"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     # argparse demands a subcommand: usage error, not a crash
     assert proc.returncode == 2
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from hsq.cli import main; "
                            "sys.exit(main(['ratio', '--scheme', 'signsgd']))"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "32.0\n"

@@ -3,7 +3,7 @@ import pytest
 
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, OutOfRange)
-from hsq.quantizers import (CompressedGradient, SegmentCode, Variant, aggregate,
+from hsq.quantizers import (CompressedGradient, Variant, aggregate,
                             compress, decode, decode_pseudo_norm, quantize_greedy,
                             quantize_pseudo_norm, quantize_unbiased,
                             sample_unbiased_codes, segment_gradient)
@@ -69,6 +69,10 @@ def test_unbiased_rejects_nan_and_shape():
         quantize_unbiased(np.array([1.0, np.nan, 0, 0]), cb, Stream(0))
     with pytest.raises(DimensionMismatch):
         quantize_unbiased(np.ones(3), cb, Stream(0))
+    with pytest.raises(DimensionMismatch):
+        sample_unbiased_codes(np.ones(3), cb, 10, Stream(0))
+    with pytest.raises(DimensionMismatch):
+        sample_unbiased_codes(np.zeros(3), cb, 10, Stream(0))
 
 
 def test_unbiased_one_draw_per_segment():
@@ -208,7 +212,7 @@ def test_compress_two_segments_minmax():
     g = Stream(3).normals(16)
     cg = compress(g, cb, 0, Variant.GREEDY)
     assert cg.num_segments() == 2
-    norms = [seg.pseudo_norm for seg in cg.segments]
+    norms = list(cg.norms)
     assert cg.u_min <= min(norms) and cg.u_max >= max(norms)
     # f32 outward rounding keeps the bounds within one ulp of the exact norms
     assert min(norms) - cg.u_min <= abs(min(norms)) * 1e-6 + 1e-30
@@ -272,13 +276,13 @@ def test_decode_matches_scalar_reference():
         s = [0, 7, 63][trial % 3]
         cg = compress(g, cb, s, Variant.UNBIASED, st.derive("q"))
         expected = []
-        for j, seg in enumerate(cg.segments):
-            if seg.level is not None:
-                u = cg.u_min + seg.level * ((cg.u_max - cg.u_min) / cg.levels)
+        for j in range(cg.num_segments()):
+            if cg.grid is not None:
+                u = cg.u_min + int(cg.grid[j]) * ((cg.u_max - cg.u_min) / cg.levels)
             else:
-                u = seg.pseudo_norm
+                u = float(cg.norms[j])
             for i in range(cb.dim):
-                expected.append(u * cb.columns[i, seg.codeword_index])
+                expected.append(u * cb.columns[i, cg.indices[j]])
         np.testing.assert_array_equal(decode(cg, cb), np.array(expected[:20]))
 
 
@@ -293,8 +297,8 @@ def test_decoded_levels_stay_in_interval():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=7)
     g = Stream(11).normals(40)
     cg = compress(g, cb, 5, Variant.UNBIASED, Stream(12))
-    for seg in cg.segments:
-        u = cg.u_min + seg.level * ((cg.u_max - cg.u_min) / cg.levels)
+    for level in cg.grid:
+        u = cg.u_min + level * ((cg.u_max - cg.u_min) / cg.levels)
         assert cg.u_min - 1e-12 <= u <= cg.u_max + 1e-12
 
 
@@ -314,7 +318,7 @@ def test_aggregate_mean_by_hand():
     mk = lambda u: CompressedGradient(
         total_dim=2, segment_dim=2, codeword_count=2, levels=0,
         u_min=min(u, 0.0), u_max=max(u, 0.0),
-        segments=[SegmentCode(codeword_index=0, pseudo_norm=u, level=None)])
+        indices=np.array([0]), norms=np.array([u]), grid=None)
     out = aggregate([mk(1.0), mk(3.0)], cb)
     np.testing.assert_array_equal(out, [2.0, 0.0])
 

@@ -6,7 +6,7 @@ import pytest
 
 from hsq.codebook import CodebookMethod, generate
 from hsq.errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError
-from hsq.quantizers import CompressedGradient, SegmentCode, Variant, compress, decode
+from hsq.quantizers import CompressedGradient, Variant, compress, decode
 from hsq.rng import Stream
 from hsq.wire import (HEADER, HEADER_BITS, MAGIC, SCHEME_HSQ, VERSION,
                       compression_ratio, decode_frame, encode_frame,
@@ -14,12 +14,15 @@ from hsq.wire import (HEADER, HEADER_BITS, MAGIC, SCHEME_HSQ, VERSION,
                       random_frame, scheme_header_bits)
 
 
-def _frame(d=8, d_prime=8, m=256, s=63, u_min=0.0, u_max=1.0, segments=None):
-    if segments is None:
+def _frame(d=8, d_prime=8, m=256, s=63, u_min=0.0, u_max=1.0, indices=(5,), grid=(9,),
+           norms=None):
+    """A hand-built frame; the norms default to the grid values."""
+    if norms is None:
         delta = (u_max - u_min) / s if s >= 1 else 0.0
-        segments = [SegmentCode(codeword_index=5, pseudo_norm=u_min + 9 * delta, level=9)]
+        norms = [u_min + level * delta for level in grid]
     return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
-                              levels=s, u_min=u_min, u_max=u_max, segments=segments)
+                              levels=s, u_min=u_min, u_max=u_max, indices=np.array(indices),
+                              norms=np.array(norms), grid=None if grid is None else np.array(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +83,13 @@ def test_payload_bits_msb_first_by_hand():
 def test_payload_two_segments_by_hand():
     # m=4 (2 index bits), s=1 (1 level bit): records 10|1 and 01|0
     # packed MSB-first: 10101 000 -> 0xA8
-    segs = [SegmentCode(codeword_index=2, pseudo_norm=1.0, level=1),
-            SegmentCode(codeword_index=1, pseudo_norm=0.0, level=0)]
-    blob = encode_frame(_frame(d=6, d_prime=3, m=4, s=1, segments=segs))
+    blob = encode_frame(_frame(d=6, d_prime=3, m=4, s=1, indices=(2, 1), grid=(1, 0)))
     assert blob[31:] == bytes([0b10101000])
 
 
 def test_raw_norm_mode_is_big_endian_ieee():
-    segs = [SegmentCode(codeword_index=0, pseudo_norm=-1.5, level=None)]
     blob = encode_frame(_frame(d=4, d_prime=4, m=1, s=0, u_min=-1.5, u_max=-1.5,
-                               segments=segs))
+                               indices=(0,), grid=None, norms=(-1.5,)))
     # m=1 -> zero index bits, so the payload is exactly the f32 of -1.5
     assert blob[31:] == struct.pack(">f", -1.5)
 
@@ -124,8 +124,8 @@ def test_roundtrip_compressor_output():
 
 def test_grid_mode_reconstructs_grid_value():
     back = decode_frame(encode_frame(_frame()))
-    assert back.segments[0].level == 9
-    assert back.segments[0].pseudo_norm == pytest.approx(9 / 63)
+    assert back.grid[0] == 9
+    assert back.norms[0] == pytest.approx(9 / 63)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +144,27 @@ def test_encode_rejects_u32_overflow():
         encode_frame(_frame(s=2 ** 32))
 
 
+def test_encode_rejects_negative_levels():
+    with pytest.raises(WireFormatError):
+        encode_frame(_frame(s=-1, grid=None, norms=(0.5,)))
+
+
 def test_encode_rejects_wrong_segment_count():
     with pytest.raises(WireFormatError):
         encode_frame(_frame(d=16))  # would need 2 segments
+    for bad in (dict(indices=(5, 5)), dict(grid=(9, 9)), dict(norms=(0.5, 0.5)),
+                dict(indices=[[5]]), dict(grid=[[9]], norms=(0.5,)), dict(norms=[[0.5]]),
+                dict(indices=()), dict(s=0, grid=None, norms=())):
+        with pytest.raises(WireFormatError):
+            encode_frame(_frame(**bad))
+
+
+def test_encode_rejects_non_integer_codes():
+    for bad in (dict(indices=(5.0,)), dict(grid=(9.0,)), dict(indices=(True,)),
+                dict(grid=("9",), norms=(0.5,)), dict(norms=("0.5",)),
+                dict(s=0, grid=None, norms=(1,))):
+        with pytest.raises(WireFormatError):
+            encode_frame(_frame(**bad))
 
 
 def test_encode_rejects_inverted_bounds():
@@ -159,22 +177,34 @@ def test_encode_rejects_non_f32_bounds():
         encode_frame(_frame(u_min=0.1, u_max=1.0))  # 0.1 is not f32-exact
 
 
+def test_encode_rejects_non_f32_raw_norm():
+    for bad in (0.1, math.nan, math.inf, 1e300):
+        with pytest.raises(WireFormatError):
+            encode_frame(_frame(s=0, grid=None, norms=(bad,)))
+
+
 def test_encode_rejects_out_of_range_index():
-    segs = [SegmentCode(codeword_index=4, pseudo_norm=0.0, level=0)]
     with pytest.raises(WireFormatError):
-        encode_frame(_frame(d=2, d_prime=2, m=4, s=1, segments=segs))
+        encode_frame(_frame(d=2, d_prime=2, m=4, s=1, indices=(4,), grid=(0,)))
+    with pytest.raises(WireFormatError):
+        encode_frame(_frame(d=2, d_prime=2, m=4, s=1, indices=(-1,), grid=(0,)))
 
 
 def test_encode_rejects_out_of_range_level():
-    segs = [SegmentCode(codeword_index=0, pseudo_norm=1.0, level=64)]
     with pytest.raises(WireFormatError):
-        encode_frame(_frame(d=8, m=4, s=63, segments=segs))
+        encode_frame(_frame(d=8, m=4, s=63, indices=(0,), grid=(64,), norms=(1.0,)))
+    with pytest.raises(WireFormatError):
+        encode_frame(_frame(d=8, m=4, s=63, indices=(0,), grid=(-1,), norms=(1.0,)))
 
 
 def test_encode_rejects_level_in_raw_mode():
-    segs = [SegmentCode(codeword_index=0, pseudo_norm=1.0, level=0)]
     with pytest.raises(WireFormatError):
-        encode_frame(_frame(s=0, segments=segs))
+        encode_frame(_frame(s=0, indices=(0,), grid=(0,), norms=(1.0,)))
+
+
+def test_encode_rejects_missing_levels_in_grid_mode():
+    with pytest.raises(WireFormatError):
+        encode_frame(_frame(s=63, indices=(0,), grid=None, norms=(0.5,)))
 
 
 def test_decode_rejects_short_buffer():
@@ -213,8 +243,7 @@ def test_decode_rejects_truncated_payload():
 
 def test_decode_rejects_out_of_range_index():
     # m=3 leaves index value 3 unused in 2 bits; force it into the payload
-    segs = [SegmentCode(codeword_index=0, pseudo_norm=0.0, level=0)]
-    blob = bytearray(encode_frame(_frame(d=2, d_prime=2, m=3, s=1, segments=segs)))
+    blob = bytearray(encode_frame(_frame(d=2, d_prime=2, m=3, s=1, indices=(0,), grid=(0,))))
     blob[31] = 0b11000000
     with pytest.raises(WireFormatError):
         decode_frame(bytes(blob))
@@ -222,8 +251,7 @@ def test_decode_rejects_out_of_range_index():
 
 def test_decode_rejects_out_of_range_level():
     # s=2 uses 2 level bits; level 3 is invalid
-    segs = [SegmentCode(codeword_index=0, pseudo_norm=0.0, level=0)]
-    blob = bytearray(encode_frame(_frame(d=2, d_prime=2, m=1, s=2, segments=segs)))
+    blob = bytearray(encode_frame(_frame(d=2, d_prime=2, m=1, s=2, indices=(0,), grid=(0,))))
     blob[31] = 0b11000000
     with pytest.raises(WireFormatError):
         decode_frame(bytes(blob))
@@ -240,9 +268,8 @@ def test_decode_rejects_non_finite_bounds():
 
 
 def test_decode_rejects_non_finite_raw_norm():
-    segs = [SegmentCode(codeword_index=5, pseudo_norm=0.5, level=None)]
     for bad in (math.nan, math.inf, -math.inf):
-        blob = bytearray(encode_frame(_frame(s=0, segments=segs)))
+        blob = bytearray(encode_frame(_frame(s=0, indices=(5,), grid=None, norms=(0.5,))))
         blob[HEADER.size + 1:HEADER.size + 5] = struct.pack(">f", bad)  # after 8 index bits
         with pytest.raises(WireFormatError):
             decode_frame(bytes(blob))
@@ -268,7 +295,7 @@ def _mutants(blob: bytes, cg: CompressedGradient, st: Stream):
     non-finite patches of the f32 header fields and raw pseudo-norms."""
     nbits = 8 * len(blob)
     record = index_bits(cg.codeword_count) + level_bits(cg.levels)
-    used = 8 * HEADER.size + len(cg.segments) * record
+    used = 8 * HEADER.size + cg.num_segments() * record
     for u in st.derive("flip").uniforms(8):
         yield _flip(blob, int(u * nbits))
     for pos in range(used, nbits):
@@ -277,7 +304,7 @@ def _mutants(blob: bytes, cg: CompressedGradient, st: Stream):
         yield blob[:int(u * len(blob))]
     yield blob + bytes([int(st.derive("ext").uniforms(1)[0] * 256)])
     yield blob + bytes(4)
-    j = int(st.derive("seg").uniforms(1)[0] * len(cg.segments))
+    j = int(st.derive("seg").uniforms(1)[0] * cg.num_segments())
     shift = nbits - (8 * HEADER.size + j * record + index_bits(cg.codeword_count)) - 32
     for bad in (math.nan, math.inf, -math.inf):
         for offset in (23, 27):  # u_min, u_max
