@@ -1,8 +1,10 @@
-"""The benchmark's own self-test (perfbench/selftest.py) as a tier-1 check.
+"""The benchmark's own checks as tier-1 tests.
 
-It shows that the benchmark's frame check catches every flipped frame
-byte under the current codec, that a changed simulator CSV digit is
-caught, and that bad invocations are refused.
+The self-test (perfbench/selftest.py) shows that the benchmark's frame
+check catches every flipped frame byte under the current codec, that a
+changed simulator CSV digit is caught, and that bad invocations are
+refused. The golden check recomputes the benchmark's seeded digests and
+compares them with perfbench/golden.json.
 """
 
 import subprocess
@@ -18,3 +20,13 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 4 and all(line.startswith("PASS ") for line in lines), proc.stdout
+
+
+def test_benchmark_golden_digests_match():
+    # the benchmark's correctness gate: seeded workload outputs and the
+    # fixed frame grid must hash to the committed perfbench/golden.json
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import golden, run; "
+            "run.import_library(); sys.exit(golden.record() != golden.load())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from hsq.codebook import Codebook, CodebookMethod, generate
-from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, OutOfRange)
+from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, OutOfRange,
+                        Overflow)
 from hsq.quantizers import (CompressedGradient, Variant, aggregate,
                             compress, decode, decode_pseudo_norm, quantize_greedy,
                             quantize_pseudo_norm, quantize_unbiased,
@@ -394,3 +397,114 @@ def test_codec_outputs_pinned(method, d_prime, m, d):
     got = (frames.hexdigest(), decoded.hexdigest(),
            hashlib.sha256(aggregate(cgs, cb).tobytes()).hexdigest())
     assert got == _PIN_DIGESTS[m]
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a straight-line per-segment compressor
+
+
+def _reference_compress(g, cb, s, variant, rng):
+    """Per-segment compress: one derive(j), one GEMV, one searchsorted and
+    one scalar rounding per segment, each written out by hand."""
+    d = g.shape[0]
+    n_seg = -(-d // cb.dim)
+    padded = np.zeros(n_seg * cb.dim)
+    padded[:d] = g
+    indices, norms, streams = [], [], []
+    for j in range(n_seg):
+        seg = padded[j * cb.dim:(j + 1) * cb.dim]
+        st = rng.derive(j)
+        streams.append(st)
+        if not np.any(seg):
+            i, u = 0, 0.0
+        elif variant is Variant.UNBIASED:
+            p = cb.pinv @ seg
+            l1 = float(np.abs(p).sum())
+            cdf = np.cumsum(np.abs(p) / l1)
+            i = int(np.searchsorted(cdf[:-1], st.uniform(), side="right"))
+            u = math.copysign(l1, p[i])
+        else:
+            corr = cb.columns.T @ seg
+            i = int(np.argmax(np.abs(corr)))
+            u = float(corr[i])
+        indices.append(i)
+        norms.append(u)
+    u_min, u_max = float(np.float32(min(norms))), float(np.float32(max(norms)))
+    if u_min > min(norms):
+        u_min = float(np.nextafter(np.float32(u_min), np.float32(-np.inf)))
+    if u_max < max(norms):
+        u_max = float(np.nextafter(np.float32(u_max), np.float32(np.inf)))
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        raise Overflow("reference: pseudo-norms beyond f32")
+    grid = None
+    if s >= 1:
+        grid = []
+        for u, st in zip(norms, streams):
+            u = min(max(u, u_min), u_max)
+            delta = (u_max - u_min) / s
+            if delta == 0.0:
+                grid.append(0)
+                continue
+            k = min(int((u - u_min) / delta), s - 1)
+            p_lower = ((k + 1) * delta + u_min - u) / delta
+            grid.append(k if st.uniform() < p_lower else k + 1)
+        grid = np.array(grid, dtype=np.int64)
+    else:
+        norms = np.array(norms, dtype=np.float32)
+    return CompressedGradient(total_dim=d, segment_dim=cb.dim, codeword_count=cb.count,
+                              levels=s, u_min=u_min, u_max=u_max,
+                              indices=np.array(indices, dtype=np.int64),
+                              norms=np.array(norms, dtype=np.float64), grid=grid)
+
+
+# (codebook method, d', m, d): d spans several 2^16-entry blocks of
+# segments x codewords where that stays quick, and always ends ragged
+_REF_GRID = (("random-gaussian", 1, 1, 1001),
+             ("sob", 16, 16, 16 * 4196 - 9),
+             ("random-gaussian", 16, 256, 16 * 549 - 3),
+             ("random-gaussian", 8, 1024, 8 * 197 - 5))
+
+
+@pytest.mark.parametrize("method,d_prime,m,d", _REF_GRID)
+def test_compress_matches_per_segment_reference(method, d_prime, m, d):
+    cb = generate(method, d_prime, m, seed=3)
+    st = Stream(404).derive("ref", m)
+    n_seg = -(-d // d_prime)
+    scales = np.exp2(np.floor(st.derive("scale").uniforms(n_seg) * 21) - 10)
+    g = (2 * st.derive("g").uniforms(d) - 1) * np.repeat(scales, d_prime)[:d]
+    # all-zero, -0.0, subnormal, tied (constant) and lone-subnormal segments,
+    # some of them on block boundaries
+    for j, value in ((0, 0.0), (1, -0.0), (2, 5e-324), (3, 0.25), (63, 0.0),
+                     (64, 5e-324), (255, -0.0), (256, 0.25), (n_seg - 2, 0.0)):
+        if j < n_seg - 1:
+            g[j * d_prime:(j + 1) * d_prime] = value
+    g[min(4, n_seg - 2) * d_prime] = -5e-324
+    for variant in (Variant.UNBIASED, Variant.GREEDY):
+        for s in (0, 1, 7, 63):
+            rng = st.derive("q", variant.value, s)
+            want = _reference_compress(g, cb, s, variant, rng)
+            assert compress(g, cb, s, variant, rng) == want, (variant, s)
+
+
+def test_compress_pseudo_norm_overflow_raises():
+    cb = generate("random-gaussian", 4, 8, seed=1)
+    g = np.concatenate([np.ones(8), np.full(4, 1e300)])
+    for variant in (Variant.UNBIASED, Variant.GREEDY):
+        with pytest.raises(Overflow):
+            compress(g, cb, 7, variant, Stream(1))
+        with pytest.raises(Overflow):
+            _reference_compress(g, cb, 7, variant, Stream(1))
+
+
+def test_compress_peak_memory_flat_in_segments():
+    import tracemalloc
+
+    cb = generate("random-gaussian", 16, 256, seed=2)
+    g = Stream(5).normals(100_003)
+    tracemalloc.start()
+    try:
+        compress(g, cb, 63, Variant.UNBIASED, Stream(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
