@@ -79,11 +79,7 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
 
 def decode_qsgd(code: QsgdCode) -> np.ndarray:
     out = code.level_idx.astype(np.float64) / code.levels * code.signs
-    for b in range(code.norms.shape[0]):
-        lo = b * code.bucket_size
-        hi = min(lo + code.bucket_size, code.dim)
-        out[lo:hi] *= code.norms[b]
-    return out
+    return out * np.repeat(code.norms, code.bucket_size)[:code.dim]
 
 
 def qsgd_dense_bits(d: int, levels: int, bucket_size: int = QSGD_BUCKET_SIZE) -> float:

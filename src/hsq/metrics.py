@@ -25,8 +25,8 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import UnknownScheme
-from .quantizers import (Variant, compress, decode, decode_pseudo_norm, quantize_greedy,
-                         rounding_cell, sample_unbiased_codes, segment_gradient)
+from .quantizers import (Variant, _check_gradient, _select, compress, decode, decode_pseudo_norm,
+                         round_in_cell, rounding_cell, sample_unbiased_codes, segment_gradient)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
@@ -59,31 +59,27 @@ def check_unbiasedness(quantizer: str, cb: Codebook, g: np.ndarray, n_draws: int
     """
     if quantizer not in QUANTIZERS:
         raise UnknownScheme(f"unknown quantizer {quantizer!r}; expected one of {QUANTIZERS}")
-    g = np.asarray(g, dtype=np.float64)
+    g = _check_gradient(g)
     if quantizer == "identity":
         return np.zeros_like(g)
 
     segments = segment_gradient(g, cb.dim)
+    if quantizer == "greedy":
+        idx, u = _select(segments, cb.columns.T)
+        diff = (cb.columns[:, idx[:, 0]] * u[:, 0]).T - segments
+        return np.where(diff != 0.0, np.copysign(np.inf, diff), 0.0).reshape(-1)[:g.shape[0]]
     z = np.empty(segments.size)
     for j, seg in enumerate(segments):
-        if quantizer == "greedy":
-            u, idx = quantize_greedy(seg, cb)
-            mean = u * cb.columns[:, idx]
-            diff = mean - seg
-            zj = np.zeros(cb.dim)
-            zj[diff != 0.0] = np.copysign(np.inf, diff[diff != 0.0])
-        else:
-            idx, u = sample_unbiased_codes(seg, cb, n_draws, rng.derive(j))
-            counts = np.bincount(idx, minlength=cb.count) / n_draws
-            # a draw's value is determined by its index (u_j = sign(p_j)*l1),
-            # so tabulate the signed pseudo-norm per index from the draws
-            per_index_u = np.zeros(cb.count)
-            per_index_u[idx] = u
-            vals = cb.columns * per_index_u  # column j = u_j * c_j
-            mean = vals @ counts
-            ex2 = (vals ** 2) @ counts
-            zj = _z_from_moments(mean, ex2, seg, n_draws)
-        z[j * cb.dim:(j + 1) * cb.dim] = zj
+        idx, u = sample_unbiased_codes(seg, cb, n_draws, rng.derive(j))
+        counts = np.bincount(idx, minlength=cb.count) / n_draws
+        # a draw's value is determined by its index (u_j = sign(p_j)*l1),
+        # so tabulate the signed pseudo-norm per index from the draws
+        per_index_u = np.zeros(cb.count)
+        per_index_u[idx] = u
+        vals = cb.columns * per_index_u  # column j = u_j * c_j
+        mean = vals @ counts
+        ex2 = (vals ** 2) @ counts
+        z[j * cb.dim:(j + 1) * cb.dim] = _z_from_moments(mean, ex2, seg, n_draws)
     return z[:g.shape[0]]
 
 
@@ -98,8 +94,8 @@ def pseudo_norm_z(u: float, u_min: float, u_max: float, s: int, n_draws: int,
     uu, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
     if delta == 0.0:
         return 0.0
-    draws = np.where(rng.uniforms(n_draws) < p_lower, k, k + 1)
-    decoded = decode_pseudo_norm(draws, u_min, u_max, s)
+    decoded = decode_pseudo_norm(round_in_cell(k, p_lower, rng.uniforms(n_draws)),
+                                 u_min, u_max, s)
     mean, sd = float(decoded.mean()), float(decoded.std())
     if sd == 0.0:
         return 0.0 if mean == uu else math.inf

@@ -90,27 +90,40 @@ def _check_segment(g_segment: np.ndarray, cb: Codebook) -> np.ndarray:
     return g
 
 
-def _select_unbiased(g: np.ndarray, cb: Codebook, rng: Stream, n: int | None):
-    """The unbiased selection rule for one finite segment g.
+# Entries in one block's row x draw x codeword temporaries (512 KiB of f64)
+_BLOCK = 1 << 16
 
-    Picks codeword i with probability |p_i| / ||p||_1, p = pinv @ g, by
-    inverse CDF on one uniform (n None) or on n uniforms, and sets
-    u_i = sign(p_i) * ||p||_1. The all-zero segment picks index 0 with
-    u = 0 and draws nothing. Returns (indices, u values), scalar-shaped
-    when n is None.
+
+@np.errstate(invalid="ignore")  # 0/0 on all-zero rows
+def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = None):
+    """The selection rule on a batch of finite segments, one per row.
+
+    Greedy when ``draws`` is None (mat = C^T): the largest |c . g_j|, ties
+    to the lowest index, u = c . g_j. Unbiased otherwise (mat = pinv): each
+    of row j's k draws picks codeword i with probability |p_i| / ||p||_1,
+    p = pinv @ g_j, and u = sign(p_i) ||p||_1. All-zero rows pick 0 with
+    u = 0. Returns (indices, u), rows x k (k = 1 when greedy). Rows are
+    projected by stacked GEMVs that round like ``mat @ g_j``, unlike a GEMM.
     """
-    if not np.any(g):
-        shape = () if n is None else n
-        return np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    p = cb.pinv @ g
-    abs_p = np.abs(p)
-    l1 = float(abs_p.sum())
-    cdf = np.cumsum(abs_p / l1)
-    draws = rng.uniform() if n is None else rng.uniforms(n)
-    # Searching the first m-1 boundaries clamps the index to m-1, which
-    # guards against the cumsum's last entry rounding below a draw.
-    idx = np.searchsorted(cdf[:-1], draws, side="right")
-    return idx, np.copysign(l1, p[idx])
+    k = 1 if draws is None else draws.shape[1]
+    idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
+    rows = max(1, _BLOCK // (k * mat.shape[0]))
+    for lo in range(0, len(segments), rows):
+        block = segments[lo:lo + rows]
+        p = np.matmul(mat, block[:, :, None])[:, :, 0]
+        if draws is None:
+            i = np.argmax(np.abs(p), axis=1)[:, None]
+            v = np.take_along_axis(p, i, axis=1)
+        else:
+            l1 = np.abs(p).sum(axis=1, keepdims=True)
+            cdf = np.cumsum(np.abs(p) / l1, axis=1)[:, None, :-1]
+            # as searchsorted(cdf[:-1], draw, side="right"): the index stays
+            # below m even if the cumsum's last entry rounds below a draw
+            i = np.count_nonzero(cdf <= draws[lo:lo + rows, :, None], axis=2)
+            v = np.copysign(l1, np.take_along_axis(p, i, axis=1))
+        live = np.any(block, axis=1)
+        idx[lo:lo + rows][live], u[lo:lo + rows][live] = i[live], v[live]
+    return idx, u
 
 
 def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple[float, int]:
@@ -124,9 +137,8 @@ def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple
         (u, codeword_index) with u = sign(p_i) * ||p||_1, or (0.0, 0)
         for the all-zero segment.
     """
-    g = _check_segment(g_segment, cb)
-    i, u = _select_unbiased(g, cb, rng, None)
-    return float(u), int(i)
+    idx, u = sample_unbiased_codes(g_segment, cb, 1, rng)
+    return float(u[0]), int(idx[0])
 
 
 def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
@@ -135,12 +147,8 @@ def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
     Ties break toward the lowest index. Returns (u, codeword_index) with
     u = g . c, or (0.0, 0) for the all-zero segment.
     """
-    g = _check_segment(g_segment, cb)
-    if not np.any(g):
-        return 0.0, 0
-    corr = cb.columns.T @ g
-    i = int(np.argmax(np.abs(corr)))
-    return float(corr[i]), i
+    idx, u = _select(_check_segment(g_segment, cb)[None], cb.columns.T)
+    return float(u[0, 0]), int(idx[0, 0])
 
 
 def quantize_pseudo_norm(u: float, u_min: float, u_max: float, s: int, rng: Stream) -> int:
@@ -150,35 +158,37 @@ def quantize_pseudo_norm(u: float, u_min: float, u_max: float, s: int, rng: Stre
     chosen so the decoded expectation equals u. Consumes one uniform.
 
     Raises:
-        OutOfRange: u outside [u_min, u_max] by more than the slack.
+        OutOfRange: u or a bound not finite, or u outside the interval by more than the slack.
     """
     if s < 1:
         raise ValueError("grid rounding needs s >= 1; s = 0 transmits exact norms")
-    if u_max < u_min:
-        raise OutOfRange(f"empty interval: u_min={u_min} > u_max={u_max}")
-    if u < u_min - RANGE_SLACK or u > u_max + RANGE_SLACK:
+    if not (math.isfinite(u_min) and math.isfinite(u_max) and u_min <= u_max):
+        raise OutOfRange(f"not a finite, non-empty interval: [{u_min}, {u_max}]")
+    if not u_min - RANGE_SLACK <= u <= u_max + RANGE_SLACK:  # also false for NaN
         raise OutOfRange(f"u={u} outside [{u_min}, {u_max}]")
     _, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
-    if delta == 0.0:
-        return 0
-    return k if rng.uniform() < p_lower else k + 1
+    return int(round_in_cell(k, p_lower, rng.uniform())) if delta else 0
 
 
-def rounding_cell(u: float, u_min: float, u_max: float,
-                  s: int) -> tuple[float, float, int, float]:
-    """Locate u on the s+1 point grid of [u_min, u_max].
+def rounding_cell(u, u_min: float, u_max: float, s: int):
+    """Locate u (a float or an array) on the s+1 point grid of [u_min, u_max].
 
     Returns (u clamped into the interval, grid step delta, k, p_lower):
     the clamped u lies between grid points k and k+1 and rounds down to
     k with probability p_lower, which keeps the rounding unbiased. A
     degenerate interval has delta = 0, k = 0 and p_lower = 1.
     """
-    u = min(max(u, u_min), u_max)
+    u = np.minimum(np.maximum(u, u_min), u_max)
     delta = (u_max - u_min) / s
     if delta == 0.0:
         return u, delta, 0, 1.0
-    k = min(int((u - u_min) / delta), s - 1)
+    k = np.minimum(((u - u_min) / delta).astype(np.int64), s - 1)
     return u, delta, k, ((k + 1) * delta + u_min - u) / delta
+
+
+def round_in_cell(k, p_lower, draws):
+    """The grid level of each uniform draw: k below p_lower, else k + 1."""
+    return np.where(draws < p_lower, k, k + 1)
 
 
 def decode_pseudo_norm(level: int | np.ndarray, u_min: float, u_max: float,
@@ -198,24 +208,18 @@ def segment_gradient(g: np.ndarray, segment_dim: int) -> np.ndarray:
     return padded.reshape(n_seg, segment_dim)
 
 
-def _f32_down(x: float) -> float:
-    f = float(np.float32(x))
-    if f > x:
-        f = float(np.nextafter(np.float32(f), np.float32(-np.inf)))
-    return f
-
-
-def _f32_up(x: float) -> float:
-    f = float(np.float32(x))
-    if f < x:
-        f = float(np.nextafter(np.float32(f), np.float32(np.inf)))
-    return f
+def _f32_outward(lo: float, hi: float) -> tuple[float, float]:
+    """The f32 interval nearest to [lo, hi] that contains it."""
+    a, b = float(np.float32(lo)), float(np.float32(hi))
+    a = float(np.nextafter(np.float32(a), np.float32(-np.inf))) if a > lo else a
+    b = float(np.nextafter(np.float32(b), np.float32(np.inf))) if b < hi else b
+    return a, b
 
 
 def compress(g: np.ndarray, cb: Codebook, s: int,
              variant: Variant | str = Variant.GREEDY,
              rng: Stream | None = None) -> CompressedGradient:
-    """Quantize a full gradient segment by segment.
+    """Quantize a full gradient, all segments as one batch.
 
     u_min/u_max are taken over this gradient's own segment pseudo-norms
     and rounded outward to f32 before the grid is built, so quantization
@@ -240,28 +244,30 @@ def compress(g: np.ndarray, cb: Codebook, s: int,
         rng = Stream(0)  # never consumed
 
     segments = segment_gradient(g, cb.dim)
-    streams = [rng.derive(j) for j in range(segments.shape[0])]
+    draws = rng.substream_uniforms(segments.shape[0], 2)
     if variant is Variant.UNBIASED:
-        picks = [quantize_unbiased(seg, cb, st) for seg, st in zip(segments, streams)]
+        indices, norms = _select(segments, cb.pinv, draws[:, :1])
+        # a segment that drew to select rounds on its next uniform
+        draws = np.where(np.any(segments, axis=1), draws[:, 1], draws[:, 0])
     else:
-        picks = [quantize_greedy(seg, cb) for seg in segments]
+        indices, norms = _select(segments, cb.columns.T)
+        draws = draws[:, 0]
+    indices, norms = indices[:, 0], norms[:, 0]
 
-    norms = [u for u, _ in picks]
-    u_min = _f32_down(min(norms))
-    u_max = _f32_up(max(norms))
+    # the first extreme in segment order decides between 0.0 and -0.0
+    u_min, u_max = _f32_outward(float(norms[np.argmin(norms)]), float(norms[np.argmax(norms)]))
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
 
     grid = None
     if s >= 1:
-        grid = np.array([quantize_pseudo_norm(u, u_min, u_max, s, st)
-                         for u, st in zip(norms, streams)], dtype=np.int64)
+        _, _, k, p_lower = rounding_cell(norms, u_min, u_max, s)
+        grid = round_in_cell(k, p_lower, draws)
     else:
-        norms = np.array(norms, dtype=np.float32)  # what the wire carries
+        norms = norms.astype(np.float32).astype(np.float64)  # what the wire carries
     return CompressedGradient(total_dim=g.shape[0], segment_dim=cb.dim,
                               codeword_count=cb.count, levels=s, u_min=u_min, u_max=u_max,
-                              indices=np.array([i for _, i in picks], dtype=np.int64),
-                              norms=np.array(norms, dtype=np.float64), grid=grid)
+                              indices=indices, norms=norms, grid=grid)
 
 
 def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
@@ -291,10 +297,11 @@ def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:
 
 def sample_unbiased_codes(g_segment: np.ndarray, cb: Codebook, n: int,
                           rng: Stream) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Monte-Carlo draws of the unbiased selector for one segment.
+    """n independent draws of the unbiased selector for one segment.
 
-    Returns (indices, u values) for n independent draws; equivalent to n
-    calls of :func:`quantize_unbiased` with fresh uniforms, but fast
-    enough for 1e5-sample estimator checks.
+    Returns (indices, u values); draw r equals :func:`quantize_unbiased`
+    on the r-th uniform of ``rng``. The all-zero segment draws nothing.
     """
-    return _select_unbiased(_check_segment(g_segment, cb), cb, rng, n)
+    g = _check_segment(g_segment, cb)
+    idx, u = _select(g[None], cb.pinv, (rng.uniforms(n) if np.any(g) else np.zeros(n))[None])
+    return idx[0], u[0]

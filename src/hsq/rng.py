@@ -54,6 +54,10 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _unit(words: np.ndarray) -> np.ndarray:
+    return (words >> np.uint64(11)).astype(np.float64) * _TWO_M53
+
+
 def _tag_words(tag) -> list[int]:
     """Reduce a derivation tag to 64-bit words.
 
@@ -99,6 +103,13 @@ class Stream:
                 h = mix64(((h + _GOLDEN) & _MASK64) ^ mix64(word))
         return Stream(h)
 
+    def substream_uniforms(self, n: int, k: int) -> np.ndarray:
+        """n x k uniforms, row j equal to ``self.derive(j).uniforms(k)``, in closed form."""
+        seeds = _mix64_array(np.uint64((self._seed + _GOLDEN) & _MASK64)
+                             ^ _mix64_array(np.arange(n, dtype=np.uint64)))
+        idx = np.arange(1, k + 1, dtype=np.uint64)
+        return _unit(_mix64_array(seeds[:, None] + idx * np.uint64(_GOLDEN)))
+
     def _words(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
@@ -107,7 +118,7 @@ class Stream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
-        return (self._words(n) >> np.uint64(11)).astype(np.float64) * _TWO_M53
+        return _unit(self._words(n))
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])

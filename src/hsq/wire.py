@@ -210,8 +210,8 @@ def random_frame(stream) -> CompressedGradient:
 
     idx = (stream.derive("idx").uniforms(n_seg) * m).astype(np.int64) % m
     if s >= 1:
-        grid = np.array([int(stream.derive("lvl", j).uniforms(1)[0] * (s + 1)) % (s + 1)
-                         for j in range(n_seg)], dtype=np.int64)
+        draws = stream.derive("lvl").substream_uniforms(n_seg, 1)[:, 0]
+        grid = (draws * (s + 1)).astype(np.int64) % (s + 1)
         norms = decode_pseudo_norm(grid, u_min, u_max, s)
     else:
         grid = None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsq.codebook import Codebook, CodebookMethod, generate
-from hsq.errors import UnknownScheme
+from hsq.errors import InvalidGradient, UnknownScheme
 from hsq.metrics import (beta_correlation, greedy_residual_sq,
                          greedy_vs_unbiased_mse, ks_threshold, ks_two_sample,
                          pseudo_norm_z, run_validator_suite, check_alpha,
@@ -46,6 +46,9 @@ def test_unbiasedness_rejects_unknown_quantizer():
     cb = generate(CodebookMethod.SOB, 4, 4, seed=0)
     with pytest.raises(UnknownScheme):
         check_unbiasedness("nearest", cb, np.ones(4), 10, Stream(0))
+    for quantizer in ("unbiased", "greedy"):
+        with pytest.raises(InvalidGradient):
+            check_unbiasedness(quantizer, cb, np.ones((2, 4)), 10, Stream(0))
 
 
 # ---------------------------------------------------------------------------

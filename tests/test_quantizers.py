@@ -177,6 +177,10 @@ def test_pseudo_norm_out_of_range():
         quantize_pseudo_norm(-0.1, 0.0, 1.0, 4, Stream(0))
     # inside the 1e-12 slack: clamped, not an error
     assert quantize_pseudo_norm(1.0 + 5e-13, 0.0, 1.0, 4, Stream(0)) == 4
+    for u, lo, hi in ((np.nan, 0.0, 1.0), (0.5, np.nan, 1.0), (0.5, 0.0, np.nan),
+                      (0.5, -np.inf, 1.0), (0.5, 0.0, np.inf), (np.inf, 0.0, np.inf)):
+        with pytest.raises(OutOfRange):
+            quantize_pseudo_norm(u, lo, hi, 4, Stream(0))
 
 
 def test_pseudo_norm_degenerate_interval():

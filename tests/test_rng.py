@@ -84,6 +84,15 @@ def test_derive_is_independent_of_position():
     np.testing.assert_array_equal(child_before, child_after)
 
 
+def test_substream_uniforms_match_derived_streams():
+    for seed in (0, 12345, MASK):  # seed + golden wraps mod 2^64 at MASK
+        s = Stream(seed)
+        s.uniforms(7)  # the parent's position must not matter
+        for n, k in ((1, 1), (40, 2), (5, 9), (0, 2)):
+            expected = np.array([s.derive(j).uniforms(k) for j in range(n)]).reshape(n, k)
+            np.testing.assert_array_equal(s.substream_uniforms(n, k), expected)
+
+
 def test_derive_tags_distinguish():
     s = Stream(4)
     seen = set()
