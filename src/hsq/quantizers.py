@@ -90,7 +90,7 @@ def _check_segment(g_segment: np.ndarray, cb: Codebook) -> np.ndarray:
     return g
 
 
-# Entries in one block's row x draw x codeword temporaries (512 KiB of f64)
+# Target size of one block's row x draw x codeword temporaries (512 KiB of f64)
 _BLOCK = 1 << 16
 
 
@@ -107,7 +107,7 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     """
     k = 1 if draws is None else draws.shape[1]
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
-    rows = max(1, _BLOCK // (k * mat.shape[0]))
+    rows = max(1, _BLOCK // max(1, k * mat.shape[0]))  # k = 0 draws is allowed
     for lo in range(0, len(segments), rows):
         block = segments[lo:lo + rows]
         p = np.matmul(mat, block[:, :, None])[:, :, 0]

@@ -96,6 +96,9 @@ def test_sample_unbiased_matches_single_draws():
     np.testing.assert_allclose(np.abs(u), l1, atol=1e-12)
     for su, _ in singles:
         assert abs(su) == pytest.approx(l1)
+    for seg in (g, np.zeros(8)):  # no draws: empty arrays
+        idx, u = sample_unbiased_codes(seg, cb, 0, Stream(9))
+        assert idx.shape == u.shape == (0,) and idx.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
