@@ -144,11 +144,6 @@ def ternary_bits(d: int) -> float:
     return d * math.log2(3.0)
 
 
-def terngrad_bits(d: int) -> float:
-    """The ternary payload plus the 32-bit scaler."""
-    return ternary_bits(d) + TERNGRAD_SCALER_BITS
-
-
 # ---------------------------------------------------------------------------
 # Sign quantization: one bit per coordinate
 

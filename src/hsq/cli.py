@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -82,33 +84,53 @@ def _write_bytes(data: bytes, path: str) -> None:
 # ---------------------------------------------------------------------------
 # config parsing for `simulate`
 
-_SCHEME_KEYS = {"name", "d_prime", "m", "s", "variant", "codebook_method", "bucket_size"}
-_LR_KEYS = {"kind", "eta", "smoothness", "radius", "vq", "curly_l"}
 _PROBLEM_KEYS = {"kind", "dim", "seed", "num_samples", "layer_sizes"}
-_TOP_KEYS = {"seed", "rounds", "num_clients", "clients_per_round", "local_batch",
-             "scheme", "lr", "downlink_compressed", "problem"}
+_MISTYPED = object()
 
 
-def _scheme_from_dict(raw: dict, violations: list[str]) -> fedsim.QuantizerScheme:
-    for key in set(raw) - _SCHEME_KEYS:
-        violations.append(f"scheme.{key}: unknown field")
-    kwargs = {k: raw[k] for k in ("name", "d_prime", "m", "s", "bucket_size") if k in raw}
-    try:
-        if "variant" in raw:
-            kwargs["variant"] = Variant(raw["variant"])
-    except ValueError:
-        violations.append(f"scheme.variant: {raw['variant']!r} is not one of "
-                          f"{[v.value for v in Variant]}")
-    try:
-        if "codebook_method" in raw:
-            kwargs["codebook_method"] = CodebookMethod(raw["codebook_method"])
-    except ValueError:
-        violations.append(f"scheme.codebook_method: {raw['codebook_method']!r} is not "
-                          f"one of {[m.value for m in CodebookMethod]}")
-    return fedsim.QuantizerScheme(**kwargs)
+def _typed(hint, value, where: str, violations: list[str]):
+    """value as a field typed hint takes it, or _MISTYPED after a violation naming the field.
+
+    JSON ints pass for float fields, booleans only for bool fields."""
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, where, violations) or _MISTYPED
+    options = typing.get_args(hint) or (hint,)
+    for t in options:
+        if issubclass(t, enum.Enum) and value in [e.value for e in t]:
+            return t(value)
+        if type(value) is t or (t is float and type(value) is int):
+            return value
+    expected = " or ".join(f"one of {[e.value for e in t]}" if issubclass(t, enum.Enum)
+                           else "null" if t is type(None) else t.__name__ for t in options)
+    violations.append(f"{where}: expected {expected}, got {value!r}")
+    return _MISTYPED
+
+
+def _from_json(cls, raw, where: str, violations: list[str]):
+    """The config dataclass cls from a JSON object, or None if a value is mistyped.
+
+    Field names, types and defaults come from cls itself; unknown keys
+    and mistyped values are violations naming the field.
+    """
+    if not isinstance(raw, dict):
+        violations.append(f"{where}: must be a JSON object, got {raw!r}")
+        return None
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        name = f"{where}.{key}" if where else key
+        if key in fields:
+            kwargs[key] = _typed(fields[key], value, name, violations)
+        else:
+            violations.append(f"{name}: unknown field")
+    return None if _MISTYPED in kwargs.values() else cls(**kwargs)
 
 
 def _problem_from_dict(raw: dict, violations: list[str]) -> Problem | None:
+    if not isinstance(raw, dict):
+        violations.append(f"problem: must be a JSON object, got {raw!r}")
+        return None
     for key in set(raw) - _PROBLEM_KEYS:
         violations.append(f"problem.{key}: unknown field")
     kind = raw.get("kind")
@@ -139,46 +161,23 @@ def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
     violations: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be a JSON object"])
-    for key in set(raw) - _TOP_KEYS:
-        violations.append(f"{key}: unknown field")
     if "seed" not in raw:
         violations.append("seed: required (configs must pin their randomness explicitly)")
     if "problem" not in raw:
         violations.append("problem: required")
-
-    scheme = _scheme_from_dict(raw.get("scheme", {}), violations)
-    lr_raw = raw.get("lr", {"kind": "constant", "eta": 0.1})
-    for key in set(lr_raw) - _LR_KEYS:
-        violations.append(f"lr.{key}: unknown field")
-    lr = fedsim.LrSchedule(**{k: lr_raw[k] for k in lr_raw if k in _LR_KEYS})
-
-    problem = _problem_from_dict(raw.get("problem", {}), violations) \
-        if "problem" in raw else None
-
-    cfg = fedsim.FedConfig(
-        num_clients=raw.get("num_clients", 50),
-        clients_per_round=raw.get("clients_per_round", 10),
-        rounds=raw.get("rounds", 100),
-        local_batch=raw.get("local_batch", 1),
-        scheme=scheme, lr=lr,
-        downlink_compressed=raw.get("downlink_compressed", False),
-        seed=raw.get("seed", 0))
-    violations.extend(cfg.violations())
+    cfg = _from_json(fedsim.FedConfig, {k: v for k, v in raw.items() if k != "problem"},
+                     "", violations)
+    problem = _problem_from_dict(raw["problem"], violations) if "problem" in raw else None
+    if cfg is not None:  # range checks only once every value has its type
+        violations.extend(cfg.violations())
     if violations or problem is None:
         raise ConfigError(violations or ["problem: could not be constructed"])
     return cfg, problem
 
 
 def _config_echo(cfg: fedsim.FedConfig) -> dict:
-    def clean(obj):
-        if dataclasses.is_dataclass(obj):
-            return {k: clean(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, (Variant, CodebookMethod)):
-            return obj.value
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        return obj
-    return clean(cfg)
+    return dataclasses.asdict(cfg, dict_factory=lambda items: {
+        k: v.value if isinstance(v, enum.Enum) else v for k, v in items})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def _cmd_ratio(args) -> int:
             rows.append({"scheme": scheme,
                          "ratio": round(wire.compression_ratio(scheme, **kw), 1)})
         except ValueError:
-            continue  # scheme needs parameters that were not supplied
+            continue  # a parameter the scheme reads is missing or out of range
     _emit({"schema_version": SCHEMA_VERSION, "include_header": args.include_header,
            "grid": rows}, None)
     return 0

@@ -18,13 +18,14 @@ with the same config produce bit-identical logs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import baselines
-from .codebook import Codebook, CodebookMethod, generate
+from .codebook import Codebook, CodebookMethod
 from .errors import ConfigError
 from .problems import Problem
 from .quantizers import Variant
@@ -39,8 +40,9 @@ CSV_COLUMNS = ("round", "loss", "grad_norm_sq", "uplink_bits",
 class QuantizerScheme:
     """Uplink compressor selection plus its parameters.
 
-    d_prime / m / s / variant / codebook_method apply to hsq; s doubles
-    as the level count for qsgd; the rest need no parameters.
+    wire.SCHEMES[name].params lists the parameters the scheme reads and
+    their bounds; it ignores the others. variant and codebook_method
+    apply to hsq, and s doubles as the level count for qsgd.
     """
 
     name: str = "identity"
@@ -52,25 +54,20 @@ class QuantizerScheme:
     bucket_size: int = baselines.QSGD_BUCKET_SIZE
 
     def violations(self) -> list[str]:
-        out = []
         if self.name not in SCHEMES:
-            out.append(f"scheme.name: {self.name!r} not one of {tuple(SCHEMES)}")
-            return out
-        if self.name == "hsq":
-            if self.d_prime is None or self.d_prime < 1:
-                out.append("scheme.d_prime: hsq needs a segment length >= 1")
-            if self.m is None or self.m < 1:
-                out.append("scheme.m: hsq needs a codeword count >= 1")
-            if self.d_prime is not None and self.m is not None and self.m < self.d_prime:
-                out.append(f"scheme.m: must be >= d_prime ({self.m} < {self.d_prime})")
-            if self.s is None or self.s < 0:
-                out.append("scheme.s: hsq needs a level count >= 0")
-        if self.name == "qsgd":
-            if self.s is None or self.s < 1:
-                out.append("scheme.s: qsgd needs a level count >= 1")
-            if self.bucket_size < 1:
-                out.append("scheme.bucket_size: must be >= 1")
-        return out
+            return [f"scheme.name: {self.name!r} not one of {tuple(SCHEMES)}"]
+        return [f"scheme.{v}" for v in SCHEMES[self.name].violations(vars(self))]
+
+
+# kind -> (recipe(rounds, *params), {param: (comparison, bound)}), params in
+# recipe order; a recipe resolves without raising on any values inside the bounds.
+LR_KINDS = {
+    "constant": (lambda rounds, eta: float(eta), {"eta": (">", 0)}),
+    "theorem1": (lambda rounds, smoothness, radius, vq: lr_theorem1(smoothness, radius, vq, rounds),
+                 {"smoothness": (">", 0), "radius": (">", 0), "vq": (">=", 0)}),
+    "theorem3": (lambda rounds, curly_l: lr_theorem3(rounds, curly_l), {"curly_l": (">", 0)}),
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -90,26 +87,15 @@ class LrSchedule:
     curly_l: float | None = None
 
     def violations(self) -> list[str]:
-        if self.kind == "constant":
-            if self.eta is None or self.eta <= 0:
-                return ["lr.eta: constant schedule needs eta > 0"]
-            return []
-        if self.kind == "theorem1":
-            missing = [n for n in ("smoothness", "radius", "vq")
-                       if getattr(self, n) is None or getattr(self, n) < 0]
-            return [f"lr.{n}: theorem1 schedule needs {n} >= 0" for n in missing]
-        if self.kind == "theorem3":
-            if self.curly_l is None or self.curly_l <= 0:
-                return ["lr.curly_l: theorem3 schedule needs curly_l > 0"]
-            return []
-        return [f"lr.kind: {self.kind!r} not one of ('constant', 'theorem1', 'theorem3')"]
+        if self.kind not in LR_KINDS:
+            return [f"lr.kind: {self.kind!r} not one of {tuple(LR_KINDS)}"]
+        return [f"lr.{n}: {self.kind} schedule needs {n} {op} {bound}, got {getattr(self, n)!r}"
+                for n, (op, bound) in LR_KINDS[self.kind][1].items()
+                if getattr(self, n) is None or not _COMPARE[op](getattr(self, n), bound)]
 
     def resolve(self, rounds: int) -> float:
-        if self.kind == "constant":
-            return float(self.eta)
-        if self.kind == "theorem1":
-            return lr_theorem1(self.smoothness, self.radius, self.vq, rounds)
-        return lr_theorem3(rounds, self.curly_l)
+        recipe, params = LR_KINDS[self.kind]
+        return recipe(rounds, *(getattr(self, n) for n in params))
 
 
 @dataclass(frozen=True)
@@ -124,22 +110,18 @@ class FedConfig:
     seed: int = 0
 
     def violations(self) -> list[str]:
-        out = []
-        if self.num_clients < 1:
-            out.append(f"num_clients: must be >= 1, got {self.num_clients}")
+        out = [f"{n}: must be >= {least}, got {getattr(self, n)}"
+               for n, least in (("num_clients", 1), ("rounds", 1), ("local_batch", 1),
+                                ("seed", 0)) if getattr(self, n) < least]
         if not 1 <= self.clients_per_round <= max(self.num_clients, 1):
             out.append(f"clients_per_round: must be in [1, num_clients], "
                        f"got {self.clients_per_round}")
-        if self.rounds < 1:
-            out.append(f"rounds: must be >= 1, got {self.rounds}")
-        if self.local_batch < 1:
-            out.append(f"local_batch: must be >= 1, got {self.local_batch}")
-        if self.seed < 0:
-            out.append(f"seed: must be >= 0, got {self.seed}")
         out.extend(self.scheme.violations())
         out.extend(self.lr.violations())
-        if self.downlink_compressed and self.scheme.name != "hsq":
-            out.append("downlink_compressed: requires the hsq scheme")
+        if (self.downlink_compressed and self.scheme.name in SCHEMES
+                and not SCHEMES[self.scheme.name].downlink):
+            out.append(f"downlink_compressed: scheme {self.scheme.name!r} has no "
+                       "compressed downlink")
         return out
 
     def validate(self) -> None:
@@ -168,8 +150,8 @@ class SimResult:
 
 def lr_theorem1(smoothness: float, radius: float, vq: float, rounds: int) -> float:
     """Constant step size 1/(L + sqrt(V_q * T) / R)."""
-    if radius <= 0 or rounds < 1 or smoothness < 0 or vq < 0:
-        raise ValueError("need radius > 0, rounds >= 1, smoothness >= 0, vq >= 0")
+    if radius <= 0 or rounds < 1 or smoothness <= 0 or vq < 0:
+        raise ValueError("need radius > 0, rounds >= 1, smoothness > 0, vq >= 0")
     return 1.0 / (smoothness + math.sqrt(vq * rounds) / radius)
 
 
@@ -236,9 +218,7 @@ def run(cfg: FedConfig, problem: Problem,
     root = Stream(cfg.seed)
     shards = partition_indices(problem.num_samples, cfg.num_clients, root.derive("partition"))
 
-    cb = None
-    if sch.name == "hsq":
-        cb = generate(sch.codebook_method, sch.d_prime, sch.m, cfg.seed)
+    cb = SCHEMES[sch.name].codebook(sch, cfg.seed)
     step = SCHEMES[sch.name].step
 
     d = problem.dim
@@ -273,7 +253,7 @@ def run(cfg: FedConfig, problem: Problem,
         g_bar = np.mean(decoded, axis=0)
 
         if cfg.downlink_compressed:
-            # validate() allows this only for hsq, so step is hsq's compress -> decode
+            # validate() allows this only where the scheme's table entry sets downlink
             x = x + step(-eta * g_bar, sch, cb, root.derive("downlink", t))
         else:
             x = x - eta * g_bar

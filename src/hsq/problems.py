@@ -191,7 +191,6 @@ class TinyMLP(Problem):
             x0.append(np.zeros(o))
         self.x0 = np.concatenate(x0)
         self.f_star = 0.0
-        self.smoothness = self._estimate_smoothness(st.derive("lipschitz"))
 
     def _unflatten(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         layers, pos = [], 0
@@ -250,18 +249,6 @@ class TinyMLP(Problem):
     def accuracy(self, x: np.ndarray) -> float:
         _, _, logits = self._forward(x, np.arange(self.num_samples))
         return float(np.mean(logits.argmax(axis=1) == self.labels))
-
-    def _estimate_smoothness(self, st: Stream, n_pairs: int = 64) -> float:
-        """Sampled gradient-Lipschitz ratio around x0, doubled for slack."""
-        worst = 0.0
-        for k in range(n_pairs):
-            pair = st.derive(k)
-            a = self.x0 + 0.5 * pair.derive("a").normals(self.dim)
-            b = a + 0.1 * pair.derive("b").normals(self.dim)
-            num = np.linalg.norm(self.gradient(a) - self.gradient(b))
-            den = np.linalg.norm(a - b)
-            worst = max(worst, float(num / den))
-        return 2.0 * worst
 
 
 def finite_diff_check(p: Problem, x: np.ndarray, h: float = 1e-5) -> float:

@@ -209,10 +209,11 @@ def segment_gradient(g: np.ndarray, segment_dim: int) -> np.ndarray:
 
 
 def _f32_outward(lo: float, hi: float) -> tuple[float, float]:
-    """The f32 interval nearest to [lo, hi] that contains it."""
-    a, b = float(np.float32(lo)), float(np.float32(hi))
-    a = float(np.nextafter(np.float32(a), np.float32(-np.inf))) if a > lo else a
-    b = float(np.nextafter(np.float32(b), np.float32(np.inf))) if b < hi else b
+    """The f32 interval nearest to [lo, hi] that contains it; infinite beyond the f32 range."""
+    with np.errstate(over="ignore"):
+        a, b = float(np.float32(lo)), float(np.float32(hi))
+        a = float(np.nextafter(np.float32(a), np.float32(-np.inf))) if a > lo else a
+        b = float(np.nextafter(np.float32(b), np.float32(np.inf))) if b < hi else b
     return a, b
 
 

@@ -24,14 +24,15 @@ Bit accounting (payload_bits / compression_ratio) excludes this fixed
 header by default so that ratios describe the per-coordinate cost in
 the large-d limit; pass include_header=True to amortize it over one
 message of length d. SCHEMES is the one table of uplink compressors:
-their bit accounting and the simulator's per-client step.
+the parameters each reads and their bounds, its bit accounting, its
+codebook and the simulator's per-client step.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,6 +40,7 @@ import numpy as np
 from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
+from .codebook import Codebook, generate
 from .errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError
 from .quantizers import CompressedGradient, compress, decode, decode_pseudo_norm
 
@@ -231,58 +233,63 @@ def hsq_payload_bits(d: int, d_prime: int, m: int, s: int) -> int:
 class Scheme:
     """Everything the package knows about one uplink compressor.
 
-    payload_bits(d, d_prime, m, s, bucket_size) is the cost of one
-    gradient of length d without the fixed per-message header_bits;
-    step(g, params, cb, rng) compresses one client gradient and returns
-    what the coordinator decodes from it, reading s / variant /
-    bucket_size from params (a fedsim.QuantizerScheme);
-    natural_d(d_prime, bucket_size) is the length compression_ratio uses
-    when d is omitted. Parameters a scheme does not use are ignored;
-    missing ones it needs raise ValueError.
+    params lists, in order, the parameters its accounting and step read,
+    each with its least valid value: an int, or the name of an earlier
+    parameter. payload_bits(d, *params) is the cost of a length-d
+    gradient without the fixed header_bits; natural_d names the length
+    compression_ratio uses when d is omitted (1 if None).
+    codebook(p, seed) builds what step(g, p, cb, rng) needs to compress
+    one client gradient and return its decoding (p is a
+    fedsim.QuantizerScheme); downlink allows compressed model updates.
     """
 
     payload_bits: Callable[..., float]
     step: Callable[..., np.ndarray]
+    params: dict[str, int | str] = field(default_factory=dict)
     header_bits: int = 0
-    natural_d: Callable[..., int] = lambda d_prime, bucket_size: 1
+    natural_d: str | None = None
+    codebook: Callable[..., Codebook | None] = lambda p, seed: None
+    downlink: bool = False
 
-
-def _hsq_bits(d, d_prime, m, s, bucket_size) -> float:
-    if d_prime is None or m is None or s is None:
-        raise ValueError("hsq accounting needs d_prime, m and s")
-    return float(hsq_payload_bits(d, d_prime, m, s))
-
-
-def _hsq_natural_d(d_prime, bucket_size) -> int:
-    if d_prime is None:
-        raise ValueError("hsq accounting needs d_prime")
-    return d_prime
-
-
-def _qsgd_bits(d, d_prime, m, s, bucket_size) -> float:
-    if s is None:
-        raise ValueError("qsgd accounting needs s (levels)")
-    return qsgd_dense_bits(d, s, bucket_size)
+    def violations(self, values: dict) -> list[str]:
+        """One message per declared parameter that values lacks or puts below its bound."""
+        out, valid = [], {}
+        for name, least in self.params.items():
+            label = least
+            if isinstance(least, str):  # the earlier parameter's value once that is valid
+                label = f"{least} ({valid[least]})" if least in valid else self.params[least]
+                least = valid.get(least, self.params[least])
+            value = values.get(name)
+            if value is None or value < least:
+                out.append(f"{name}: must be >= {label}, got {value!r}")
+            else:
+                valid[name] = value
+        return out
 
 
 SCHEMES = {
-    "identity": Scheme(payload_bits=lambda d, *_: 32.0 * d, step=lambda g, *_: g),
-    "hsq": Scheme(payload_bits=_hsq_bits, header_bits=HEADER_BITS, natural_d=_hsq_natural_d,
+    "identity": Scheme(payload_bits=lambda d: 32.0 * d, step=lambda g, *_: g),
+    "hsq": Scheme(payload_bits=hsq_payload_bits, params={"d_prime": 1, "m": "d_prime", "s": 0},
+                  header_bits=HEADER_BITS, natural_d="d_prime", downlink=True,
+                  codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),
                   step=lambda g, p, cb, rng: decode(compress(g, cb, p.s, p.variant, rng), cb)),
-    "qsgd": Scheme(payload_bits=_qsgd_bits, natural_d=lambda d_prime, bucket_size: bucket_size,
+    "qsgd": Scheme(payload_bits=qsgd_dense_bits, params={"s": 1, "bucket_size": 1},
+                   natural_d="bucket_size",
                    step=lambda g, p, cb, rng: decode_qsgd(
                        compress_qsgd(g, p.s, rng, p.bucket_size))),
-    "terngrad": Scheme(payload_bits=lambda d, *_: ternary_bits(d),
-                       header_bits=TERNGRAD_SCALER_BITS,
+    "terngrad": Scheme(payload_bits=ternary_bits, header_bits=TERNGRAD_SCALER_BITS,
                        step=lambda g, p, cb, rng: decode_terngrad(compress_terngrad(g, rng))),
-    "signsgd": Scheme(payload_bits=lambda d, *_: sign_bits(d),
+    "signsgd": Scheme(payload_bits=sign_bits,
                       step=lambda g, *_: decode_sign(compress_sign(g))),
 }
 
 
-def _scheme(name: str) -> Scheme:
+def _scheme(name: str, values: dict | None = None) -> Scheme:
+    """The table entry for name; with values, ValueError unless they satisfy its params."""
     if name not in SCHEMES:
         raise UnknownScheme(f"unknown scheme {name!r}; expected one of {tuple(SCHEMES)}")
+    if values is not None and (bad := SCHEMES[name].violations(values)):
+        raise ValueError(f"{name} accounting: " + "; ".join(bad))
     return SCHEMES[name]
 
 
@@ -294,11 +301,14 @@ def payload_bits(scheme: str, d: int, d_prime: int | None = None,
     Excludes fixed per-message overhead (frame header, TernGrad's
     scaler) so that the d'-segment cost structure is visible; QSGD's
     per-bucket norms stay in because they grow with d. May be
-    fractional: a ternary coordinate costs log2(3) bits.
+    fractional: a ternary coordinate costs log2(3) bits. Parameters
+    are checked by the rule QuantizerScheme.violations applies.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return _scheme(scheme).payload_bits(d, d_prime, m, s, bucket_size)
+    values = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
+    entry = _scheme(scheme, values)
+    return float(entry.payload_bits(d, *(values[p] for p in entry.params)))
 
 
 def scheme_header_bits(scheme: str) -> int:
@@ -317,9 +327,11 @@ def compression_ratio(scheme: str, d: int | None = None,
     per-coordinate ratio since the excluded header is the only
     d-dependent distortion.
     """
+    values = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
     if d is None:
-        d = _scheme(scheme).natural_d(d_prime, bucket_size)
-    bits = payload_bits(scheme, d, d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
+        natural = _scheme(scheme, values).natural_d
+        d = values[natural] if natural else 1
+    bits = payload_bits(scheme, d, **values)
     if include_header:
         bits += scheme_header_bits(scheme)
     return 32.0 * d / bits

@@ -6,9 +6,10 @@ import pytest
 from hsq.baselines import (QSGD_BUCKET_SIZE, compress_qsgd, compress_sign,
                            compress_terngrad, decode_qsgd, decode_sign,
                            decode_terngrad, qsgd_dense_bits, qsgd_sparse_bits,
-                           sign_bits, terngrad_bits)
+                           sign_bits)
 from hsq.errors import InvalidGradient
 from hsq.rng import Stream
+from hsq.wire import payload_bits, scheme_header_bits
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,8 @@ def test_terngrad_unbiased_monte_carlo():
 
 
 def test_terngrad_bits():
-    assert terngrad_bits(100) == pytest.approx(100 * math.log2(3) + 32)
+    bits = payload_bits("terngrad", 100) + scheme_header_bits("terngrad")
+    assert bits == pytest.approx(100 * math.log2(3) + 32)
 
 
 # ---------------------------------------------------------------------------

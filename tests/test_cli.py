@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hsq
 from hsq.cli import main
@@ -55,6 +56,24 @@ def test_ratio_grid_skips_underspecified_schemes(capsys):
     names = {row["scheme"] for row in report["grid"]}
     assert {"identity", "terngrad", "signsgd"} <= names
     assert "hsq" not in names  # needs --dprime/--m/--s
+    # parameters a config rejects are skipped the same way
+    assert main(["ratio", "--dprime", "8", "--m", "4", "--s", "0"]) == 0
+    names = {row["scheme"] for row in json.loads(capsys.readouterr().out)["grid"]}
+    assert "hsq" not in names and "qsgd" not in names
+    assert {"identity", "terngrad", "signsgd"} <= names
+
+
+@pytest.mark.parametrize("argv, param", [
+    (["--scheme", "hsq", "--dprime", "8", "--m", "4", "--s", "1"], "m"),
+    (["--scheme", "hsq", "--dprime", "4", "--m", "4", "--s", "-1"], "s"),
+    (["--scheme", "qsgd", "--s", "0"], "s"),
+    (["--scheme", "hsq", "--dprime", "0", "--m", "4", "--s", "1"], "d_prime"),
+])
+def test_ratio_rejects_parameters_a_config_rejects(capsys, argv, param):
+    assert main(["ratio", *argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"accounting: {param}: must be >= " in err["message"]
 
 
 def test_ratio_grid_full_parameters(capsys):
@@ -219,6 +238,39 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     assert err["error"] == "config"
     assert any("rounds" in v for v in err["violations"])
     assert any("scheme.d_prime" in v for v in err["violations"])
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"scheme": 5}, "scheme"),
+    ({"lr": 5}, "lr"),
+    ({"problem": 7}, "problem"),
+    ({"rounds": "ten"}, "rounds"),
+    ({"seed": "x"}, "seed"),
+    ({"scheme": {"name": "hsq", "d_prime": "4", "m": 16, "s": 15}}, "scheme.d_prime"),
+    ({"rounds": 2.0}, "rounds"),
+    ({"local_batch": 1.5}, "local_batch"),
+    ({"scheme": {"name": ["hsq"]}}, "scheme.name"),
+    ({"num_clients": 2.5}, "num_clients"),
+    ({"downlink_compressed": "yes"}, "downlink_compressed"),
+    ({"clients_per_round": True}, "clients_per_round"),
+    ({"lr": {"kind": "constant", "eta": "0.1"}}, "lr.eta"),
+    ({"scheme": {"name": "hsq", "d_prime": 4, "m": 16, "s": 15, "variant": 1}},
+     "scheme.variant"),
+    # in range for the type, out of range for the recipe
+    ({"lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 0.0, "vq": 1.0}}, "lr.radius"),
+])
+def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
+    cfg_path = _write_config(tmp_path, _good_config(**overrides))
+    assert main(["simulate", "--config", cfg_path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert [v.split(":")[0] for v in err["violations"]] == [field]
+
+
+def test_simulate_accepts_json_ints_for_float_fields(tmp_path):
+    cfg = _good_config(lr={"kind": "theorem1", "smoothness": 10, "radius": 1, "vq": 1})
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg),
+                 "--csv", str(tmp_path / "log.csv")]) == 0
 
 
 def test_simulate_unknown_field_rejected(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 
 from hsq.codebook import CodebookMethod, generate
 from hsq.errors import ConfigError
-from hsq.fedsim import (CSV_COLUMNS, FedConfig, LrSchedule, QuantizerScheme,
+from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, FedConfig, LrSchedule, QuantizerScheme,
                         RoundLog, curly_l, logs_to_csv, lr_theorem1,
                         lr_theorem3, partition_indices, run,
                         theorem1_gap_bound, vq_bound)
 from hsq.problems import Logistic, Quadratic
 from hsq.quantizers import Variant
 from hsq.rng import Stream
-from hsq.wire import payload_bits
+from hsq.wire import SCHEMES, compression_ratio, payload_bits
 
 
 def _identity_cfg(**kw):
@@ -121,6 +122,47 @@ def test_config_scheme_name_unknown():
 def test_config_hsq_m_smaller_than_d_prime():
     sch = QuantizerScheme(name="hsq", d_prime=16, m=8, s=0)
     assert any("must be >= d_prime" in m for m in sch.violations())
+
+
+def test_theorem1_zero_radius_is_a_violation():
+    lr = LrSchedule(kind="theorem1", smoothness=1.0, radius=0.0, vq=1.0)
+    assert [v.split(":")[0] for v in lr.violations()] == ["lr.radius"]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_accounting_and_config_apply_one_rule_per_parameter(name):
+    # payload_bits raises exactly when the config names a parameter, and
+    # its message names the same parameters
+    grid = (None, -1, 0, 1, 4, 16)
+    for d_prime, m, s, bucket_size in itertools.product(grid, grid, grid, (0, 1, 512)):
+        params = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
+        named = [v.split(":")[0].removeprefix("scheme.")
+                 for v in QuantizerScheme(name=name, **params).violations()]
+        if not named:
+            assert payload_bits(name, 64, **params) > 0
+            assert compression_ratio(name, **params) > 0
+            continue
+        for call in (lambda: payload_bits(name, 64, **params),
+                     lambda: compression_ratio(name, **params)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            listed = str(exc.value).split("accounting: ", 1)[1].split("; ")
+            assert [v.split(":")[0] for v in listed] == named
+
+
+def test_every_accepted_lr_schedule_resolves():
+    grid = (None, -1.0, 0.0, 0.5, 4, float("nan"))
+    accepted = 0
+    for kind, (_, params) in LR_KINDS.items():
+        for values in itertools.product(grid, repeat=len(params)):
+            lr = LrSchedule(kind=kind, **dict(zip(params, values)))
+            if lr.violations():
+                continue
+            accepted += 1
+            for rounds in (1, 100):
+                eta = lr.resolve(rounds)
+                assert math.isfinite(eta) and eta > 0
+    assert accepted == 2 + 2 * 2 * 3 + 2
 
 
 def test_config_downlink_requires_hsq():

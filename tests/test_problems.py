@@ -88,12 +88,6 @@ def test_mlp_perfectly_separable_blobs():
     assert set(np.unique(p.labels)) == {0, 1}
 
 
-def test_mlp_smoothness_positive():
-    p = TinyMLP(seed=2)
-    assert p.smoothness > 0
-    assert np.isfinite(p.smoothness)
-
-
 def test_convexity_inequality_random_pairs():
     p = Logistic(dim=6, seed=7)
     st = Stream(8)

@@ -351,6 +351,21 @@ def test_payload_bits_per_scheme():
     assert payload_bits("qsgd", 512, s=7) == pytest.approx(512 * 4 + 32)
 
 
+@pytest.mark.parametrize("scheme, params, bad", [
+    ("hsq", dict(d_prime=8, m=4, s=1), "m"),
+    ("hsq", dict(d_prime=4, m=4, s=-1), "s"),
+    ("hsq", dict(d_prime=0, m=4, s=1), "d_prime"),
+    ("hsq", dict(d_prime=4, m=4), "s"),
+    ("qsgd", dict(s=0), "s"),
+    ("qsgd", dict(s=7, bucket_size=0), "bucket_size"),
+])
+def test_payload_bits_rejects_invalid_parameters(scheme, params, bad):
+    with pytest.raises(ValueError, match=f"accounting: {bad}: must be >= "):
+        payload_bits(scheme, 64, **params)
+    with pytest.raises(ValueError, match=f"accounting: {bad}: must be >= "):
+        compression_ratio(scheme, **params)
+
+
 def test_payload_bits_rejects_unknown_scheme():
     with pytest.raises(UnknownScheme):
         payload_bits("zipgrad", 10)
