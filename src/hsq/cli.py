@@ -84,6 +84,7 @@ def _write_bytes(data: bytes, path: str) -> None:
 # ---------------------------------------------------------------------------
 # config parsing for `simulate`
 
+_PROBLEMS = {cls.kind: cls for cls in (Quadratic, Logistic, TinyMLP)}
 _PROBLEM_KEYS = {"kind", "dim", "seed", "num_samples", "layer_sizes"}
 _MISTYPED = object()
 
@@ -134,9 +135,8 @@ def _problem_from_dict(raw: dict, violations: list[str]) -> Problem | None:
     for key in set(raw) - _PROBLEM_KEYS:
         violations.append(f"problem.{key}: unknown field")
     kind = raw.get("kind")
-    if kind not in ("quadratic", "logistic", "tinymlp"):
-        violations.append(f"problem.kind: {kind!r} is not one of "
-                          f"('quadratic', 'logistic', 'tinymlp')")
+    if kind not in tuple(_PROBLEMS):
+        violations.append(f"problem.kind: {kind!r} is not one of {tuple(_PROBLEMS)}")
         return None
     if "seed" not in raw:
         violations.append("problem.seed: required")
@@ -146,12 +146,8 @@ def _problem_from_dict(raw: dict, violations: list[str]) -> Problem | None:
         return None
     extra = {"num_samples": raw["num_samples"]} if "num_samples" in raw else {}
     try:
-        if kind == "quadratic":
-            return Quadratic(raw["dim"], raw["seed"], **extra)
-        if kind == "logistic":
-            return Logistic(raw["dim"], raw["seed"], **extra)
-        layers = tuple(raw.get("layer_sizes", (2, 8, 2)))
-        return TinyMLP(layers, raw["seed"], **extra)
+        shape = tuple(raw.get("layer_sizes", (2, 8, 2))) if kind == "tinymlp" else raw["dim"]
+        return _PROBLEMS[kind](shape, raw["seed"], **extra)
     except (ValueError, TypeError) as exc:
         violations.append(f"problem: {exc}")
         return None

@@ -256,8 +256,7 @@ class Scheme:
         out, valid = [], {}
         for name, least in self.params.items():
             label = least
-            if isinstance(least, str):  # the earlier parameter's value once that is valid
-                label = f"{least} ({valid[least]})" if least in valid else self.params[least]
+            if isinstance(least, str):  # an earlier parameter: its value once valid, else its least
                 least = valid.get(least, self.params[least])
             value = values.get(name)
             if value is None or value < least:
