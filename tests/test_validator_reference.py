@@ -1,0 +1,87 @@
+"""Straight-line per-draw references for the Monte-Carlo validators.
+
+Each reference draws ``rng.derive(i)`` once per draw and projects one
+row at a time with a 1-D product, exactly as the validators are specified.
+The library must reproduce them bit for bit, however it batches its
+draws. Seeded ``random_frame`` output is pinned by a SHA-256 digest.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from hsq.codebook import generate
+from hsq.metrics import (beta_correlation, check_alpha, greedy_residual_sq,
+                         greedy_vs_unbiased_mse, unbiased_expected_residual_sq)
+from hsq.rng import Stream
+from hsq.wire import encode_frame, random_frame
+
+# (method, d', m): every codebook family, plus a ragged d' = 3, m = 7
+_CODEBOOKS = (("sob", 16, 16), ("random-rotation", 16, 16), ("random-gaussian", 16, 32),
+              ("kmeans-gaussian", 16, 32), ("random-gaussian", 3, 7), ("sob", 1, 1))
+
+
+def _ref_beta(g, cb):
+    return float(np.max(np.abs(cb.columns.T @ g)))
+
+
+def _ref_greedy_residual_sq(g, cb):
+    return float(g @ g - _ref_beta(g, cb) ** 2)
+
+
+def _ref_unbiased_residual_sq(g, cb):
+    p = cb.pinv @ g
+    return float(np.abs(p).sum() ** 2 - g @ g)
+
+
+def _ref_alpha_worst(cb, n_draws, rng):
+    worst = math.inf
+    for i in range(n_draws):
+        g = rng.derive(i).normals(cb.dim)
+        g /= np.linalg.norm(g)
+        worst = min(worst, _ref_beta(g, cb) ** 2)
+    return worst
+
+
+def _ref_mse(cb, n_draws, rng):
+    tot_greedy, tot_unbiased = 0.0, 0.0
+    for i in range(n_draws):
+        g = rng.derive(i).normals(cb.dim)
+        tot_greedy += _ref_greedy_residual_sq(g, cb)
+        tot_unbiased += _ref_unbiased_residual_sq(g, cb)
+    return tot_greedy / n_draws, tot_unbiased / n_draws
+
+
+@pytest.mark.parametrize("method,d_prime,m", _CODEBOOKS)
+@pytest.mark.parametrize("n_draws", [1, 257])
+def test_validators_match_per_draw_reference(method, d_prime, m, n_draws):
+    cb = generate(method, d_prime, m, seed=3)
+    rng = Stream(41).derive(method, d_prime, m)
+    res = check_alpha(cb, n_draws, rng)
+    assert res.worst == _ref_alpha_worst(cb, n_draws, rng)
+    assert res.floor == cb.sigma_min ** 2 / cb.count
+    assert greedy_vs_unbiased_mse(cb, n_draws, rng) == _ref_mse(cb, n_draws, rng)
+
+
+@pytest.mark.parametrize("method,d_prime,m", _CODEBOOKS)
+def test_row_helpers_match_per_row_reference(method, d_prime, m):
+    cb = generate(method, d_prime, m, seed=3)
+    rows = [Stream(43).derive(i).normals(d_prime) for i in range(64)]
+    rows += [np.zeros(d_prime), -rows[0], rows[1] * 1e-300]
+    for g in rows:
+        assert beta_correlation(g, cb) == _ref_beta(g, cb)
+        assert greedy_residual_sq(g, cb) == _ref_greedy_residual_sq(g, cb)
+        assert unbiased_expected_residual_sq(g, cb) == _ref_unbiased_residual_sq(g, cb)
+
+
+def test_random_frames_pinned():
+    root = Stream(47).derive("frames")
+    digest = hashlib.sha256()
+    for i in range(2000):
+        digest.update(encode_frame(random_frame(root.derive(i))))
+    assert digest.hexdigest() == _FRAMES_DIGEST
+
+
+_FRAMES_DIGEST = "ab6c8447fc5bf4d2a4c3301461badec0e87bd0bc6150a7641fb09efa0a759fc2"
