@@ -25,8 +25,8 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import UnknownScheme
-from .quantizers import (Variant, _check_gradient, _select, compress, decode, decode_pseudo_norm,
-                         round_in_cell, rounding_cell, sample_unbiased_codes, segment_gradient)
+from .quantizers import (_check_gradient, _project, _select, compress, decode, segment_gradient,
+                         decode_pseudo_norm, round_in_cell, rounding_cell, sample_unbiased_codes)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
@@ -133,7 +133,7 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     for i in range(n_draws):
         st = rng.derive(i)
         g = scale * st.derive("g").normals(d)
-        cg = compress(g, cb, s, Variant.UNBIASED, st.derive("q"))
+        cg = compress(g, cb, s, "unbiased", st.derive("q"))
         sq_norms[i] = float(np.sum(decode(cg, cb) ** 2))
         worst_range = max(worst_range, cg.u_max - cg.u_min)
     empirical = float(sq_norms.mean())
@@ -162,30 +162,43 @@ def check_alpha(cb: Codebook, n_draws: int, rng: Stream) -> AlphaResult:
     exact inequality, so the check applies no tolerance.
     """
     floor = cb.sigma_min ** 2 / cb.count
-    worst = math.inf
-    for i in range(n_draws):
-        g = rng.derive(i).normals(cb.dim)
-        g /= np.linalg.norm(g)
-        worst = min(worst, float(np.max(np.abs(cb.columns.T @ g)) ** 2))
+    worst = float(np.min(beta_correlation(_unit_rows(rng, n_draws, cb.dim), cb))) ** 2
     return AlphaResult(worst=worst, floor=floor, passed=worst >= floor)
 
 
-def beta_correlation(g: np.ndarray, cb: Codebook) -> float:
-    """max_c |g . c|: how well the best codeword captures g's direction."""
-    return float(np.max(np.abs(cb.columns.T @ np.asarray(g, dtype=np.float64))))
+def _unit_rows(rng: Stream, n: int, dim: int) -> np.ndarray:
+    """n rows of dim normals, row i drawn from ``rng.derive(i)`` and scaled to unit norm."""
+    g = rng.derive(np.arange(n)).normals(dim)
+    return g / np.sqrt(_sq_norms(g))[:, None]
 
 
-def greedy_residual_sq(g: np.ndarray, cb: Codebook) -> float:
-    """Exact ||g - u c||^2 for the greedy choice: ||g||^2 - beta^2."""
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """g . g for each row g, rounded like the 1-D ``g @ g``."""
+    return _project(rows[:, None, :], rows)[:, 0]
+
+
+def _per_row(g: np.ndarray, rule):
+    """rule on the rows of g: a float for one row g, an array for a batch of rows."""
     g = np.asarray(g, dtype=np.float64)
-    return float(g @ g - beta_correlation(g, cb) ** 2)
+    out = rule(np.atleast_2d(g))
+    return out if g.ndim > 1 else float(out[0])
 
 
-def unbiased_expected_residual_sq(g: np.ndarray, cb: Codebook) -> float:
-    """Closed-form E||g~ - g||^2 of the probabilistic path: ||p||_1^2 - ||g||^2."""
-    g = np.asarray(g, dtype=np.float64)
-    p = cb.pinv @ g
-    return float(np.abs(p).sum() ** 2 - g @ g)
+def beta_correlation(g: np.ndarray, cb: Codebook):
+    """max_c |g . c|, per row: how well the best codeword captures g's direction."""
+    return _per_row(g, lambda rows: np.max(np.abs(_project(cb.columns.T, rows)), axis=1))
+
+
+# float_power squares by libm pow, as Python floats do; x * x can differ in the last bit
+def greedy_residual_sq(g: np.ndarray, cb: Codebook):
+    """Exact ||g - u c||^2 for the greedy choice, per row: ||g||^2 - beta^2."""
+    return _per_row(g, lambda rows: _sq_norms(rows) - np.float_power(beta_correlation(rows, cb), 2))
+
+
+def unbiased_expected_residual_sq(g: np.ndarray, cb: Codebook):
+    """Closed-form E||g~ - g||^2 of the probabilistic path, per row: ||p||_1^2 - ||g||^2."""
+    return _per_row(g, lambda rows: np.float_power(
+        np.abs(_project(cb.pinv, rows)).sum(axis=1), 2) - _sq_norms(rows))
 
 
 def greedy_vs_unbiased_mse(cb: Codebook, n_draws: int, rng: Stream) -> tuple[float, float]:
@@ -196,12 +209,10 @@ def greedy_vs_unbiased_mse(cb: Codebook, n_draws: int, rng: Stream) -> tuple[flo
     ||g||^2 <= beta * ||p||_1 and the AM-GM inequality), hence also on
     the mean.
     """
-    tot_greedy, tot_unbiased = 0.0, 0.0
-    for i in range(n_draws):
-        g = rng.derive(i).normals(cb.dim)
-        tot_greedy += greedy_residual_sq(g, cb)
-        tot_unbiased += unbiased_expected_residual_sq(g, cb)
-    return tot_greedy / n_draws, tot_unbiased / n_draws
+    g = rng.derive(np.arange(n_draws)).normals(cb.dim)
+    # totals in draw order: cumsum adds term by term, np.sum pairwise
+    return tuple(float(np.cumsum(residual_sq(g, cb))[-1]) / n_draws
+                 for residual_sq in (greedy_residual_sq, unbiased_expected_residual_sq))
 
 
 def variance_vs_clients(cb: Codebook, g: np.ndarray, n_values: list[int],
@@ -216,8 +227,7 @@ def variance_vs_clients(cb: Codebook, g: np.ndarray, n_values: list[int],
         raise ValueError(f"g must be one segment of length {cb.dim}")
     out = {}
     for n in n_values:
-        st = rng.derive("n", n)
-        idx, u = sample_unbiased_codes(g, cb, n * n_trials, st)
+        idx, u = sample_unbiased_codes(g, cb, n * n_trials, rng.derive("n", n))
         vals = cb.columns[:, idx] * u          # d' x (trials*n)
         means = vals.reshape(cb.dim, n_trials, n).mean(axis=2)
         out[n] = float(((means - g[:, None]) ** 2).sum(axis=0).mean())
@@ -258,8 +268,7 @@ def run_validator_suite(seed: int = 0) -> dict:
 
     ortho = generate(CodebookMethod.RANDOM_ROTATION, 16, 16, seed)
     worst_z = 0.0
-    for i in range(3):
-        g = root.derive("bias-g", i).normals(16)
+    for i, g in enumerate(root.derive("bias-g", np.arange(3)).normals(16)):
         z = check_unbiasedness("unbiased", ortho, g, 20_000, root.derive("bias-mc", i))
         worst_z = max(worst_z, float(np.max(np.abs(z))))
     record("unbiased-z-scores", worst_z <= 4.0, worst_z=worst_z, draws=20_000)
@@ -296,14 +305,8 @@ def run_validator_suite(seed: int = 0) -> dict:
 
     sob = generate(CodebookMethod.SOB, 16, 16, seed)
     n_ks = 4000
-    betas_sob = np.empty(n_ks)
-    betas_rot = np.empty(n_ks)
-    for i in range(n_ks):
-        g = root.derive("ks", i).normals(16)
-        g /= np.linalg.norm(g)
-        betas_sob[i] = beta_correlation(g, sob)
-        betas_rot[i] = beta_correlation(g, ortho)
-    stat = ks_two_sample(betas_sob, betas_rot)
+    g = _unit_rows(root.derive("ks"), n_ks, 16)
+    stat = ks_two_sample(beta_correlation(g, sob), beta_correlation(g, ortho))
     thresh = ks_threshold(n_ks, n_ks)
     record("beta-distribution-ks", stat <= thresh, statistic=stat, threshold=thresh)
 

@@ -90,6 +90,11 @@ def _check_segment(g_segment: np.ndarray, cb: Codebook) -> np.ndarray:
     return g
 
 
+def _project(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ g per row g (or g . g with mat = rows[:, None]), rounded like the 1-D product."""
+    return np.matmul(mat, rows[:, :, None])[:, :, 0]
+
+
 # Target size of one block's row x draw x codeword temporaries (512 KiB of f64)
 _BLOCK = 1 << 16
 
@@ -102,15 +107,14 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     to the lowest index, u = c . g_j. Unbiased otherwise (mat = pinv): each
     of row j's k draws picks codeword i with probability |p_i| / ||p||_1,
     p = pinv @ g_j, and u = sign(p_i) ||p||_1. All-zero rows pick 0 with
-    u = 0. Returns (indices, u), rows x k (k = 1 when greedy). Rows are
-    projected by stacked GEMVs that round like ``mat @ g_j``, unlike a GEMM.
+    u = 0. Returns (indices, u), rows x k (k = 1 when greedy).
     """
     k = 1 if draws is None else draws.shape[1]
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
     rows = max(1, _BLOCK // max(1, k * mat.shape[0]))  # k = 0 draws is allowed
     for lo in range(0, len(segments), rows):
         block = segments[lo:lo + rows]
-        p = np.matmul(mat, block[:, :, None])[:, :, 0]
+        p = _project(mat, block)
         if draws is None:
             i = np.argmax(np.abs(p), axis=1)[:, None]
             v = np.take_along_axis(p, i, axis=1)
@@ -245,7 +249,7 @@ def compress(g: np.ndarray, cb: Codebook, s: int,
         rng = Stream(0)  # never consumed
 
     segments = segment_gradient(g, cb.dim)
-    draws = rng.substream_uniforms(segments.shape[0], 2)
+    draws = rng.derive(np.arange(segments.shape[0])).uniforms(2)
     if variant is Variant.UNBIASED:
         indices, norms = _select(segments, cb.pinv, draws[:, :1])
         # a segment that drew to select rounds on its next uniform

@@ -34,39 +34,40 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TWO_M53 = 2.0 ** -53
+_GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_R11, _R27, _R30, _R31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)  # made once
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a Python int, reduced mod 2^64."""
+def mix64(z):
+    """SplitMix64 finalizer on a Python int, reduced mod 2^64, or in place on a uint64 array."""
+    if type(z) is not int:
+        z ^= z >> _R30
+        z *= _MIX_A_U64
+        z ^= z >> _R27
+        z *= _MIX_B_U64
+        z ^= z >> _R31
+        return z
     z &= _MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _unit(words: np.ndarray) -> np.ndarray:
-    return (words >> np.uint64(11)).astype(np.float64) * _TWO_M53
+    return (words >> _R11).astype(np.float64) * _TWO_M53
 
 
-def _tag_words(tag) -> list[int]:
+def _tag_words(tag) -> list:
     """Reduce a derivation tag to 64-bit words.
 
     Ints contribute themselves (mod 2^64); str/bytes contribute their
     length followed by each byte, so distinct labels never collide by
-    prefix.
+    prefix. An int array contributes one uint64 word per element.
     """
     if isinstance(tag, (int, np.integer)):
         return [int(tag) & _MASK64]
+    if isinstance(tag, np.ndarray) and tag.dtype.kind in "iu":
+        return [tag.astype(np.uint64)]
     if isinstance(tag, str):
         tag = tag.encode("utf-8")
     if isinstance(tag, (bytes, bytearray)):
@@ -83,19 +84,20 @@ class Stream:
 
     __slots__ = ("_seed", "_counter")
 
-    def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+    def __init__(self, seed: int | np.ndarray):
+        self._seed = seed if isinstance(seed, np.ndarray) else int(seed) & _MASK64
         self._counter = 0
 
     @property
-    def seed(self) -> int:
+    def seed(self) -> int | np.ndarray:
         return self._seed
 
     def derive(self, *tags) -> "Stream":
         """Create an independent child stream keyed by ``tags``.
 
         The child depends only on (parent seed, tags), never on how much
-        output the parent has produced.
+        output the parent has produced. An int-array tag ids gives one stream
+        whose draws have one row per element, row i those of ``derive(..., ids[i], ...)``.
         """
         h = self._seed
         for tag in tags:
@@ -103,38 +105,28 @@ class Stream:
                 h = mix64(((h + _GOLDEN) & _MASK64) ^ mix64(word))
         return Stream(h)
 
-    def substream_uniforms(self, n: int, k: int) -> np.ndarray:
-        """n x k uniforms, row j equal to ``self.derive(j).uniforms(k)``, in closed form."""
-        seeds = _mix64_array(np.uint64((self._seed + _GOLDEN) & _MASK64)
-                             ^ _mix64_array(np.arange(n, dtype=np.uint64)))
-        idx = np.arange(1, k + 1, dtype=np.uint64)
-        return _unit(_mix64_array(seeds[:, None] + idx * np.uint64(_GOLDEN)))
-
     def _words(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        z = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)
-        return _mix64_array(z)
+        seed = self._seed if isinstance(self._seed, int) else self._seed[:, None]
+        return mix64(seed + idx * _GOLDEN_U64)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1)."""
+        """n doubles uniform on [0, 1), along a last axis."""
         return _unit(self._words(n))
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal doubles via Box-Muller."""
-        pairs = (n + 1) // 2
-        w = self._words(2 * pairs)
-        u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_M53
-        u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_M53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        """n standard normal doubles via Box-Muller, along a last axis."""
+        w = self._words(2 * ((n + 1) // 2))
+        r = np.sqrt(-2.0 * np.log(((w[..., 0::2] >> _R11).astype(np.float64) + 1.0) * _TWO_M53))
+        theta = (2.0 * np.pi) * _unit(w[..., 1::2])
+        out = np.empty(w.shape)
+        out[..., 0::2] = r * np.cos(theta)
+        out[..., 1::2] = r * np.sin(theta)
+        return out[..., :n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)

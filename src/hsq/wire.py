@@ -212,13 +212,13 @@ def random_frame(stream) -> CompressedGradient:
 
     idx = (stream.derive("idx").uniforms(n_seg) * m).astype(np.int64) % m
     if s >= 1:
-        draws = stream.derive("lvl").substream_uniforms(n_seg, 1)[:, 0]
+        draws = stream.derive("lvl", np.arange(n_seg)).uniforms(1)[:, 0]
         grid = (draws * (s + 1)).astype(np.int64) % (s + 1)
         norms = decode_pseudo_norm(grid, u_min, u_max, s)
     else:
         grid = None
-        norms = np.array([stream.derive("raw", j).normals(1)[0] * 10 for j in range(n_seg)],
-                         dtype=np.float32).astype(np.float64)
+        raw = stream.derive("raw", np.arange(n_seg)).normals(1)[:, 0] * 10
+        norms = raw.astype(np.float32).astype(np.float64)
     return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
                               levels=s, u_min=u_min, u_max=u_max,
                               indices=idx, norms=norms, grid=grid)

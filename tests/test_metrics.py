@@ -134,6 +134,15 @@ def test_beta_correlation_by_hand():
     assert beta_correlation(np.array([0.2, -0.9, 0.5]), cb) == pytest.approx(0.9)
 
 
+def test_row_helpers_take_a_batch_of_rows():
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 6, 12, seed=20)
+    rows = Stream(44).derive(np.arange(300)).normals(6)
+    for helper in (beta_correlation, greedy_residual_sq, unbiased_expected_residual_sq):
+        batch = helper(rows, cb)
+        assert batch.shape == (300,)
+        assert batch.tolist() == [helper(g, cb) for g in rows]
+
+
 def test_greedy_residual_matches_brute_force():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 6, 12, seed=20)
     for i in range(50):

@@ -85,12 +85,31 @@ def test_derive_is_independent_of_position():
 
 
 def test_substream_uniforms_match_derived_streams():
+    # an int-array tag derives one child per element: row j of the draws
+    # equals the draws of the child derived from element j alone
+    draws = (lambda st, k: st.uniforms(k), lambda st, k: st.normals(k))
     for seed in (0, 12345, MASK):  # seed + golden wraps mod 2^64 at MASK
         s = Stream(seed)
         s.uniforms(7)  # the parent's position must not matter
-        for n, k in ((1, 1), (40, 2), (5, 9), (0, 2)):
-            expected = np.array([s.derive(j).uniforms(k) for j in range(n)]).reshape(n, k)
-            np.testing.assert_array_equal(s.substream_uniforms(n, k), expected)
+        for n, k in ((1, 1), (40, 2), (5, 9), (0, 2), (3, 4)):
+            for draw in draws:
+                for pre, post in (((), ()), (("a",), ("b",))):
+                    expected = np.array([draw(s.derive(*pre, j, *post), k)
+                                         for j in range(n)]).reshape(n, k)
+                    np.testing.assert_array_equal(draw(s.derive(*pre, np.arange(n), *post), k),
+                                                  expected)
+
+
+def test_array_tag_streams_keep_their_position():
+    ids = np.array([-1, 0, 2 ** 40, 7])  # negative ids wrap mod 2^64 like int tags
+    batch = Stream(5).derive("x", ids)
+    got = [batch.uniforms(3), batch.normals(5), batch.uniforms(1)]
+    for j, i in enumerate(ids.tolist()):
+        child = Stream(5).derive("x", i)
+        for part, expected in zip(got, [child.uniforms(3), child.normals(5), child.uniforms(1)]):
+            np.testing.assert_array_equal(part[j], expected)
+    np.testing.assert_array_equal(Stream(5).derive(ids.astype(np.uint64)).seed,
+                                  Stream(5).derive(ids).seed)
 
 
 def test_derive_tags_distinguish():
@@ -104,6 +123,8 @@ def test_derive_tags_distinguish():
 def test_derive_rejects_unknown_tag_type():
     with pytest.raises(TypeError):
         Stream(0).derive(1.5)
+    with pytest.raises(TypeError):
+        Stream(0).derive(np.arange(3.0))
 
 
 def test_permutation_is_a_permutation():
