@@ -23,6 +23,7 @@ import enum
 import json
 import math
 import sys
+import types
 import typing
 
 import numpy as np
@@ -85,24 +86,61 @@ def _write_bytes(data: bytes, path: str) -> None:
 # config parsing for `simulate`
 
 _PROBLEMS = {cls.kind: cls for cls in (Quadratic, Logistic, TinyMLP)}
-_PROBLEM_KEYS = {"kind", "dim", "seed", "num_samples", "layer_sizes"}
 _MISTYPED = object()
+_TYPE_NAMES = {type(None): "null", bool: "bool", int: "int", float: "finite float", str: "str"}
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProblemConfig:
+    """The ``problem`` object of a simulate config: tinymlp reads layer_sizes, the others dim."""
+
+    kind: str | None = None
+    seed: int | None = None
+    dim: int | None = None
+    num_samples: int | None = None
+    layer_sizes: list[int] | None = None
+
+    def build(self, violations: list[str]) -> Problem | None:
+        """The problem, or None after violations that name the fields at fault."""
+        if self.kind not in _PROBLEMS:
+            violations.append(f"problem.kind: {self.kind!r} is not one of {tuple(_PROBLEMS)}")
+            return None
+        required = ("seed",) if self.kind == "tinymlp" else ("seed", "dim")
+        missing = [n for n in required if getattr(self, n) is None]
+        violations.extend(f"problem.{n}: required for {self.kind}" for n in missing)
+        sizes = (2, 8, 2) if self.layer_sizes is None else tuple(self.layer_sizes)
+        extra = {} if self.num_samples is None else {"num_samples": self.num_samples}
+        try:
+            return None if missing else _PROBLEMS[self.kind](
+                sizes if self.kind == "tinymlp" else self.dim, self.seed, **extra)
+        except ValueError as exc:  # the constructors' range checks name their parameter
+            violations.append(f"problem.{exc}")
+            return None
+
+
+def _matches(t, value) -> bool:
+    """Whether a JSON value has type t: an int passes for a float, no NaN or infinity passes."""
+    if typing.get_origin(t) is list:
+        return type(value) is list and all(_matches(typing.get_args(t)[0], v) for v in value)
+    finite = type(value) is not float or math.isfinite(value)
+    return finite and (type(value) is t or (t is float and type(value) is int))
 
 
 def _typed(hint, value, where: str, violations: list[str]):
     """value as a field typed hint takes it, or _MISTYPED after a violation naming the field.
 
-    JSON ints pass for float fields, booleans only for bool fields."""
+    JSON ints pass for float fields, booleans only for bool fields, and
+    numbers only if finite (json.load accepts NaN and Infinity)."""
     if dataclasses.is_dataclass(hint):
         return _from_json(hint, value, where, violations) or _MISTYPED
-    options = typing.get_args(hint) or (hint,)
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     for t in options:
-        if issubclass(t, enum.Enum) and value in [e.value for e in t]:
+        if isinstance(t, enum.EnumType) and value in [e.value for e in t]:
             return t(value)
-        if type(value) is t or (t is float and type(value) is int):
+        if _matches(t, value):
             return value
-    expected = " or ".join(f"one of {[e.value for e in t]}" if issubclass(t, enum.Enum)
-                           else "null" if t is type(None) else t.__name__ for t in options)
+    expected = " or ".join(f"one of {[e.value for e in t]}" if isinstance(t, enum.EnumType)
+                           else _TYPE_NAMES.get(t) or str(t) for t in options)
     violations.append(f"{where}: expected {expected}, got {value!r}")
     return _MISTYPED
 
@@ -128,31 +166,6 @@ def _from_json(cls, raw, where: str, violations: list[str]):
     return None if _MISTYPED in kwargs.values() else cls(**kwargs)
 
 
-def _problem_from_dict(raw: dict, violations: list[str]) -> Problem | None:
-    if not isinstance(raw, dict):
-        violations.append(f"problem: must be a JSON object, got {raw!r}")
-        return None
-    for key in set(raw) - _PROBLEM_KEYS:
-        violations.append(f"problem.{key}: unknown field")
-    kind = raw.get("kind")
-    if kind not in tuple(_PROBLEMS):
-        violations.append(f"problem.kind: {kind!r} is not one of {tuple(_PROBLEMS)}")
-        return None
-    if "seed" not in raw:
-        violations.append("problem.seed: required")
-        return None
-    if kind != "tinymlp" and "dim" not in raw:
-        violations.append(f"problem.dim: required for {kind}")
-        return None
-    extra = {"num_samples": raw["num_samples"]} if "num_samples" in raw else {}
-    try:
-        shape = tuple(raw.get("layer_sizes", (2, 8, 2))) if kind == "tinymlp" else raw["dim"]
-        return _PROBLEMS[kind](shape, raw["seed"], **extra)
-    except (ValueError, TypeError) as exc:
-        violations.append(f"problem: {exc}")
-        return None
-
-
 def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
     violations: list[str] = []
     if not isinstance(raw, dict):
@@ -163,11 +176,12 @@ def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
         violations.append("problem: required")
     cfg = _from_json(fedsim.FedConfig, {k: v for k, v in raw.items() if k != "problem"},
                      "", violations)
-    problem = _problem_from_dict(raw["problem"], violations) if "problem" in raw else None
+    spec = "problem" in raw and _from_json(_ProblemConfig, raw["problem"], "problem", violations)
+    problem = spec and spec.build(violations)
     if cfg is not None:  # range checks only once every value has its type
         violations.extend(cfg.violations())
-    if violations or problem is None:
-        raise ConfigError(violations or ["problem: could not be constructed"])
+    if violations:
+        raise ConfigError(violations)
     return cfg, problem
 
 

@@ -174,7 +174,7 @@ def lr_theorem3(rounds: int, curly_l_value: float) -> float:
 
 
 def vq_bound(d: int, cb: Codebook, s: int, b_prime: float, u_range: float = 0.0) -> float:
-    """Second-moment bound (d/d')*(m*sigma1(pinv)^2*B' + u_range^2/s).
+    """Second-moment bound ceil(d/d')*(m*sigma1(pinv)^2*B' + u_range^2/s), one term per segment.
 
     The norm-quantization term vanishes in exact-norm mode (s = 0),
     where u_range is ignored.
@@ -183,7 +183,7 @@ def vq_bound(d: int, cb: Codebook, s: int, b_prime: float, u_range: float = 0.0)
         raise ValueError("b_prime and u_range must be nonnegative")
     sigma1_pinv_sq = 1.0 / cb.sigma_min ** 2
     norm_term = (u_range ** 2) / s if s >= 1 else 0.0
-    return (d / cb.dim) * (cb.count * sigma1_pinv_sq * b_prime + norm_term)
+    return -(-d // cb.dim) * (cb.count * sigma1_pinv_sq * b_prime + norm_term)
 
 
 def partition_indices(num_samples: int, num_clients: int, stream: Stream) -> list[np.ndarray]:

@@ -25,11 +25,17 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import UnknownScheme
+from .fedsim import vq_bound
 from .quantizers import (_check_gradient, _project, _select, compress, decode, segment_gradient,
                          decode_pseudo_norm, round_in_cell, rounding_cell, sample_unbiased_codes)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
+
+
+def _check_draws(n_draws: int) -> None:
+    if n_draws < 1:
+        raise ValueError(f"need at least one draw, got {n_draws}")
 
 
 def _z_from_moments(mean: np.ndarray, ex2: np.ndarray, target: np.ndarray,
@@ -59,6 +65,7 @@ def check_unbiasedness(quantizer: str, cb: Codebook, g: np.ndarray, n_draws: int
     """
     if quantizer not in QUANTIZERS:
         raise UnknownScheme(f"unknown quantizer {quantizer!r}; expected one of {QUANTIZERS}")
+    _check_draws(n_draws)
     g = _check_gradient(g)
     if quantizer == "identity":
         return np.zeros_like(g)
@@ -91,6 +98,7 @@ def pseudo_norm_z(u: float, u_min: float, u_max: float, s: int, n_draws: int,
     deterministic cases (u on a grid point, or a degenerate interval)
     return 0.
     """
+    _check_draws(n_draws)
     uu, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
     if delta == 0.0:
         return 0.0
@@ -116,16 +124,17 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     """Monte-Carlo E||g~||^2 against the second-moment bound.
 
     Gradients are N(0, scale^2 I_d), so each segment's second moment is
-    exactly B' = d' * scale^2. The tight bound charges the realized
-    worst pseudo-norm range to every draw,
+    exactly B' = d' * scale^2. The tight bound is fedsim.vq_bound with the
+    realized worst pseudo-norm range charged to every draw,
 
-        (d/d') * (m * sigma1(pinv)^2 * B' + range^2 / s),
+        ceil(d/d') * (m * sigma1(pinv)^2 * B' + range^2 / s),
 
     and the loose variant replaces the range term by its own bound,
-    giving (d/d') * m * sigma1(pinv)^2 * B' * (1 + 4/s). Pass means the
+    giving ceil(d/d') * m * sigma1(pinv)^2 * B' * (1 + 4/s). Pass means the
     empirical moment stays below the tight bound plus 4 standard errors
     of the Monte-Carlo mean.
     """
+    _check_draws(n_draws)
     b_prime = cb.dim * scale ** 2
     sigma1_pinv_sq = 1.0 / cb.sigma_min ** 2
     sq_norms = np.empty(n_draws)
@@ -138,11 +147,9 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
         worst_range = max(worst_range, cg.u_max - cg.u_min)
     empirical = float(sq_norms.mean())
     mc_slack = 4.0 * float(sq_norms.std()) / math.sqrt(n_draws)
-    n_seg_factor = -(-d // cb.dim)
-    norm_term = worst_range ** 2 / s if s >= 1 else 0.0
-    bound = n_seg_factor * (cb.count * sigma1_pinv_sq * b_prime + norm_term)
+    bound = vq_bound(d, cb, s, b_prime, worst_range)
     loose_factor = (1.0 + 4.0 / s) if s >= 1 else 1.0
-    bound_loose = n_seg_factor * cb.count * sigma1_pinv_sq * b_prime * loose_factor
+    bound_loose = -(-d // cb.dim) * cb.count * sigma1_pinv_sq * b_prime * loose_factor
     return VarianceBoundResult(empirical=empirical, bound=bound,
                                bound_loose=bound_loose, mc_slack=mc_slack,
                                passed=empirical <= bound + mc_slack)
@@ -161,6 +168,7 @@ def check_alpha(cb: Codebook, n_draws: int, rng: Stream) -> AlphaResult:
     The guarantee (g . Q(g))^2 >= sigma_min(C)^2 / m * ||g||^2 is an
     exact inequality, so the check applies no tolerance.
     """
+    _check_draws(n_draws)
     floor = cb.sigma_min ** 2 / cb.count
     worst = float(np.min(beta_correlation(_unit_rows(rng, n_draws, cb.dim), cb))) ** 2
     return AlphaResult(worst=worst, floor=floor, passed=worst >= floor)
@@ -180,8 +188,7 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 def _per_row(g: np.ndarray, rule):
     """rule on the rows of g: a float for one row g, an array for a batch of rows."""
     g = np.asarray(g, dtype=np.float64)
-    out = rule(np.atleast_2d(g))
-    return out if g.ndim > 1 else float(out[0])
+    return rule(g) if g.ndim > 1 else float(rule(g[None])[0])
 
 
 def beta_correlation(g: np.ndarray, cb: Codebook):
@@ -209,6 +216,7 @@ def greedy_vs_unbiased_mse(cb: Codebook, n_draws: int, rng: Stream) -> tuple[flo
     ||g||^2 <= beta * ||p||_1 and the AM-GM inequality), hence also on
     the mean.
     """
+    _check_draws(n_draws)
     g = rng.derive(np.arange(n_draws)).normals(cb.dim)
     # totals in draw order: cumsum adds term by term, np.sum pairwise
     return tuple(float(np.cumsum(residual_sq(g, cb))[-1]) / n_draws
@@ -225,6 +233,7 @@ def variance_vs_clients(cb: Codebook, g: np.ndarray, n_values: list[int],
     g = np.asarray(g, dtype=np.float64)
     if g.shape[0] != cb.dim:
         raise ValueError(f"g must be one segment of length {cb.dim}")
+    _check_draws(n_trials)
     out = {}
     for n in n_values:
         idx, u = sample_unbiased_codes(g, cb, n * n_trials, rng.derive("n", n))

@@ -63,11 +63,11 @@ class Quadratic(Problem):
 
     def __init__(self, dim: int, seed: int, num_samples: int | None = None):
         if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+            raise ValueError(f"dim: must be >= 1, got {dim}")
         self.dim = dim
         self.num_samples = num_samples if num_samples is not None else 4 * dim
         if self.num_samples < dim:
-            raise ValueError("need at least dim samples for a unique optimum")
+            raise ValueError(f"num_samples: must be >= dim = {dim}, got {self.num_samples}")
         st = Stream(seed).derive("quadratic", dim, self.num_samples)
         self.A = st.derive("A").normal_matrix(self.num_samples, dim)
         self.x_star = st.derive("xstar").normals(dim)
@@ -103,8 +103,9 @@ class Logistic(Problem):
 
     def __init__(self, dim: int, seed: int, num_samples: int = 200,
                  margin: float = LOGISTIC_MARGIN, ridge: float = LOGISTIC_RIDGE):
-        if dim < 1 or num_samples < 2:
-            raise ValueError("need dim >= 1 and num_samples >= 2")
+        for name, value, least in (("dim", dim, 1), ("num_samples", num_samples, 2)):
+            if value < least:
+                raise ValueError(f"{name}: must be >= {least}, got {value}")
         self.dim = dim
         self.num_samples = num_samples
         self.ridge = ridge
@@ -171,7 +172,7 @@ class TinyMLP(Problem):
     def __init__(self, layer_sizes: tuple[int, ...] = (2, 8, 2), seed: int = 0,
                  num_samples: int = 256, blob_spread: float = 0.7):
         if len(layer_sizes) < 2 or min(layer_sizes) < 1:
-            raise ValueError(f"layer_sizes needs >= 2 positive entries, got {layer_sizes}")
+            raise ValueError(f"layer_sizes: needs >= 2 positive entries, got {layer_sizes}")
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.num_classes = self.layer_sizes[-1]
         self.num_samples = num_samples

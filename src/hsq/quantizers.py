@@ -112,21 +112,22 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     k = 1 if draws is None else draws.shape[1]
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
     rows = max(1, _BLOCK // max(1, k * mat.shape[0]))  # k = 0 draws is allowed
+    cols = max(1, _BLOCK // mat.shape[0])  # draws per block, if one row's draws exceed it
     for lo in range(0, len(segments), rows):
-        block = segments[lo:lo + rows]
-        p = _project(mat, block)
+        block, at = segments[lo:lo + rows], slice(lo, lo + rows)
+        p, live = _project(mat, block), np.any(block, axis=1)
         if draws is None:
             i = np.argmax(np.abs(p), axis=1)[:, None]
-            v = np.take_along_axis(p, i, axis=1)
-        else:
-            l1 = np.abs(p).sum(axis=1, keepdims=True)
-            cdf = np.cumsum(np.abs(p) / l1, axis=1)[:, None, :-1]
+            idx[at][live], u[at][live] = i[live], np.take_along_axis(p, i, axis=1)[live]
+            continue
+        l1 = np.abs(p).sum(axis=1, keepdims=True)
+        cdf = np.cumsum(np.abs(p) / l1, axis=1)[:, None, :-1]
+        for c in range(0, k, cols):
             # as searchsorted(cdf[:-1], draw, side="right"): the index stays
             # below m even if the cumsum's last entry rounds below a draw
-            i = np.count_nonzero(cdf <= draws[lo:lo + rows, :, None], axis=2)
+            i = np.count_nonzero(cdf <= draws[at, c:c + cols, None], axis=2)
             v = np.copysign(l1, np.take_along_axis(p, i, axis=1))
-        live = np.any(block, axis=1)
-        idx[lo:lo + rows][live], u[lo:lo + rows][live] = i[live], v[live]
+            idx[at, c:c + cols][live], u[at, c:c + cols][live] = i[live], v[live]
     return idx, u
 
 

@@ -26,6 +26,8 @@ derived substreams in any schedule order.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -85,7 +87,8 @@ class Stream:
     __slots__ = ("_seed", "_counter")
 
     def __init__(self, seed: int | np.ndarray):
-        self._seed = seed if isinstance(seed, np.ndarray) else int(seed) & _MASK64
+        # operator.index refuses a float seed, which int() would truncate
+        self._seed = seed if isinstance(seed, np.ndarray) else operator.index(seed) & _MASK64
         self._counter = 0
 
     @property

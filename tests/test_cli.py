@@ -258,6 +258,29 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
      "scheme.variant"),
     # in range for the type, out of range for the recipe
     ({"lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 0.0, "vq": 1.0}}, "lr.radius"),
+    # json.load reads the non-JSON literals Infinity and NaN as floats
+    ({"lr": {"kind": "constant", "eta": float("inf")}}, "lr.eta"),
+    ({"lr": {"kind": "constant", "eta": float("nan")}}, "lr.eta"),
+    ({"lr": {"kind": "theorem1", "smoothness": float("-inf"), "radius": 1.0, "vq": 1.0}},
+     "lr.smoothness"),
+    # problem fields are typed and range-checked by field
+    ({"problem": {"kind": "quadratic", "dim": "8", "seed": 0}}, "problem.dim"),
+    ({"problem": {"kind": "quadratic", "dim": True, "seed": 0}}, "problem.dim"),
+    ({"problem": {"kind": "quadratic", "dim": 8, "seed": 0, "num_samples": 8.5}},
+     "problem.num_samples"),
+    ({"problem": {"kind": "quadratic", "dim": 8, "seed": 1.5}}, "problem.seed"),
+    ({"problem": {"kind": "tinymlp", "layer_sizes": [2, "x", 2], "seed": 0}},
+     "problem.layer_sizes"),
+    ({"problem": {"kind": "tinymlp", "layer_sizes": 2, "seed": 0}}, "problem.layer_sizes"),
+    ({"problem": {"kind": 5, "dim": 8, "seed": 0}}, "problem.kind"),
+    ({"problem": {"kind": "quadratic", "dim": 0, "seed": 0}}, "problem.dim"),
+    ({"problem": {"kind": "quadratic", "dim": 8, "seed": 0, "num_samples": 4}},
+     "problem.num_samples"),
+    ({"problem": {"kind": "logistic", "dim": 8, "seed": 0, "num_samples": 1}},
+     "problem.num_samples"),
+    ({"problem": {"kind": "tinymlp", "layer_sizes": [2], "seed": 0}}, "problem.layer_sizes"),
+    ({"problem": {"kind": "quadratic", "dim": 8}}, "problem.seed"),
+    ({"problem": {"kind": "logistic", "seed": 0}}, "problem.dim"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))

@@ -83,6 +83,14 @@ def test_vq_bound_norm_quantization_term():
     assert with_grid == pytest.approx(base + (64 / 8) * (4.0 / 63))
 
 
+def test_vq_bound_counts_a_ragged_tail_as_a_segment():
+    # d = 17 on d' = 16: two segments, each carrying a rounded pseudo-norm
+    cb = generate(CodebookMethod.RANDOM_ROTATION, 16, 16, seed=0)
+    per_segment = 16 / cb.sigma_min ** 2 * 16.0 + 3.0 ** 2 / 7
+    assert vq_bound(17, cb, 7, 16.0, u_range=3.0) == pytest.approx(2 * per_segment)
+    assert vq_bound(32, cb, 7, 16.0, u_range=3.0) == vq_bound(17, cb, 7, 16.0, u_range=3.0)
+
+
 def test_vq_bound_rejects_negative():
     cb = generate(CodebookMethod.SOB, 4, 4, seed=0)
     with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from hsq.metrics import (beta_correlation, greedy_residual_sq,
                          pseudo_norm_z, run_validator_suite, check_alpha,
                          check_unbiasedness, check_variance_bound,
                          unbiased_expected_residual_sq, variance_vs_clients)
-from hsq.quantizers import quantize_greedy
+from hsq.fedsim import vq_bound
+from hsq.quantizers import Variant, compress, quantize_greedy
 from hsq.rng import Stream
 
 
@@ -96,6 +97,16 @@ def test_variance_bound_exact_norm_mode_has_no_range_term():
     assert r.passed
 
 
+def test_variance_bound_ragged_d_counts_every_segment():
+    # d = 17 on d' = 16 is two segments, each carrying a rounded pseudo-norm
+    cb = generate(CodebookMethod.RANDOM_ROTATION, 16, 16, seed=15)
+    r = check_variance_bound(cb, d=17, s=7, n_draws=1, rng=Stream(16))
+    st = Stream(16).derive(0)
+    cg = compress(st.derive("g").normals(17), cb, 7, Variant.UNBIASED, st.derive("q"))
+    assert r.bound == vq_bound(17, cb, 7, 16.0, cg.u_max - cg.u_min)
+    assert r.bound_loose == pytest.approx(2 * 16 / cb.sigma_min ** 2 * 16.0 * (1 + 4 / 7))
+
+
 def test_variance_bound_passes_across_levels():
     cb = generate(CodebookMethod.RANDOM_ROTATION, 8, 8, seed=15)
     for s in (1, 4, 63):
@@ -178,6 +189,31 @@ def test_greedy_vs_unbiased_mse_means():
     mse_g, mse_u = greedy_vs_unbiased_mse(cb, 500, Stream(27))
     assert mse_g < mse_u
     assert mse_g > 0
+
+
+# ---------------------------------------------------------------------------
+# draw counts
+
+
+class _NoDraws:
+    """A stream stand-in that fails the test on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the stream ({name}) before checking n_draws")
+
+
+@pytest.mark.parametrize("n_draws", [0, -1])
+@pytest.mark.parametrize("validator", [
+    lambda cb, n: check_alpha(cb, n, _NoDraws()),
+    lambda cb, n: greedy_vs_unbiased_mse(cb, n, _NoDraws()),
+    lambda cb, n: check_variance_bound(cb, 8, 3, n, _NoDraws()),
+    lambda cb, n: check_unbiasedness("unbiased", cb, np.ones(4), n, _NoDraws()),
+    lambda cb, n: pseudo_norm_z(0.3, 0.0, 1.0, 4, n, _NoDraws()),
+    lambda cb, n: variance_vs_clients(cb, np.ones(4), [1], n, _NoDraws()),
+], ids=["alpha", "mse", "variance-bound", "unbiasedness", "pseudo-norm-z", "vs-clients"])
+def test_validators_reject_fewer_than_one_draw(validator, n_draws):
+    with pytest.raises(ValueError, match="at least one draw"):
+        validator(generate(CodebookMethod.SOB, 4, 4, seed=0), n_draws)
 
 
 # ---------------------------------------------------------------------------

@@ -515,3 +515,18 @@ def test_compress_peak_memory_flat_in_segments():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def test_sample_unbiased_peak_memory_flat_in_draws():
+    import tracemalloc
+
+    cb = generate("random-gaussian", 16, 256, seed=2)
+    g = Stream(5).normals(16)
+    tracemalloc.start()
+    try:
+        idx, u = sample_unbiased_codes(g, cb, 200_000, Stream(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.shape == u.shape == (200_000,)
+    assert peak < 8 * 2 ** 20, peak  # the two results alone take 3.05 MiB

@@ -120,6 +120,13 @@ def test_derive_tags_distinguish():
     assert len(seen) == 8  # no collisions among distinct tag tuples
 
 
+def test_stream_rejects_non_integer_seed():
+    for seed in (1.5, 2.0, np.float64(3.0), "7"):
+        with pytest.raises(TypeError):
+            Stream(seed)
+    assert Stream(np.int64(-1)).seed == Stream(MASK).seed
+
+
 def test_derive_rejects_unknown_tag_type():
     with pytest.raises(TypeError):
         Stream(0).derive(1.5)
