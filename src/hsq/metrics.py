@@ -26,8 +26,9 @@ import numpy as np
 from .codebook import Codebook
 from .errors import UnknownScheme
 from .fedsim import vq_bound
-from .quantizers import (_check_gradient, _project, _select, compress, decode, segment_gradient,
-                         decode_pseudo_norm, round_in_cell, rounding_cell, sample_unbiased_codes)
+from .quantizers import (Variant, _check_gradient, _project, _select, compress, decode,
+                         decode_pseudo_norm, round_in_cell, rounding_cell, sample_unbiased_codes,
+                         segment_gradient)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
@@ -142,7 +143,7 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     for i in range(n_draws):
         st = rng.derive(i)
         g = scale * st.derive("g").normals(d)
-        cg = compress(g, cb, s, "unbiased", st.derive("q"))
+        cg = compress(g, cb, s, Variant.UNBIASED, st.derive("q"))
         sq_norms[i] = float(np.sum(decode(cg, cb) ** 2))
         worst_range = max(worst_range, cg.u_max - cg.u_min)
     empirical = float(sq_norms.mean())
@@ -236,7 +237,8 @@ def variance_vs_clients(cb: Codebook, g: np.ndarray, n_values: list[int],
     _check_draws(n_trials)
     out = {}
     for n in n_values:
-        idx, u = sample_unbiased_codes(g, cb, n * n_trials, rng.derive("n", n))
+        st = rng.derive("n", n)
+        idx, u = sample_unbiased_codes(g, cb, n * n_trials, st)
         vals = cb.columns[:, idx] * u          # d' x (trials*n)
         means = vals.reshape(cb.dim, n_trials, n).mean(axis=2)
         out[n] = float(((means - g[:, None]) ** 2).sum(axis=0).mean())

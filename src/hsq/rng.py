@@ -124,7 +124,8 @@ class Stream:
     def normals(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller, along a last axis."""
         w = self._words(2 * ((n + 1) // 2))
-        r = np.sqrt(-2.0 * np.log(((w[..., 0::2] >> _R11).astype(np.float64) + 1.0) * _TWO_M53))
+        u1 = ((w[..., 0::2] >> _R11).astype(np.float64) + 1.0) * _TWO_M53
+        r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * np.pi) * _unit(w[..., 1::2])
         out = np.empty(w.shape)
         out[..., 0::2] = r * np.cos(theta)
