@@ -32,6 +32,7 @@ from .quantizers import (Variant, _check_gradient, _project, _select, compress, 
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
+_ROW_BLOCK = 1024
 
 
 def _check_draws(n_draws: int) -> None:
@@ -187,9 +188,18 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _per_row(g: np.ndarray, rule):
-    """rule on the rows of g: a float for one row g, an array for a batch of rows."""
+    """rule on the rows of g: a float for one row g, an array for a batch of rows.
+
+    A batch goes through in blocks of rows, so a rule's row x codeword
+    temporaries stay bounded however many rows there are.
+    """
     g = np.asarray(g, dtype=np.float64)
-    return rule(g) if g.ndim > 1 else float(rule(g[None])[0])
+    if g.ndim == 1:
+        return float(rule(g[None])[0])
+    out = np.empty(len(g))
+    for lo in range(0, len(g), _ROW_BLOCK):
+        out[lo:lo + _ROW_BLOCK] = rule(g[lo:lo + _ROW_BLOCK])
+    return out
 
 
 def beta_correlation(g: np.ndarray, cb: Codebook):

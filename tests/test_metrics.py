@@ -184,6 +184,21 @@ def test_greedy_dominates_unbiased_per_draw():
         assert greedy_residual_sq(g, cb) <= unbiased_expected_residual_sq(g, cb)
 
 
+def test_batched_validators_hold_no_draws_x_codewords_matrix():
+    import tracemalloc
+
+    # 20,000 draws x 256 codewords of f64 would be 39 MiB per temporary
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 16, 256, seed=2)
+    for validator in (check_alpha, greedy_vs_unbiased_mse):
+        tracemalloc.start()
+        try:
+            validator(cb, 20_000, Stream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, (validator.__name__, peak)
+
+
 def test_greedy_vs_unbiased_mse_means():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 24, seed=26)
     mse_g, mse_u = greedy_vs_unbiased_mse(cb, 500, Stream(27))
