@@ -172,12 +172,13 @@ def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
         raise ConfigError(["config: top level must be a JSON object"])
     if "seed" not in raw:
         violations.append("seed: required (configs must pin their randomness explicitly)")
-    if "problem" not in raw:
-        violations.append("problem: required")
     cfg = _from_json(fedsim.FedConfig, {k: v for k, v in raw.items() if k != "problem"},
                      "", violations)
-    spec = "problem" in raw and _from_json(_ProblemConfig, raw["problem"], "problem", violations)
-    problem = spec and spec.build(violations)
+    problem = None
+    if "problem" not in raw:
+        violations.append("problem: required")
+    elif spec := _from_json(_ProblemConfig, raw["problem"], "problem", violations):
+        problem = spec.build(violations)
     if cfg is not None:  # range checks only once every value has its type
         violations.extend(cfg.violations())
     if violations:

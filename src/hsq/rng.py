@@ -36,6 +36,7 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _TWO_M53 = 2.0 ** -53
+
 _GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
 _R11, _R27, _R30, _R31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)  # made once
 
@@ -87,8 +88,10 @@ class Stream:
     __slots__ = ("_seed", "_counter")
 
     def __init__(self, seed: int | np.ndarray):
-        # operator.index refuses a float seed, which int() would truncate
-        self._seed = seed if isinstance(seed, np.ndarray) else operator.index(seed) & _MASK64
+        # operator.index refuses a float seed, which int() would truncate; an int
+        # array holds one seed per child stream, as derive builds for an array tag
+        many = isinstance(seed, np.ndarray) and seed.dtype.kind in "iu"
+        self._seed = seed.astype(np.uint64) if many else operator.index(seed) & _MASK64
         self._counter = 0
 
     @property
@@ -111,7 +114,7 @@ class Stream:
     def _words(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        seed = self._seed if isinstance(self._seed, int) else self._seed[:, None]
+        seed = self._seed if isinstance(self._seed, int) else self._seed[..., None]
         return mix64(seed + idx * _GOLDEN_U64)
 
     def uniforms(self, n: int) -> np.ndarray:

@@ -121,10 +121,13 @@ def test_derive_tags_distinguish():
 
 
 def test_stream_rejects_non_integer_seed():
-    for seed in (1.5, 2.0, np.float64(3.0), "7"):
+    for seed in (1.5, 2.0, np.float64(3.0), "7", np.arange(3.0)):
         with pytest.raises(TypeError):
             Stream(seed)
     assert Stream(np.int64(-1)).seed == Stream(MASK).seed
+    # an int array of seeds is one stream per element, negative seeds wrapping
+    np.testing.assert_array_equal(Stream(np.array([5, -1])).uniforms(3),
+                                  [Stream(5).uniforms(3), Stream(MASK).uniforms(3)])
 
 
 def test_derive_rejects_unknown_tag_type():
