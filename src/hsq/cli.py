@@ -135,11 +135,11 @@ def _typed(hint, value, where: str, violations: list[str]):
         return _from_json(hint, value, where, violations) or _MISTYPED
     options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     for t in options:
-        if isinstance(t, enum.EnumType) and value in [e.value for e in t]:
+        if isinstance(t, enum.EnumMeta) and value in [e.value for e in t]:
             return t(value)
         if _matches(t, value):
             return value
-    expected = " or ".join(f"one of {[e.value for e in t]}" if isinstance(t, enum.EnumType)
+    expected = " or ".join(f"one of {[e.value for e in t]}" if isinstance(t, enum.EnumMeta)
                            else _TYPE_NAMES.get(t) or str(t) for t in options)
     violations.append(f"{where}: expected {expected}, got {value!r}")
     return _MISTYPED

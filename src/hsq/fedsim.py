@@ -191,14 +191,8 @@ def partition_indices(num_samples: int, num_clients: int, stream: Stream) -> lis
     if num_samples < num_clients:
         raise ConfigError([f"num_clients: {num_clients} clients need at least "
                            f"that many samples, got {num_samples}"])
-    perm = stream.permutation(num_samples)
-    base, extra = divmod(num_samples, num_clients)
-    shards, pos = [], 0
-    for c in range(num_clients):
-        size = base + (1 if c < extra else 0)
-        shards.append(np.sort(perm[pos:pos + size]))
-        pos += size
-    return shards
+    # array_split deals num_samples % num_clients shards one sample more, first
+    return [np.sort(s) for s in np.array_split(stream.permutation(num_samples), num_clients)]
 
 
 def run(cfg: FedConfig, problem: Problem,

@@ -26,13 +26,12 @@ import numpy as np
 from .codebook import Codebook
 from .errors import UnknownScheme
 from .fedsim import vq_bound
-from .quantizers import (Variant, _check_gradient, _project, _select, compress, decode,
+from .quantizers import (Variant, _blocks, _check_gradient, _project, _select, compress, decode,
                          decode_pseudo_norm, round_in_cell, rounding_cell, sample_unbiased_codes,
                          segment_gradient)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
-_ROW_BLOCK = 1024
 
 
 def _check_draws(n_draws: int) -> None:
@@ -138,7 +137,6 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     """
     _check_draws(n_draws)
     b_prime = cb.dim * scale ** 2
-    sigma1_pinv_sq = 1.0 / cb.sigma_min ** 2
     sq_norms = np.empty(n_draws)
     worst_range = 0.0
     for i in range(n_draws):
@@ -151,7 +149,7 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     mc_slack = 4.0 * float(sq_norms.std()) / math.sqrt(n_draws)
     bound = vq_bound(d, cb, s, b_prime, worst_range)
     loose_factor = (1.0 + 4.0 / s) if s >= 1 else 1.0
-    bound_loose = -(-d // cb.dim) * cb.count * sigma1_pinv_sq * b_prime * loose_factor
+    bound_loose = vq_bound(d, cb, 0, b_prime) * loose_factor  # s = 0: no norm term
     return VarianceBoundResult(empirical=empirical, bound=bound,
                                bound_loose=bound_loose, mc_slack=mc_slack,
                                passed=empirical <= bound + mc_slack)
@@ -187,35 +185,36 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return _project(rows[:, None, :], rows)[:, 0]
 
 
-def _per_row(g: np.ndarray, rule):
+def _per_row(g: np.ndarray, cb: Codebook, rule):
     """rule on the rows of g: a float for one row g, an array for a batch of rows.
 
-    A batch goes through in blocks of rows, so a rule's row x codeword
-    temporaries stay bounded however many rows there are.
+    A batch goes through in the blocks of rows _select uses, so a rule's
+    row x codeword temporaries stay bounded however many rows there are.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim == 1:
         return float(rule(g[None])[0])
     out = np.empty(len(g))
-    for lo in range(0, len(g), _ROW_BLOCK):
-        out[lo:lo + _ROW_BLOCK] = rule(g[lo:lo + _ROW_BLOCK])
+    for at in _blocks(len(g), cb.count):
+        out[at] = rule(g[at])
     return out
 
 
 def beta_correlation(g: np.ndarray, cb: Codebook):
     """max_c |g . c|, per row: how well the best codeword captures g's direction."""
-    return _per_row(g, lambda rows: np.max(np.abs(_project(cb.columns.T, rows)), axis=1))
+    return _per_row(g, cb, lambda rows: np.max(np.abs(_project(cb.columns.T, rows)), axis=1))
 
 
 # float_power squares by libm pow, as Python floats do; x * x can differ in the last bit
 def greedy_residual_sq(g: np.ndarray, cb: Codebook):
     """Exact ||g - u c||^2 for the greedy choice, per row: ||g||^2 - beta^2."""
-    return _per_row(g, lambda rows: _sq_norms(rows) - np.float_power(beta_correlation(rows, cb), 2))
+    return _per_row(g, cb, lambda rows:
+                    _sq_norms(rows) - np.float_power(beta_correlation(rows, cb), 2))
 
 
 def unbiased_expected_residual_sq(g: np.ndarray, cb: Codebook):
     """Closed-form E||g~ - g||^2 of the probabilistic path, per row: ||p||_1^2 - ||g||^2."""
-    return _per_row(g, lambda rows: np.float_power(
+    return _per_row(g, cb, lambda rows: np.float_power(
         np.abs(_project(cb.pinv, rows)).sum(axis=1), 2) - _sq_norms(rows))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidShape
+from .quantizers import segment_gradient
 from .rng import Stream
 
 LOGISTIC_RIDGE = 1e-3
@@ -282,9 +283,7 @@ def estimate_second_moment(p: Problem, x_samples: list[np.ndarray], d_prime: int
     n_seg = -(-p.dim // d_prime)
 
     def seg_sq(g: np.ndarray) -> np.ndarray:
-        padded = np.zeros(n_seg * d_prime)
-        padded[:p.dim] = g
-        return (padded.reshape(n_seg, d_prime) ** 2).sum(axis=1)
+        return (segment_gradient(g, d_prime) ** 2).sum(axis=1)
 
     worst = 0.0
     for j, x in enumerate(x_samples):

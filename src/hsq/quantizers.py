@@ -99,6 +99,12 @@ def _project(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices over range(n) of as many items of width values as fit in _BLOCK, at least one."""
+    step = max(1, _BLOCK // max(1, width))  # width 0: k = 0 draws is allowed
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 @np.errstate(invalid="ignore")  # 0/0 on all-zero rows
 def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = None):
     """The selection rule on a batch of finite segments, one per row.
@@ -111,10 +117,8 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     """
     k = 1 if draws is None else draws.shape[1]
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
-    rows = max(1, _BLOCK // max(1, k * mat.shape[0]))  # k = 0 draws is allowed
-    cols = max(1, _BLOCK // mat.shape[0])  # draws per block, if one row's draws exceed it
-    for lo in range(0, len(segments), rows):
-        block, at = segments[lo:lo + rows], slice(lo, lo + rows)
+    for at in _blocks(len(segments), k * mat.shape[0]):
+        block = segments[at]
         p, live = _project(mat, block), np.any(block, axis=1)
         if draws is None:
             i = np.argmax(np.abs(p), axis=1)[:, None]
@@ -122,12 +126,12 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
             continue
         l1 = np.abs(p).sum(axis=1, keepdims=True)
         cdf = np.cumsum(np.abs(p) / l1, axis=1)[:, None, :-1]
-        for c in range(0, k, cols):
+        for c in _blocks(k, mat.shape[0]):  # draws too, if one row's exceed a block
             # as searchsorted(cdf[:-1], draw, side="right"): the index stays
             # below m even if the cumsum's last entry rounds below a draw
-            i = np.count_nonzero(cdf <= draws[at, c:c + cols, None], axis=2)
+            i = np.count_nonzero(cdf <= draws[at, c, None], axis=2)
             v = np.copysign(l1, np.take_along_axis(p, i, axis=1))
-            idx[at, c:c + cols][live], u[at, c:c + cols][live] = i[live], v[live]
+            idx[at, c][live], u[at, c][live] = i[live], v[live]
     return idx, u
 
 

@@ -122,7 +122,7 @@ class Stream:
         return _unit(self._words(n))
 
     def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+        return self.uniforms(1).item()  # raises for a stream of many children
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller, along a last axis."""
@@ -143,7 +143,7 @@ class Stream:
         return np.argsort(self.uniforms(n), kind="stable")
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), returned in ascending order."""
+        """k distinct indices from range(n), returned in ascending order, along a last axis."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} from {n} without replacement")
-        return np.sort(self.permutation(n)[:k])
+        return np.sort(self.permutation(n)[..., :k], axis=-1)

@@ -112,6 +112,22 @@ def test_array_tag_streams_keep_their_position():
                                   Stream(5).derive(ids).seed)
 
 
+def test_array_tag_permutations_and_choices_are_per_row():
+    ids = np.arange(4)
+    perms = Stream(6).derive("p", ids).permutation(9)
+    picks = Stream(6).derive("c", ids).choice_without_replacement(9, 3)
+    for j in ids.tolist():
+        np.testing.assert_array_equal(perms[j], Stream(6).derive("p", j).permutation(9))
+        np.testing.assert_array_equal(picks[j],
+                                      Stream(6).derive("c", j).choice_without_replacement(9, 3))
+
+
+def test_uniform_refuses_a_stream_of_many_children():
+    assert Stream(6).derive(np.arange(1)).uniform() == Stream(6).derive(0).uniform()
+    with pytest.raises(ValueError):
+        Stream(6).derive(np.arange(3)).uniform()
+
+
 def test_derive_tags_distinguish():
     s = Stream(4)
     seen = set()
