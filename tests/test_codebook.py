@@ -137,6 +137,16 @@ def test_kmeans_full_rank_and_deterministic():
 # save / load
 
 
+def test_arrays_start_on_64_byte_boundaries(tmp_path):
+    # projections onto the codewords run fastest from an aligned start;
+    # pinv keeps its layout, the transpose of a C-ordered array
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 16, 256, seed=0)
+    cbm.save_codebook(cb, str(tmp_path / "cb.hsqc"))
+    for book in (cb, cbm.load_codebook(str(tmp_path / "cb.hsqc")), Codebook.from_columns(np.eye(3))):
+        assert book.columns.ctypes.data % 64 == 0 and book.columns.flags.c_contiguous
+        assert book.pinv.ctypes.data % 64 == 0 and book.pinv.T.flags.c_contiguous
+
+
 def test_save_load_roundtrip(tmp_path):
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=42)
     path = tmp_path / "cb.hsqc"
