@@ -148,8 +148,15 @@ def _kmeans_columns(dim: int, count: int, stream: Stream) -> np.ndarray:
     """Lloyd iterations on a seeded Gaussian pool, centers normalized."""
     pool = stream.derive("pool").normal_matrix(KMEANS_POOL_FACTOR * count, dim)
     init = stream.derive("init").choice_without_replacement(pool.shape[0], count)
-    centers = pool[init].copy()
+    centers = _lloyd(pool, pool[init])
+    norms = np.linalg.norm(centers, axis=1, keepdims=True)
+    return (centers / norms).T
 
+
+def _lloyd(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """KMEANS_ITERATIONS Lloyd steps from the given initial centers (rows), on pool's rows."""
+    centers = centers.copy()
+    count = centers.shape[0]
     pool_sq = np.einsum("ij,ij->i", pool, pool)
     for _ in range(KMEANS_ITERATIONS):
         # squared distances via the expansion ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
@@ -166,8 +173,7 @@ def _kmeans_columns(dim: int, count: int, stream: Stream) -> np.ndarray:
                 far = int(np.argmax(dists))
                 centers[c] = pool[far]
                 dists[far] = -np.inf
-    norms = np.linalg.norm(centers, axis=1, keepdims=True)
-    return (centers / norms).T
+    return centers
 
 
 def generate(method: CodebookMethod | str, dim: int, count: int, seed: int) -> Codebook:

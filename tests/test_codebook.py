@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,58 @@ def test_kmeans_full_rank_and_deterministic():
     assert np.array_equal(a.columns, b.columns)
     assert a.sigma_min > 1e-10
     assert a.columns.shape == (8, 24)
+
+
+# k-means columns are pinned by digest, so a faster Lloyd loop cannot move a bit
+_KMEANS_GRID = [(dim, count, seed) for dim, count in ((1, 1), (1, 3), (3, 7), (4, 16), (8, 24),
+                                                      (16, 16), (16, 32)) for seed in (0, 1, 2)]
+_KMEANS_GRID.append((8, 64, 0))
+
+
+def test_kmeans_columns_pinned():
+    digest = hashlib.sha256()
+    for dim, count, seed in _KMEANS_GRID:
+        digest.update(generate(CodebookMethod.KMEANS_GAUSSIAN, dim, count, seed).columns.tobytes())
+    assert digest.hexdigest() == _KMEANS_DIGEST
+
+
+_KMEANS_DIGEST = "18081bff5ebfb71d2e72880e9fbbfac5091c6208cd9942e630ca22c37532e713"
+
+
+def _ref_lloyd(pool, centers):
+    """Straight-line Lloyd loop: one masked mean per center, empty clusters re-seeded in order."""
+    centers = centers.copy()
+    reseeded = 0
+    pool_sq = np.einsum("ij,ij->i", pool, pool)
+    for _ in range(cbm.KMEANS_ITERATIONS):
+        cross = pool @ centers.T
+        center_sq = np.einsum("ij,ij->i", centers, centers)
+        assign = np.argmin(pool_sq[:, None] - 2.0 * cross + center_sq[None, :], axis=1)
+        dists = pool_sq - 2.0 * cross[np.arange(pool.shape[0]), assign] + center_sq[assign]
+        for c in range(centers.shape[0]):
+            members = assign == c
+            if np.any(members):
+                centers[c] = pool[members].mean(axis=0)
+            else:
+                far = int(np.argmax(dists))
+                centers[c] = pool[far]
+                dists[far] = -np.inf
+                reseeded += 1
+    return centers, reseeded
+
+
+def test_lloyd_reseeds_empty_clusters_like_reference():
+    # coinciding initial centers tie, the tie goes to the lower index, and the
+    # higher center's empty cluster is re-seeded from the farthest point
+    pool = Stream(9).normal_matrix(96, 4)
+    pool[7] = pool[3]
+    pool[40] = pool[3]
+    init = pool[[3, 7, 11, 40, 50, 60]]
+    expected, reseeded = _ref_lloyd(pool, init)
+    assert reseeded >= 2
+    got = cbm._lloyd(pool, init)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(init, pool[[3, 7, 11, 40, 50, 60]])  # the initial centers are not written
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each reference draws ``rng.derive(i)`` once per draw and projects one
 row at a time with a 1-D product, exactly as the validators are specified.
 The library must reproduce them bit for bit, however it batches its
-draws. Seeded ``random_frame`` output is pinned by a SHA-256 digest.
+draws; the variance-bound reference quantizes one gradient per ``compress``
+call. Seeded ``random_frame`` output is pinned by a SHA-256 digest.
 """
 
 import hashlib
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from hsq.codebook import generate
-from hsq.metrics import (beta_correlation, check_alpha, greedy_residual_sq,
+from hsq.fedsim import vq_bound
+from hsq.metrics import (beta_correlation, check_alpha, check_variance_bound, greedy_residual_sq,
                          greedy_vs_unbiased_mse, unbiased_expected_residual_sq)
+from hsq.quantizers import Variant, compress, decode
 from hsq.rng import Stream
 from hsq.wire import encode_frame, random_frame
 
@@ -74,6 +77,44 @@ def test_row_helpers_match_per_row_reference(method, d_prime, m):
         assert beta_correlation(g, cb) == _ref_beta(g, cb)
         assert greedy_residual_sq(g, cb) == _ref_greedy_residual_sq(g, cb)
         assert unbiased_expected_residual_sq(g, cb) == _ref_unbiased_residual_sq(g, cb)
+
+
+def _ref_variance_bound(cb, d, s, n_draws, rng, scale):
+    sq_norms, worst_range = [], 0.0
+    for i in range(n_draws):
+        st = rng.derive(i)
+        g = scale * st.derive("g").normals(d)
+        cg = compress(g, cb, s, Variant.UNBIASED, st.derive("q"))
+        sq_norms.append(float(np.sum(decode(cg, cb) ** 2)))
+        worst_range = max(worst_range, cg.u_max - cg.u_min)
+    sq_norms = np.array(sq_norms)
+    empirical = float(sq_norms.mean())
+    mc_slack = 4.0 * float(sq_norms.std()) / math.sqrt(n_draws)
+    bound = vq_bound(d, cb, s, cb.dim * scale ** 2, worst_range)
+    return empirical, mc_slack, bound, empirical <= bound + mc_slack
+
+
+# (method, d', m, d, s, n_draws, scale): the analyze config, every s the
+# library uses, a ragged d, scale != 1, one draw, and d <= d' (one segment,
+# so u_min = u_max and the grid is degenerate)
+_VARIANCE_CASES = (("random-gaussian", 16, 32, 128, 7, 400, 1.0),
+                   ("random-gaussian", 16, 32, 128, 63, 50, 2.0),
+                   ("random-gaussian", 16, 32, 120, 0, 50, 1.0),
+                   ("random-gaussian", 16, 32, 120, 1, 50, 0.5),
+                   ("random-rotation", 16, 16, 64, 7, 50, 1.0),
+                   ("random-gaussian", 3, 7, 20, 63, 1, 3.0),
+                   ("random-gaussian", 16, 32, 10, 7, 20, 1.0),
+                   ("sob", 1, 1, 1, 1, 5, 1.0))
+
+
+@pytest.mark.parametrize("method,d_prime,m,d,s,n_draws,scale", _VARIANCE_CASES)
+def test_variance_bound_matches_per_draw_reference(method, d_prime, m, d, s, n_draws, scale):
+    cb = generate(method, d_prime, m, seed=0)
+    rng = Stream(53).derive("varbound", d, s)
+    res = check_variance_bound(cb, d, s, n_draws, rng, scale=scale)
+    empirical, mc_slack, bound, passed = _ref_variance_bound(cb, d, s, n_draws, rng, scale)
+    assert (res.empirical, res.mc_slack, res.bound, res.passed) == (empirical, mc_slack, bound,
+                                                                     passed)
 
 
 def test_random_frames_pinned():
