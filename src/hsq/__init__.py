@@ -7,8 +7,7 @@ from .errors import (ConfigError, DimensionMismatch, EmptyInput, HsqError,
 from .fedsim import (FedConfig, LrSchedule, QuantizerScheme, RoundLog, SimResult,
                      curly_l, logs_to_csv, lr_theorem1, lr_theorem3, run,
                      theorem1_gap_bound, vq_bound)
-from .problems import (Logistic, Problem, Quadratic, TinyMLP,
-                       estimate_second_moment, finite_diff_check)
+from .problems import Logistic, Problem, Quadratic, TinyMLP, estimate_second_moment
 from .quantizers import (CompressedGradient, Variant, aggregate,
                          compress, decode, decode_pseudo_norm, quantize_greedy,
                          quantize_pseudo_norm, quantize_unbiased,
@@ -28,7 +27,7 @@ __all__ = [
     "Variant", "WireFormatError",
     "aggregate", "compress", "compression_ratio", "curly_l", "decode",
     "decode_frame", "decode_pseudo_norm", "encode_frame",
-    "estimate_second_moment", "finite_diff_check", "generate",
+    "estimate_second_moment", "generate",
     "hsq_payload_bits", "load_codebook", "logs_to_csv", "lr_theorem1",
     "lr_theorem3", "payload_bits", "quantize_greedy", "quantize_pseudo_norm",
     "quantize_unbiased", "run", "save_codebook", "segment_gradient",

@@ -6,11 +6,13 @@ same matrix; only a column index ever crosses the wire. Generation is a
 pure function of (method, dim, count, seed) on the portable stream from
 :mod:`hsq.rng`, so a seed alone is enough to share a codebook.
 
-Column generation avoids LAPACK so the matrix is reproducible from the
-seed on any platform: orthonormalization is done by modified Gram-Schmidt
-with one re-orthogonalization pass. The pseudo-inverse and the singular
-values are derived metadata (computed from the columns at construction)
-and are allowed to use the dense linear-algebra routines.
+Column generation avoids LAPACK: orthonormalization is done by modified
+Gram-Schmidt with one re-orthogonalization pass. Its dot products and the
+k-means distance products still go through BLAS, so the columns are
+bit-identical for a given BLAS kernel, not across kernels (ROADMAP item
+2). The pseudo-inverse and the singular values are derived metadata
+(computed from the columns at construction) and are allowed to use the
+dense linear-algebra routines.
 """
 
 from __future__ import annotations
@@ -154,25 +156,40 @@ def _kmeans_columns(dim: int, count: int, stream: Stream) -> np.ndarray:
 
 
 def _lloyd(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """KMEANS_ITERATIONS Lloyd steps from the given initial centers (rows), on pool's rows."""
+    """KMEANS_ITERATIONS Lloyd steps from the given initial centers (rows), on pool's rows.
+
+    Points are assigned in row blocks. A center moves to its members' sum
+    over their count, the sum taken by one bincount that adds the members'
+    rows in pool order, as ``pool[members].mean(axis=0)`` does. Empty
+    clusters are re-seeded in ascending order from the farthest points.
+    """
+    from .quantizers import _blocks  # quantizers imports this module
+
+    (n, dim), count = pool.shape, centers.shape[0]
     centers = centers.copy()
-    count = centers.shape[0]
     pool_sq = np.einsum("ij,ij->i", pool, pool)
+    assign, dists = np.empty(n, dtype=np.int64), np.empty(n)
     for _ in range(KMEANS_ITERATIONS):
-        # squared distances via the expansion ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
-        cross = pool @ centers.T
         center_sq = np.einsum("ij,ij->i", centers, centers)
-        assign = np.argmin(pool_sq[:, None] - 2.0 * cross + center_sq[None, :], axis=1)
-        dists = pool_sq - 2.0 * cross[np.arange(pool.shape[0]), assign] + center_sq[assign]
-        for c in range(count):
-            members = assign == c
-            if np.any(members):
-                centers[c] = pool[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster from the globally farthest point
-                far = int(np.argmax(dists))
-                centers[c] = pool[far]
-                dists[far] = -np.inf
+        for at in _blocks(n, count):
+            # squared distances via the expansion ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2,
+            # added in place in that order; a point's own distance is its minimum entry
+            dist = pool[at] @ centers.T
+            dist *= -2.0
+            dist += pool_sq[at, None]
+            dist += center_sq
+            assign[at] = nearest = np.argmin(dist, axis=1)
+            dists[at] = dist[np.arange(len(nearest)), nearest]
+        sizes = np.bincount(assign, minlength=count)
+        bins = (assign[:, None] * dim + np.arange(dim)).ravel()  # (center, column) per entry
+        sums = np.bincount(bins, weights=pool.ravel(), minlength=count * dim).reshape(count, dim)
+        live = sizes > 0
+        centers[live] = sums[live] / sizes[live, None]
+        for c in np.flatnonzero(~live):
+            # re-seed an empty cluster from the globally farthest point
+            far = int(np.argmax(dists))
+            centers[c] = pool[far]
+            dists[far] = -np.inf
     return centers
 
 

@@ -26,9 +26,9 @@ import numpy as np
 from .codebook import Codebook
 from .errors import UnknownScheme
 from .fedsim import vq_bound
-from .quantizers import (Variant, _blocks, _check_gradient, _project, _select, compress, decode,
-                         decode_pseudo_norm, round_in_cell, rounding_cell, sample_unbiased_codes,
-                         segment_gradient)
+from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _decoded, _project,
+                         _select, decode_pseudo_norm, round_in_cell, rounding_cell,
+                         sample_unbiased_codes, segment_gradient)
 from .rng import Stream
 
 QUANTIZERS = ("identity", "unbiased", "greedy")
@@ -139,12 +139,16 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     b_prime = cb.dim * scale ** 2
     sq_norms = np.empty(n_draws)
     worst_range = 0.0
-    for i in range(n_draws):
-        st = rng.derive(i)
+    # draw i's gradient and quantizer stream come from rng.derive(i), in blocks of draws
+    for at in _blocks(n_draws, -(-d // cb.dim) * cb.count):
+        st = rng.derive(np.arange(n_draws)[at])
         g = scale * st.derive("g").normals(d)
-        cg = compress(g, cb, s, Variant.UNBIASED, st.derive("q"))
-        sq_norms[i] = float(np.sum(decode(cg, cb) ** 2))
-        worst_range = max(worst_range, cg.u_max - cg.u_min)
+        indices, norms, grid, u_min, u_max = _compress_rows(g, cb, s, Variant.UNBIASED,
+                                                            st.derive("q"))
+        if grid is not None:
+            norms = decode_pseudo_norm(grid, u_min[:, None], u_max[:, None], s)
+        sq_norms[at] = np.sum(_decoded(indices, norms, cb, d) ** 2, axis=1)
+        worst_range = max(worst_range, float(np.max(u_max - u_min)))
     empirical = float(sq_norms.mean())
     mc_slack = 4.0 * float(sq_norms.std()) / math.sqrt(n_draws)
     bound = vq_bound(d, cb, s, b_prime, worst_range)

@@ -253,21 +253,6 @@ class TinyMLP(Problem):
         return float(np.mean(logits.argmax(axis=1) == self.labels))
 
 
-def finite_diff_check(p: Problem, x: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error between central differences and the analytic gradient."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    analytic = p.gradient(x)
-    worst = 0.0
-    for i in range(p.dim):
-        e = np.zeros(p.dim)
-        e[i] = h
-        fd = (p.objective(x + e) - p.objective(x - e)) / (2 * h)
-        worst = max(worst, abs(fd - analytic[i]) / (abs(analytic[i]) + 1e-12))
-    return worst
-
-
 def estimate_second_moment(p: Problem, x_samples: list[np.ndarray], d_prime: int,
                            batch_size: int = 1, rng: Stream | None = None,
                            n_draws: int = 200) -> float:

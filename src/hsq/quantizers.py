@@ -179,20 +179,22 @@ def quantize_pseudo_norm(u: float, u_min: float, u_max: float, s: int, rng: Stre
     return int(round_in_cell(k, p_lower, rng.uniform())) if delta else 0
 
 
-def rounding_cell(u, u_min: float, u_max: float, s: int):
-    """Locate u (a float or an array) on the s+1 point grid of [u_min, u_max].
+def rounding_cell(u, u_min, u_max, s: int):
+    """Locate u on the s+1 point grid of [u_min, u_max], elementwise.
 
-    Returns (u clamped into the interval, grid step delta, k, p_lower):
-    the clamped u lies between grid points k and k+1 and rounds down to
-    k with probability p_lower, which keeps the rounding unbiased. A
-    degenerate interval has delta = 0, k = 0 and p_lower = 1.
+    u and the bounds may be floats or arrays that broadcast, so each row
+    of u can have an interval of its own. Returns (u clamped into the
+    interval, grid step delta, k, p_lower): the clamped u lies between
+    grid points k and k+1 and rounds down to k with probability p_lower,
+    which keeps the rounding unbiased. A degenerate interval has
+    delta = 0, k = 0 and p_lower = 1.
     """
     u = np.minimum(np.maximum(u, u_min), u_max)
     delta = (u_max - u_min) / s
-    if delta == 0.0:
-        return u, delta, 0, 1.0
-    k = np.minimum(((u - u_min) / delta).astype(np.int64), s - 1)
-    return u, delta, k, ((k + 1) * delta + u_min - u) / delta
+    live = delta != 0.0
+    step = np.where(live, delta, 1.0)  # no 0/0 on a degenerate interval
+    k = np.where(live, np.minimum(((u - u_min) / step).astype(np.int64), s - 1), 0)
+    return u, delta, k, np.where(live, ((k + 1) * step + u_min - u) / step, 1.0)
 
 
 def round_in_cell(k, p_lower, draws):
@@ -209,21 +211,58 @@ def decode_pseudo_norm(level: int | np.ndarray, u_min: float, u_max: float,
 
 
 def segment_gradient(g: np.ndarray, segment_dim: int) -> np.ndarray:
-    """Reshape to ceil(d/d') rows of length d', zero-padding the tail."""
-    d = g.shape[0]
+    """Reshape the last axis to ceil(d/d') rows of length d', zero-padding the tail."""
+    d = g.shape[-1]
     n_seg = -(-d // segment_dim)
-    padded = np.zeros(n_seg * segment_dim)
-    padded[:d] = g
-    return padded.reshape(n_seg, segment_dim)
+    padded = np.zeros(g.shape[:-1] + (n_seg * segment_dim,))
+    padded[..., :d] = g
+    return padded.reshape(g.shape[:-1] + (n_seg, segment_dim))
 
 
-def _f32_outward(lo: float, hi: float) -> tuple[float, float]:
-    """The f32 interval nearest to [lo, hi] that contains it; infinite beyond the f32 range."""
+def _f32_outward(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element, the f32 interval nearest to [lo, hi] that contains it; infinite beyond the f32 range."""
     with np.errstate(over="ignore"):
-        a, b = float(np.float32(lo)), float(np.float32(hi))
-        a = float(np.nextafter(np.float32(a), np.float32(-np.inf))) if a > lo else a
-        b = float(np.nextafter(np.float32(b), np.float32(np.inf))) if b < hi else b
-    return a, b
+        a, b = lo.astype(np.float32), hi.astype(np.float32)
+        a = np.where(a > lo, np.nextafter(a, np.float32(-np.inf)), a)
+        b = np.where(b < hi, np.nextafter(b, np.float32(np.inf)), b)
+    return a.astype(np.float64), b.astype(np.float64)
+
+
+def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, streams: Stream):
+    """The compress rule on n finite gradients of one length, one per row.
+
+    Row r draws from child r of ``streams`` (a stream of n children, or a
+    plain stream when n = 1), so it equals ``compress`` of that row alone
+    with that child. Returns (indices, norms, grid, u_min, u_max): n x
+    segments arrays, grid None when s = 0, and the n rows' intervals.
+    """
+    segments = segment_gradient(rows, cb.dim)
+    n, n_seg = segments.shape[:2]
+    segments = segments.reshape(n * n_seg, cb.dim)
+    draws = streams.derive(np.arange(n_seg)).uniforms(2).reshape(n * n_seg, 2)
+    if variant is Variant.UNBIASED:
+        indices, norms = _select(segments, cb.pinv, draws[:, :1])
+        # a segment that drew to select rounds on its next uniform
+        draws = np.where(np.any(segments, axis=1), draws[:, 1], draws[:, 0])
+    else:
+        indices, norms = _select(segments, cb.columns.T)
+        draws = draws[:, 0]
+    indices, norms, draws = (a.reshape(n, n_seg) for a in (indices, norms, draws))
+
+    # the first extreme in segment order decides between 0.0 and -0.0
+    rows_at = np.arange(n)
+    u_min, u_max = _f32_outward(norms[rows_at, np.argmin(norms, axis=1)],
+                                norms[rows_at, np.argmax(norms, axis=1)])
+    if not (np.all(np.isfinite(u_min)) and np.all(np.isfinite(u_max))):
+        raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
+
+    grid = None
+    if s >= 1:
+        _, _, k, p_lower = rounding_cell(norms, u_min[:, None], u_max[:, None], s)
+        grid = round_in_cell(k, p_lower, draws)
+    else:
+        norms = norms.astype(np.float32).astype(np.float64)  # what the wire carries
+    return indices, norms, grid, u_min, u_max
 
 
 def compress(g: np.ndarray, cb: Codebook, s: int,
@@ -253,31 +292,11 @@ def compress(g: np.ndarray, cb: Codebook, s: int,
             raise ValueError("an rng stream is required for stochastic quantization")
         rng = Stream(0)  # never consumed
 
-    segments = segment_gradient(g, cb.dim)
-    draws = rng.derive(np.arange(segments.shape[0])).uniforms(2)
-    if variant is Variant.UNBIASED:
-        indices, norms = _select(segments, cb.pinv, draws[:, :1])
-        # a segment that drew to select rounds on its next uniform
-        draws = np.where(np.any(segments, axis=1), draws[:, 1], draws[:, 0])
-    else:
-        indices, norms = _select(segments, cb.columns.T)
-        draws = draws[:, 0]
-    indices, norms = indices[:, 0], norms[:, 0]
-
-    # the first extreme in segment order decides between 0.0 and -0.0
-    u_min, u_max = _f32_outward(float(norms[np.argmin(norms)]), float(norms[np.argmax(norms)]))
-    if not (math.isfinite(u_min) and math.isfinite(u_max)):
-        raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
-
-    grid = None
-    if s >= 1:
-        _, _, k, p_lower = rounding_cell(norms, u_min, u_max, s)
-        grid = round_in_cell(k, p_lower, draws)
-    else:
-        norms = norms.astype(np.float32).astype(np.float64)  # what the wire carries
+    indices, norms, grid, u_min, u_max = _compress_rows(g[None], cb, s, variant, rng)
     return CompressedGradient(total_dim=g.shape[0], segment_dim=cb.dim,
-                              codeword_count=cb.count, levels=s, u_min=u_min, u_max=u_max,
-                              indices=indices, norms=norms, grid=grid)
+                              codeword_count=cb.count, levels=s,
+                              u_min=float(u_min[0]), u_max=float(u_max[0]), indices=indices[0],
+                              norms=norms[0], grid=None if grid is None else grid[0])
 
 
 def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
@@ -288,7 +307,12 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
             f"codebook has d'={cb.dim}, m={cb.count}")
     u = cg.norms if cg.grid is None else decode_pseudo_norm(cg.grid, cg.u_min, cg.u_max,
                                                              cg.levels)
-    return (cb.columns[:, cg.indices] * u).T.reshape(-1)[:cg.total_dim]
+    return _decoded(cg.indices, u, cb, cg.total_dim)
+
+
+def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
+    """u * c per segment along the last axis, concatenated and cut to total_dim; any leading axes are rows."""
+    return (cb.columns.T[indices] * u[..., None]).reshape(indices.shape[:-1] + (-1,))[..., :total_dim]
 
 
 def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:

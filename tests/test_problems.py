@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 
 from hsq.errors import InvalidShape
-from hsq.problems import (Logistic, Quadratic, TinyMLP, finite_diff_check,
-                          estimate_second_moment)
+from hsq.problems import Logistic, Quadratic, TinyMLP, estimate_second_moment
 from hsq.rng import Stream
+
+
+def finite_diff_check(p, x, h=1e-5):
+    """Max relative error between central differences and the analytic gradient."""
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    x = np.asarray(x, dtype=np.float64)
+    analytic = p.gradient(x)
+    worst = 0.0
+    for i in range(p.dim):
+        e = np.zeros(p.dim)
+        e[i] = h
+        fd = (p.objective(x + e) - p.objective(x - e)) / (2 * h)
+        worst = max(worst, abs(fd - analytic[i]) / (abs(analytic[i]) + 1e-12))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, OutOfRange,
                         Overflow)
-from hsq.quantizers import (CompressedGradient, Variant, aggregate,
+from hsq.metrics import check_variance_bound
+from hsq.quantizers import (CompressedGradient, Variant, _compress_rows, aggregate,
                             compress, decode, decode_pseudo_norm, quantize_greedy,
                             quantize_pseudo_norm, quantize_unbiased,
                             sample_unbiased_codes, segment_gradient)
@@ -501,6 +502,65 @@ def test_compress_pseudo_norm_overflow_raises():
             compress(g, cb, 7, variant, Stream(1))
         with pytest.raises(Overflow):
             _reference_compress(g, cb, 7, variant, Stream(1))
+
+
+@pytest.mark.parametrize("d", [40, 10, 1])  # ragged; one segment, so every interval is degenerate
+def test_compress_rows_match_compress_row_by_row(d):
+    cb = generate("random-gaussian", 16, 32, seed=4)
+    st = Stream(8).derive("rows", d)
+    rows = st.derive("g", np.arange(6)).normals(d)
+    rows[2] = 0.0  # an all-zero row
+    rows[4] *= 1e-300
+    for variant in (Variant.UNBIASED, Variant.GREEDY):
+        for s in (0, 7, 63):
+            for n in (1, 6):
+                streams = st.derive("q", np.arange(n))
+                got = _compress_rows(rows[:n], cb, s, variant, streams)
+                assert all(a.shape == (n, -(-d // 16)) for a in got[:3] if a is not None)
+                for r in range(n):
+                    want = compress(rows[r], cb, s, variant, st.derive("q", r))
+                    assert (got[0][r].tolist(), got[1][r].tolist()) == (want.indices.tolist(),
+                                                                          want.norms.tolist())
+                    assert (got[3][r], got[4][r]) == (want.u_min, want.u_max)
+                    assert (got[2] is None) == (want.grid is None)
+                    if want.grid is not None:
+                        assert got[2][r].tolist() == want.grid.tolist()
+
+
+def test_compress_rows_degenerate_interval_gets_level_zero():
+    # greedy on the SOB: every segment of a constant row has u = 0.5, so
+    # u_min = u_max and every level is 0, with no 0/0 on the way
+    cb = sob(4)
+    rows = np.vstack([np.full(12, 0.5), np.arange(12.0)])
+    indices, norms, grid, u_min, u_max = _compress_rows(rows, cb, 7, Variant.GREEDY,
+                                                        Stream(2).derive(np.arange(2)))
+    assert u_min[0] == u_max[0] == 0.5 and grid[0].tolist() == [0, 0, 0]
+    assert u_min[1] < u_max[1]
+
+
+def test_compress_rows_overflow_in_any_row_raises():
+    cb = generate("random-gaussian", 4, 8, seed=1)
+    rows = np.ones((3, 12))
+    rows[1, 8:] = 1e300
+    for variant in (Variant.UNBIASED, Variant.GREEDY):
+        with pytest.raises(Overflow):
+            _compress_rows(rows, cb, 7, variant, Stream(1).derive(np.arange(3)))
+
+
+def test_variance_bound_peak_memory_flat_in_draws():
+    import tracemalloc
+
+    cb = generate("random-gaussian", 16, 32, seed=0)
+    peaks = []
+    for n_draws in (400, 20_000):
+        tracemalloc.start()
+        try:
+            check_variance_bound(cb, 128, 7, n_draws, Stream(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 20,000 gradients of 128 doubles alone would take 19.5 MiB
+    assert peaks[1] < peaks[0] + 2 ** 20 and peaks[1] < 4 * 2 ** 20, peaks
 
 
 def test_compress_peak_memory_flat_in_segments():

@@ -100,6 +100,22 @@ def test_substream_uniforms_match_derived_streams():
                                                   expected)
 
 
+def test_array_tags_on_many_children_form_an_outer_product():
+    # each array tag adds a trailing axis: child (i, j) is derive(i).derive(j)
+    s = Stream(17)
+    for n, k in ((3, 3), (2, 5), (4, 1), (0, 3), (3, 0)):
+        a, b = np.arange(n) + 10, np.arange(k)
+        for batch in (s.derive(a, "x", b), s.derive(a).derive("x", b), s.derive(a, "x").derive(b)):
+            assert batch.seed.shape == (n, k)
+            got = batch.uniforms(2)
+            assert got.shape == (n, k, 2)
+            for i in range(n):
+                for j in range(k):
+                    np.testing.assert_array_equal(got[i, j],
+                                                  s.derive(int(a[i])).derive("x", j).uniforms(2))
+        assert s.derive(a, b).derive(np.arange(2)).seed.shape == (n, k, 2)
+
+
 def test_array_tag_streams_keep_their_position():
     ids = np.array([-1, 0, 2 ** 40, 7])  # negative ids wrap mod 2^64 like int tags
     batch = Stream(5).derive("x", ids)
