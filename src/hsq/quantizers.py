@@ -78,7 +78,7 @@ def _check_gradient(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1:
         raise InvalidGradient(f"gradient must be 1-D, got ndim={g.ndim}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InvalidGradient("gradient contains NaN or Inf")
     return g
 
@@ -119,10 +119,11 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
     for at in _blocks(len(segments), k * mat.shape[0]):
         block = segments[at]
-        p, live = _project(mat, block), np.any(block, axis=1)
+        p, live = _project(mat, block), block.any(axis=1)
+        rows = np.arange(len(p))[:, None]
         if draws is None:
-            i = np.argmax(np.abs(p), axis=1)[:, None]
-            idx[at][live], u[at][live] = i[live], np.take_along_axis(p, i, axis=1)[live]
+            i = np.abs(p).argmax(axis=1)[:, None]
+            idx[at][live], u[at][live] = i[live], p[rows, i][live]
             continue
         l1 = np.abs(p).sum(axis=1, keepdims=True)
         cdf = np.cumsum(np.abs(p) / l1, axis=1)[:, None, :-1]
@@ -130,7 +131,7 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
             # as searchsorted(cdf[:-1], draw, side="right"): the index stays
             # below m even if the cumsum's last entry rounds below a draw
             i = np.count_nonzero(cdf <= draws[at, c, None], axis=2)
-            v = np.copysign(l1, np.take_along_axis(p, i, axis=1))
+            v = np.copysign(l1, p[rows, i])
             idx[at, c][live], u[at, c][live] = i[live], v[live]
     return idx, u
 
@@ -191,15 +192,15 @@ def rounding_cell(u, u_min, u_max, s: int):
     """
     u = np.minimum(np.maximum(u, u_min), u_max)
     delta = (u_max - u_min) / s
-    live = delta != 0.0
-    step = np.where(live, delta, 1.0)  # no 0/0 on a degenerate interval
-    k = np.where(live, np.minimum(((u - u_min) / step).astype(np.int64), s - 1), 0)
-    return u, delta, k, np.where(live, ((k + 1) * step + u_min - u) / step, 1.0)
+    dead = delta == 0.0
+    step = delta + dead  # 1 on a degenerate interval: no 0/0, and k = 0 as |u - u_min| < 1
+    k = np.minimum(((u - u_min) / step).astype(np.int64), s - 1)
+    return u, delta, k, np.where(dead, 1.0, ((k + 1) * step + u_min - u) / step)
 
 
 def round_in_cell(k, p_lower, draws):
     """The grid level of each uniform draw: k below p_lower, else k + 1."""
-    return np.where(draws < p_lower, k, k + 1)
+    return k + (draws >= p_lower)
 
 
 def decode_pseudo_norm(level: int | np.ndarray, u_min: float, u_max: float,
@@ -219,13 +220,17 @@ def segment_gradient(g: np.ndarray, segment_dim: int) -> np.ndarray:
     return padded.reshape(g.shape[:-1] + (n_seg, segment_dim))
 
 
-def _f32_outward(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per element, the f32 interval nearest to [lo, hi] that contains it; infinite beyond the f32 range."""
-    with np.errstate(over="ignore"):
-        a, b = lo.astype(np.float32), hi.astype(np.float32)
-        a = np.where(a > lo, np.nextafter(a, np.float32(-np.inf)), a)
-        b = np.where(b < hi, np.nextafter(b, np.float32(np.inf)), b)
-    return a.astype(np.float64), b.astype(np.float64)
+# Rows (lo, hi) of a bounds array; hi rounds up to f32 as -hi rounds down, negation being exact
+_OUTWARD = np.array([[1.0], [-1.0]])
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _f32_outward(bounds: np.ndarray) -> np.ndarray:
+    """Per column of finite bounds (lo, hi) within the f32 range, the nearest f32 interval around it."""
+    x = bounds * _OUTWARD
+    a = x.astype(np.float32)
+    np.nextafter(a, np.float32(-np.inf), out=a, where=a > x)
+    return a.astype(np.float64) * _OUTWARD
 
 
 def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, streams: Stream):
@@ -243,22 +248,23 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
     if variant is Variant.UNBIASED:
         indices, norms = _select(segments, cb.pinv, draws[:, :1])
         # a segment that drew to select rounds on its next uniform
-        draws = np.where(np.any(segments, axis=1), draws[:, 1], draws[:, 0])
+        draws = np.where(segments.any(axis=1), draws[:, 1], draws[:, 0])
     else:
         indices, norms = _select(segments, cb.columns.T)
         draws = draws[:, 0]
     indices, norms, draws = (a.reshape(n, n_seg) for a in (indices, norms, draws))
 
     # the first extreme in segment order decides between 0.0 and -0.0
-    rows_at = np.arange(n)
-    u_min, u_max = _f32_outward(norms[rows_at, np.argmin(norms, axis=1)],
-                                norms[rows_at, np.argmax(norms, axis=1)])
-    if not (np.all(np.isfinite(u_min)) and np.all(np.isfinite(u_max))):
+    bounds = norms[np.arange(n), np.array([norms.argmin(axis=1), norms.argmax(axis=1)])]
+    if not np.abs(bounds).max() <= _F32_MAX:  # also refuses NaN
         raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
+    u_min, u_max = _f32_outward(bounds)
 
     grid = None
     if s >= 1:
-        _, _, k, p_lower = rounding_cell(norms, u_min[:, None], u_max[:, None], s)
+        # one row's bounds go as scalars, which numpy's ufuncs take by a faster path
+        lo, hi = (u_min[:, None], u_max[:, None]) if n > 1 else (u_min[0], u_max[0])
+        _, _, k, p_lower = rounding_cell(norms, lo, hi, s)
         grid = round_in_cell(k, p_lower, draws)
     else:
         norms = norms.astype(np.float32).astype(np.float64)  # what the wire carries
