@@ -226,7 +226,7 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _f32_outward(bounds: np.ndarray) -> np.ndarray:
-    """Per column of finite bounds (lo, hi) within the f32 range, the nearest f32 interval around it."""
+    """Per column of bounds (lo, hi) within the f32 range, the nearest f32 interval around it."""
     x = bounds * _OUTWARD
     a = x.astype(np.float32)
     np.nextafter(a, np.float32(-np.inf), out=a, where=a > x)
@@ -317,8 +317,9 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
 
 
 def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
-    """u * c per segment along the last axis, concatenated and cut to total_dim; any leading axes are rows."""
-    return (cb.columns.T[indices] * u[..., None]).reshape(indices.shape[:-1] + (-1,))[..., :total_dim]
+    """u * c per segment, concatenated and cut to total_dim along the last axis; others are rows."""
+    decoded = cb.columns.T[indices] * u[..., None]
+    return decoded.reshape(indices.shape[:-1] + (-1,))[..., :total_dim]
 
 
 def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:

@@ -104,14 +104,14 @@ class Stream:
         The child depends only on (parent seed, tags), never on how much
         output the parent has produced. An int-array tag ids gives one stream
         whose draws have one row per element, row i those of ``derive(..., ids[i], ...)``.
-        Each array tag adds a trailing axis, so on a stream of many children
-        child (i, j) of ``derive(ids)`` is ``derive(i).derive(ids[j])``.
+        Each array tag adds a trailing axis: on a stream of many children S_i,
+        child (i, j) of ``derive(ids)`` is ``S_i.derive(ids[j])``.
         """
         h = self._seed
         for tag in tags:
+            if isinstance(tag, np.ndarray) and isinstance(h, np.ndarray):
+                h = h[..., None]
             for word in _tag_words(tag):
-                if isinstance(word, np.ndarray) and isinstance(h, np.ndarray):
-                    h = h[..., None]
                 h = mix64(((h + _GOLDEN) & _MASK64) ^ mix64(word))
         return Stream(h)
 
