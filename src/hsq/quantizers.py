@@ -125,8 +125,9 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
             i = np.abs(p).argmax(axis=1)[:, None]
             idx[at][live], u[at][live] = i[live], p[rows, i][live]
             continue
-        l1 = np.abs(p).sum(axis=1, keepdims=True)
-        cdf = np.cumsum(np.abs(p) / l1, axis=1)[:, None, :-1]
+        mag = np.abs(p)
+        l1 = mag.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(mag / l1, axis=1)[:, None, :-1]
         for c in _blocks(k, mat.shape[0]):  # draws too, if one row's exceed a block
             # as searchsorted(cdf[:-1], draw, side="right"): the index stays
             # below m even if the cumsum's last entry rounds below a draw
