@@ -515,27 +515,32 @@ def test_compress_rows_match_compress_row_by_row(d):
         for s in (0, 7, 63):
             for n in (1, 6):
                 streams = st.derive("q", np.arange(n))
-                got = _compress_rows(rows[:n], cb, s, variant, streams)
-                assert all(a.shape == (n, -(-d // 16)) for a in got[:3] if a is not None)
+                indices, norms, grid, u_min, u_max = _compress_rows(rows[:n], cb, s, variant,
+                                                                    streams)
+                assert indices.shape == norms.shape == (n, -(-d // 16))
+                assert (grid is None) == (s == 0)
                 for r in range(n):
                     want = compress(rows[r], cb, s, variant, st.derive("q", r))
-                    assert (got[0][r].tolist(), got[1][r].tolist()) == (want.indices.tolist(),
-                                                                          want.norms.tolist())
-                    assert (got[3][r], got[4][r]) == (want.u_min, want.u_max)
-                    assert (got[2] is None) == (want.grid is None)
-                    if want.grid is not None:
-                        assert got[2][r].tolist() == want.grid.tolist()
+                    # bytes, so that 0.0 and -0.0 differ
+                    assert indices[r].tobytes() == want.indices.tobytes()
+                    assert norms[r].tobytes() == want.norms.tobytes()
+                    assert (np.array([u_min[r], u_max[r]]).tobytes()
+                            == np.array([want.u_min, want.u_max]).tobytes())
+                    if s:
+                        assert grid[r].tobytes() == want.grid.tobytes()
 
 
 def test_compress_rows_degenerate_interval_gets_level_zero():
-    # greedy on the SOB: every segment of a constant row has u = 0.5, so
-    # u_min = u_max and every level is 0, with no 0/0 on the way
+    # greedy on the SOB: every segment of a constant row has u = that constant,
+    # so u_min = u_max and every level is 0, with no 0/0 on the way; at 2^70,
+    # the live-cell formula would give p_lower = (1 + u) - u = 0, not 1
     cb = sob(4)
-    rows = np.vstack([np.full(12, 0.5), np.arange(12.0)])
+    rows = np.vstack([np.full(12, 0.5), np.full(12, 2.0 ** 70), np.arange(12.0)])
     indices, norms, grid, u_min, u_max = _compress_rows(rows, cb, 7, Variant.GREEDY,
-                                                        Stream(2).derive(np.arange(2)))
-    assert u_min[0] == u_max[0] == 0.5 and grid[0].tolist() == [0, 0, 0]
-    assert u_min[1] < u_max[1]
+                                                        Stream(2).derive(np.arange(3)))
+    assert u_min[:2].tolist() == u_max[:2].tolist() == [0.5, 2.0 ** 70]
+    assert grid[:2].tolist() == [[0, 0, 0], [0, 0, 0]]
+    assert u_min[2] < u_max[2]
 
 
 def test_compress_rows_overflow_in_any_row_raises():
