@@ -253,7 +253,8 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
     else:
         indices, norms = _select(segments, cb.columns.T)
         draws = draws[:, 0]
-    indices, norms, draws = (a.reshape(n, n_seg) for a in (indices, norms, draws))
+    shape = (n, n_seg)
+    indices, norms, draws = indices.reshape(shape), norms.reshape(shape), draws.reshape(shape)
 
     # the first extreme in segment order decides between 0.0 and -0.0
     bounds = norms[np.arange(n), np.array([norms.argmin(axis=1), norms.argmax(axis=1)])]
