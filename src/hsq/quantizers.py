@@ -119,11 +119,12 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
     for at in _blocks(len(segments), k * mat.shape[0]):
         block = segments[at]
-        p, live = _project(mat, block), block.any(axis=1)
+        p, live = _project(mat, block), block.any(axis=1)[:, None]
         rows = np.arange(len(p))[:, None]
         if draws is None:
             i = np.abs(p).argmax(axis=1)[:, None]
-            idx[at][live], u[at][live] = i[live], p[rows, i][live]
+            np.copyto(idx[at], i, where=live)
+            np.copyto(u[at], p[rows, i], where=live)
             continue
         mag = np.abs(p)
         l1 = mag.sum(axis=1, keepdims=True)
@@ -133,7 +134,8 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
             # below m even if the cumsum's last entry rounds below a draw
             i = np.count_nonzero(cdf <= draws[at, c, None], axis=2)
             v = np.copysign(l1, p[rows, i])
-            idx[at, c][live], u[at, c][live] = i[live], v[live]
+            np.copyto(idx[at, c], i, where=live)
+            np.copyto(u[at, c], v, where=live)
     return idx, u
 
 
