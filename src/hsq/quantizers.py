@@ -260,7 +260,7 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
 
     # the first extreme in segment order decides between 0.0 and -0.0
     bounds = norms[np.arange(n), np.array([norms.argmin(axis=1), norms.argmax(axis=1)])]
-    if not np.abs(bounds).max() <= _F32_MAX:  # also refuses NaN
+    if not np.abs(bounds).max() <= _F32_MAX:  # before the cast would overflow; refuses NaN too
         raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
     u_min, u_max = _f32_outward(bounds)
 
