@@ -40,6 +40,45 @@ def test_qsgd_zero_bucket():
     np.testing.assert_array_equal(decode_qsgd(code), np.zeros(600))
 
 
+def _reference_compress_qsgd(g, levels, rng, bucket_size):
+    """Per-bucket QSGD: one np.linalg.norm and one rounding per bucket."""
+    d = g.shape[0]
+    n_buckets = -(-d // bucket_size)
+    norms = np.empty(n_buckets)
+    level_idx = np.empty(d, dtype=np.int64)
+    u = rng.uniforms(d)
+    for b in range(n_buckets):
+        lo, hi = b * bucket_size, min((b + 1) * bucket_size, d)
+        chunk = g[lo:hi]
+        norm = float(np.linalg.norm(chunk))
+        norms[b] = norm
+        if norm == 0.0:
+            level_idx[lo:hi] = 0
+            continue
+        r = np.abs(chunk) / norm * levels
+        base = np.minimum(np.floor(r), levels - 1)
+        level_idx[lo:hi] = (base + (u[lo:hi] < (r - base))).astype(np.int64)
+    return norms, level_idx, np.where(g >= 0, 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize("levels", [1, 15])
+@pytest.mark.parametrize("d,bucket", [(1, 1), (37, 1), (1000, 7), (5508, 512), (1031, 512),
+                                      (300, 512), (512, 512)])
+def test_qsgd_matches_per_bucket_reference(d, bucket, levels):
+    st = Stream(11).derive(d, bucket)
+    for k, scale in enumerate((1e-3, 1.0, 7e2)):
+        g = scale * st.derive("g", k).normals(d)
+        if k == 1:  # zero whole buckets, the first and one in the middle
+            g[:bucket] = 0.0
+            g[(d // bucket // 2) * bucket:(d // bucket // 2 + 1) * bucket] = 0.0
+        code = compress_qsgd(g, levels, st.derive("q", k), bucket)
+        norms, level_idx, signs = _reference_compress_qsgd(g, levels, st.derive("q", k),
+                                                           bucket)
+        assert code.norms.tobytes() == norms.tobytes()
+        assert code.level_idx.tobytes() == level_idx.tobytes()
+        assert code.signs.tobytes() == signs.tobytes()
+
+
 def test_qsgd_unbiased_monte_carlo():
     g = Stream(5).normals(64)
     draws = np.stack([decode_qsgd(compress_qsgd(g, 3, Stream(6).derive(i), 64))

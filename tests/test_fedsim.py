@@ -11,7 +11,7 @@ from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, FedConfig, LrSchedule, QuantizerS
                         RoundLog, curly_l, logs_to_csv, lr_theorem1,
                         lr_theorem3, partition_indices, run,
                         theorem1_gap_bound, vq_bound)
-from hsq.problems import Logistic, Quadratic
+from hsq.problems import Logistic, Quadratic, TinyMLP
 from hsq.quantizers import Variant
 from hsq.rng import Stream
 from hsq.wire import SCHEMES, compression_ratio, payload_bits
@@ -385,4 +385,24 @@ def test_scheme_csv_digest_pinned(case):
                     scheme=scheme, lr=LrSchedule(eta=0.1), downlink_compressed=downlink,
                     seed=3)
     csv = logs_to_csv(run(cfg, Logistic(dim=48, seed=5)).logs)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+# The same for TinyMLP (16, 64, 64, 4), d = 5,508: qsgd's default 512-long
+# buckets end in a 388-long tail. Recorded before the simulator took its
+# per-round loss and gradient from one forward pass.
+_PINNED_MLP_RUNS = {
+    "qsgd": (QuantizerScheme(name="qsgd", s=15),
+             "2ca3345ead9c4aa07797f4976ff86654106d888b49ba10a9353bf417419e3e26"),
+    "hsq-unbiased-s63": (_HSQ_UNBIASED,
+                         "6782bc7c0f2ab922085ff8a72c1394de4e164fcb835c64a2c3447b235ec5fbaa"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_MLP_RUNS))
+def test_mlp_csv_digest_pinned(case):
+    scheme, digest = _PINNED_MLP_RUNS[case]
+    cfg = FedConfig(num_clients=8, clients_per_round=3, rounds=6, local_batch=16,
+                    scheme=scheme, lr=LrSchedule(eta=0.5), seed=4)
+    csv = logs_to_csv(run(cfg, TinyMLP((16, 64, 64, 4), seed=5, num_samples=256)).logs)
     assert hashlib.sha256(csv.encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,35 @@ def test_full_gradient_is_mean_of_per_sample_gradients():
         mean = np.mean([p.stochastic_gradient(x, np.array([i]))
                         for i in range(p.num_samples)], axis=0)
         np.testing.assert_allclose(p.gradient(x), mean, atol=1e-12)
+
+
+# SHA-256 over TinyMLP's objective, gradient, stochastic gradients (one
+# sample, a repeated index, 16 samples) and accuracy at three points per
+# layer shape, recorded before the oracles shared one forward pass. A
+# rewrite of the forward or backward pass must leave these unchanged.
+_MLP_PINS = {
+    (16, 64, 64, 4): "1df6dce96228eeff29a79ad1ea95bb93f1f12667dd07a8fa4fbca766c0455ea5",
+    (2, 8, 2): "982baa20b60a6dc75a94aa4457b19fc6d06a9dab220b94c618131f32ff04778c",
+    (5, 3): "ef32298a3c5f3dd7a2c8f37be5c7926d59842c8dc27ab4373bd9ceb13f88b99c",
+    (7, 33, 9, 11, 3): "6d732966f0b13828571187b47427a5d93c7ee5abb55103a487196b66333aa16f",
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(_MLP_PINS))
+def test_mlp_oracles_pinned(sizes):
+    p = TinyMLP(sizes, seed=len(sizes), num_samples=40)
+    st = Stream(30).derive(*sizes)
+    batches = (np.array([7]), np.array([3, 3, 11]),
+               st.derive("batch").choice_without_replacement(p.num_samples, 16))
+    h = hashlib.sha256()
+    for x in (p.x0, p.x0 + 0.3 * st.derive("near").normals(p.dim),
+              2.0 * st.derive("far").normals(p.dim)):
+        h.update(np.float64(p.objective(x)).tobytes())
+        h.update(p.gradient(x).tobytes())
+        for batch in batches:
+            h.update(p.stochastic_gradient(x, batch).tobytes())
+        h.update(np.float64(p.accuracy(x)).tobytes())
+    assert h.hexdigest() == _MLP_PINS[sizes]
 
 
 # ---------------------------------------------------------------------------
