@@ -57,21 +57,21 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
     if bucket_size < 1:
         raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
     d = g.shape[0]
-    n_buckets = -(-d // bucket_size)
-    norms = np.empty(n_buckets)
-    level_idx = np.empty(d, dtype=np.int64)
-    u = rng.uniforms(d)
-    for b in range(n_buckets):
-        lo, hi = b * bucket_size, min((b + 1) * bucket_size, d)
-        chunk = g[lo:hi]
-        norm = float(np.linalg.norm(chunk))
-        norms[b] = norm
-        if norm == 0.0:
-            level_idx[lo:hi] = 0
-            continue
-        r = np.abs(chunk) / norm * levels
-        base = np.minimum(np.floor(r), levels - 1)
-        level_idx[lo:hi] = (base + (u[lo:hi] < (r - base))).astype(np.int64)
+    n_full = d // bucket_size
+    rows = g[:n_full * bucket_size].reshape(n_full, bucket_size)
+    tail = g[n_full * bucket_size:]
+    # Row @ column is numpy's dot, so each norm is bit-identical to
+    # np.linalg.norm of its bucket.
+    sq = np.empty(-(-d // bucket_size))
+    sq[:n_full] = (rows[:, None, :] @ rows[:, :, None]).ravel()
+    if tail.size:
+        sq[n_full] = tail @ tail
+    norms = np.sqrt(sq)
+    per_coord = np.repeat(norms, bucket_size)[:d]
+    r = np.divide(np.abs(g), per_coord, out=np.zeros(d), where=per_coord != 0.0)
+    r *= levels
+    base = np.minimum(np.floor(r), levels - 1)
+    level_idx = (base + (rng.uniforms(d) < (r - base))).astype(np.int64)
     signs = np.where(g >= 0, 1, -1).astype(np.int8)
     return QsgdCode(dim=d, levels=levels, bucket_size=bucket_size,
                     norms=norms, level_idx=level_idx, signs=signs)

@@ -252,9 +252,9 @@ def run(cfg: FedConfig, problem: Problem,
         else:
             x = x - eta * g_bar
 
-        full_grad = problem.gradient(x)
+        loss, full_grad = problem.loss_and_gradient(x)
         logs.append(RoundLog(round=t + 1,
-                             loss=problem.objective(x),
+                             loss=loss,
                              grad_norm_sq=float(full_grad @ full_grad),
                              uplink_bits=uplink_per_round,
                              downlink_bits=downlink_per_round,

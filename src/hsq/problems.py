@@ -42,6 +42,10 @@ class Problem:
         """Full-batch gradient: mean of all per-sample gradients."""
         return self.stochastic_gradient(x, np.arange(self.num_samples))
 
+    def loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(objective(x), gradient(x)); a family whose two share work overrides it."""
+        return self.objective(x), self.gradient(x)
+
     def stochastic_gradient(self, x: np.ndarray, batch_indices: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -203,15 +207,20 @@ class TinyMLP(Problem):
             pos += o * i + o
         return layers
 
-    def _forward(self, x: np.ndarray, batch: np.ndarray):
+    def _forward(self, x: np.ndarray, batch: np.ndarray | None = None):
+        """Activations per layer and the logits; no batch means every
+        sample, read from self.X itself. activations[0] is never written."""
         layers = self._unflatten(self._check_x(x))
-        a = self.X[batch]
+        a = self.X if batch is None else self.X[batch]
         activations = [a]
         for W, b in layers[:-1]:
-            a = np.tanh(a @ W.T + b)
+            a = a @ W.T
+            a += b
+            np.tanh(a, out=a)
             activations.append(a)
         W, b = layers[-1]
-        logits = a @ W.T + b
+        logits = a @ W.T
+        logits += b
         return layers, activations, logits
 
     def _loss_from_logits(self, logits: np.ndarray, labels: np.ndarray) -> float:
@@ -219,20 +228,12 @@ class TinyMLP(Problem):
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return float(-log_probs[np.arange(len(labels)), labels].mean())
 
-    def objective(self, x: np.ndarray) -> float:
-        _, _, logits = self._forward(x, np.arange(self.num_samples))
-        return self._loss_from_logits(logits, self.labels)
-
-    def stochastic_gradient(self, x: np.ndarray, batch_indices: np.ndarray) -> np.ndarray:
-        batch_indices = np.asarray(batch_indices)
-        layers, activations, logits = self._forward(x, batch_indices)
-        labels = self.labels[batch_indices]
-        n = len(batch_indices)
-
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        delta = probs
+    def _backward(self, layers, activations, logits, labels) -> np.ndarray:
+        """Backprop of the mean cross-entropy; overwrites the hidden activations."""
+        n = len(labels)
+        delta = logits - logits.max(axis=1, keepdims=True)
+        np.exp(delta, out=delta)
+        delta /= delta.sum(axis=1, keepdims=True)
         delta[np.arange(n), labels] -= 1.0
         delta /= n
 
@@ -240,17 +241,33 @@ class TinyMLP(Problem):
         for k in range(len(layers) - 1, -1, -1):
             W, _ = layers[k]
             a_in = activations[k]
-            gW = delta.T @ a_in
-            gb = delta.sum(axis=0)
-            grads.append((gW, gb))
+            grads.append(np.concatenate([(delta.T @ a_in).ravel(), delta.sum(axis=0)]))
             if k > 0:
-                delta = (delta @ W) * (1.0 - a_in * a_in)
+                # a_in is read for the last time above: reuse it as tanh' = 1 - a^2
+                a_in *= a_in
+                np.subtract(1.0, a_in, out=a_in)
+                a_in *= delta @ W
+                delta = a_in
         grads.reverse()
-        return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+        return np.concatenate(grads)
+
+    def objective(self, x: np.ndarray) -> float:
+        return self._loss_from_logits(self._forward(x)[2], self.labels)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._backward(*self._forward(x), self.labels)
+
+    def loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        layers, activations, logits = self._forward(x)
+        return (self._loss_from_logits(logits, self.labels),
+                self._backward(layers, activations, logits, self.labels))
+
+    def stochastic_gradient(self, x: np.ndarray, batch_indices: np.ndarray) -> np.ndarray:
+        batch_indices = np.asarray(batch_indices)
+        return self._backward(*self._forward(x, batch_indices), self.labels[batch_indices])
 
     def accuracy(self, x: np.ndarray) -> float:
-        _, _, logits = self._forward(x, np.arange(self.num_samples))
-        return float(np.mean(logits.argmax(axis=1) == self.labels))
+        return float(np.mean(self._forward(x)[2].argmax(axis=1) == self.labels))
 
 
 def estimate_second_moment(p: Problem, x_samples: list[np.ndarray], d_prime: int,
