@@ -153,6 +153,52 @@ def test_mlp_oracles_pinned(sizes):
     assert h.hexdigest() == _MLP_PINS[sizes]
 
 
+def _problems():
+    return (Quadratic(dim=6, seed=22), Logistic(dim=6, seed=22),
+            TinyMLP((5, 7, 6, 3), seed=22, num_samples=24))
+
+
+def test_loss_and_gradient_is_objective_and_gradient():
+    for p in _problems():
+        for x in (p.x0, 0.7 * Stream(23).normals(p.dim)):
+            loss, grad = p.loss_and_gradient(x)
+            assert np.float64(loss).tobytes() == np.float64(p.objective(x)).tobytes()
+            assert grad.tobytes() == p.gradient(x).tobytes()
+
+
+def test_oracles_do_not_write_their_inputs():
+    for p in _problems():
+        data = {k: v.copy() for k, v in vars(p).items() if isinstance(v, np.ndarray)}
+        x = 0.7 * Stream(24).normals(p.dim)
+        batch = np.array([4, 1, 1, 9])
+        x_before, batch_before = x.copy(), batch.copy()
+        p.objective(x)
+        p.gradient(x)
+        p.loss_and_gradient(x)
+        p.stochastic_gradient(x, batch)
+        p.stochastic_gradient(x, np.arange(p.num_samples))
+        if hasattr(p, "accuracy"):
+            p.accuracy(x)
+        assert x.tobytes() == x_before.tobytes() and np.array_equal(batch, batch_before)
+        for k, v in data.items():
+            assert getattr(p, k).tobytes() == v.tobytes(), (p.kind, k)
+
+
+def test_mlp_loss_and_gradient_peak_memory():
+    import tracemalloc
+
+    # each (2048 x 64) f64 activation or temporary takes 1 MiB
+    p = TinyMLP((16, 64, 64, 4), seed=5, num_samples=2048)
+    x = p.x0 + 0.1 * Stream(25).normals(p.dim)
+    tracemalloc.start()
+    try:
+        p.loss_and_gradient(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -428,7 +428,8 @@ def _reference_compress(g, cb, s, variant, rng):
         elif variant is Variant.UNBIASED:
             p = cb.pinv @ seg
             l1 = float(np.abs(p).sum())
-            cdf = np.cumsum(np.abs(p) / l1)
+            with np.errstate(invalid="ignore"):  # 0/0 where p underflows to zero
+                cdf = np.cumsum(np.abs(p) / l1)
             i = int(np.searchsorted(cdf[:-1], st.uniform(), side="right"))
             u = math.copysign(l1, p[i])
         else:
@@ -437,7 +438,8 @@ def _reference_compress(g, cb, s, variant, rng):
             u = float(corr[i])
         indices.append(i)
         norms.append(u)
-    u_min, u_max = float(np.float32(min(norms))), float(np.float32(max(norms)))
+    with np.errstate(over="ignore"):  # beyond f32 becomes inf, refused below
+        u_min, u_max = float(np.float32(min(norms))), float(np.float32(max(norms)))
     if u_min > min(norms):
         u_min = float(np.nextafter(np.float32(u_min), np.float32(-np.inf)))
     if u_max < max(norms):
