@@ -332,6 +332,68 @@ def test_hsq_round_is_unbiased_end_to_end():
     assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * se + 1e-12)
 
 
+def _per_client_batches(shards, sampled, local_batch, root, t):
+    # one draw per client; a shard no larger than the batch is used whole
+    out = []
+    for cid in sampled.tolist():
+        shard = shards[cid]
+        if local_batch >= shard.shape[0]:
+            out.append(shard)
+        else:
+            pick = root.derive("batch", t, cid).choice_without_replacement(
+                shard.shape[0], local_batch)
+            out.append(shard[pick])
+    return out
+
+
+def test_grouped_batch_picks_equal_per_client_picks():
+    # shard sizes differ by at most one, so one array-tag draw per size group
+    # gives every sampled client of that size its own draw, row r for client r
+    root = Stream(11)
+    batch_root = root.derive("batch")
+    for num_samples, num_clients in ((103, 10), (41, 4), (40, 4), (9, 2), (7, 7)):
+        shards = partition_indices(num_samples, num_clients, root.derive("partition"))
+        sizes = np.array([s.shape[0] for s in shards])
+        samplings = (np.arange(num_clients), np.array([0]), np.array([num_clients - 1]),
+                     np.array([0, num_clients - 1]), np.arange(1, num_clients, 2))
+        for t, sampled in enumerate(samplings):
+            for local_batch in (1, int(sizes.min()), int(sizes.max()), int(sizes.max()) + 3):
+                batches = [shards[cid] for cid in sampled.tolist()]
+                sampled_sizes = sizes[sampled]
+                for size in set(sampled_sizes.tolist()):
+                    if local_batch < size:
+                        rows = np.flatnonzero(sampled_sizes == size)
+                        picks = batch_root.derive(t, sampled[rows]).choice_without_replacement(
+                            size, local_batch)
+                        assert picks.shape == (len(rows), local_batch)
+                        for r, pick in zip(rows.tolist(), picks):
+                            batches[r] = shards[sampled[r]][pick]
+                expected = _per_client_batches(shards, sampled, local_batch, root, t)
+                assert len(batches) == len(expected)
+                for got, want in zip(batches, expected):
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_running_sum_mean_equals_np_mean():
+    # summing decoded gradients one by one from +0.0, in client order, and
+    # dividing by their count is np.mean over the stacked rows, bit for bit
+    gen = np.random.default_rng(12)
+    for n, d in ((1, 9), (2, 7), (3, 1), (10, 5508), (7, 33)):
+        for _ in range(4):
+            m = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-300, 301, (n, d))
+            m[gen.random((n, d)) < 0.2] = -0.0
+            m[gen.random((n, d)) < 0.1] = 0.0
+            m[:, 0] = -0.0  # a column of negative zeros only
+            m[:, -1] = 1e308  # a column whose sum overflows when n > 1
+            rows = list(m)
+            with np.errstate(over="ignore"):
+                total = np.zeros(d)
+                for row in rows:
+                    total += row
+                expected = np.mean(rows, axis=0)
+            assert (total / n).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering
 
@@ -385,6 +447,31 @@ def test_scheme_csv_digest_pinned(case):
                     scheme=scheme, lr=LrSchedule(eta=0.1), downlink_compressed=downlink,
                     seed=3)
     csv = logs_to_csv(run(cfg, Logistic(dim=48, seed=5)).logs)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+# The same over 203 samples in 20 shards, three of 11 and seventeen of 10,
+# recorded before batch picks were drawn per shard-size group: with a batch
+# of 4 both sizes draw, with 10 the short shards are used whole.
+_PINNED_UNEVEN_RUNS = {
+    "qsgd-batch4": (QuantizerScheme(name="qsgd", s=15, bucket_size=32), False, 4,
+                    "e2305e76d723e7af7127704ad57d1486136e5931bdd905171497d3b7d21e1d27"),
+    "qsgd-batch10": (QuantizerScheme(name="qsgd", s=15, bucket_size=32), False, 10,
+                     "bbf940df2f1558931f61fe775bb4dcb8fe9d611f4f8c97a272a802946c6aba4a"),
+    "hsq-batch10": (_HSQ_UNBIASED, False, 10,
+                    "afeccac5a76efa4008da39504bd7d97acc3e783bef2d1ef6668da82f6db61765"),
+    "hsq-downlink-batch4": (_HSQ_UNBIASED, True, 4,
+                            "9ca9fe506c37a51235a6d32180d468871e34d810825959f3518f1e51447877e8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_UNEVEN_RUNS))
+def test_uneven_shard_csv_digest_pinned(case):
+    scheme, downlink, local_batch, digest = _PINNED_UNEVEN_RUNS[case]
+    cfg = FedConfig(num_clients=20, clients_per_round=5, rounds=20, local_batch=local_batch,
+                    scheme=scheme, lr=LrSchedule(eta=0.1), downlink_compressed=downlink,
+                    seed=3)
+    csv = logs_to_csv(run(cfg, Logistic(dim=48, seed=5, num_samples=203)).logs)
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 

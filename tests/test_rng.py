@@ -116,6 +116,20 @@ def test_array_tags_on_many_children_form_an_outer_product():
         assert s.derive(a, b).derive(np.arange(2)).seed.shape == (n, k, 2)
 
 
+def test_chained_derive_equals_multi_tag_derive():
+    # derive folds its tags in order, so a prefix can be derived once and reused
+    ids = np.array([3, 0, 2 ** 40])
+    tag_sets = (("batch", 7, 3), ("batch", 7, ids), (7, "x", ids), (ids, "quantize", 2),
+                (ids, ids), ("a", "bc"), (2 ** 64 - 1, -5))
+    for parent in (Stream(0), Stream(MASK), Stream(9).derive(np.arange(4))):
+        for tags in tag_sets:
+            whole = parent.derive(*tags)
+            for cut in range(len(tags) + 1):
+                chained = parent.derive(*tags[:cut]).derive(*tags[cut:])
+                np.testing.assert_array_equal(chained.seed, whole.seed)
+                np.testing.assert_array_equal(chained.uniforms(3), whole.derive().uniforms(3))
+
+
 def test_array_tag_streams_keep_their_position():
     ids = np.array([-1, 0, 2 ** 40, 7])  # negative ids wrap mod 2^64 like int tags
     batch = Stream(5).derive("x", ids)
