@@ -89,23 +89,6 @@ def qsgd_dense_bits(d: int, levels: int, bucket_size: int = QSGD_BUCKET_SIZE) ->
     return d * per_coord + 32 * (-(-d // bucket_size))
 
 
-def qsgd_sparse_bits(d: int, levels: int = 1) -> float:
-    """Expected payload under sparse (gap-coded) encoding.
-
-    With few levels most coordinates round to zero; QSGD then sends only
-    the nonzeros as Elias-gamma coded position gaps plus sign and level.
-    The expected nonzero count is at most levels^2 + levels * sqrt(d),
-    and a gap of ~d/nnz costs about 2*log2(d/nnz) + 1 bits, which gives
-    the sqrt(d) * log(d) total this encoding is known for at levels = 1.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    nnz = min(float(d), levels * levels + levels * math.sqrt(d))
-    gap_bits = 2.0 * math.log2(max(d / nnz, 1.0)) + 1.0
-    per_nz = gap_bits + 1.0 + float(levels.bit_length())
-    return 32.0 + nnz * per_nz
-
-
 # ---------------------------------------------------------------------------
 # TernGrad: {-1, 0, +1} with a shared max-magnitude scaler
 

@@ -225,26 +225,38 @@ def run(cfg: FedConfig, problem: Problem,
     x = np.array(problem.x0, dtype=np.float64, copy=True)
     eta = cfg.lr.resolve(cfg.rounds)
     logs: list[RoundLog] = []
+    # derive folds its tags in order, so derive("batch").derive(t, cid) is
+    # derive("batch", t, cid): each tag prefix is derived once per run
+    sample_root, batch_root, quantize_root = (root.derive(tag)
+                                              for tag in ("sample", "batch", "quantize"))
+    shard_sizes = np.array([shard.shape[0] for shard in shards])
 
     for t in range(cfg.rounds):
         if on_round is not None:
             on_round(t, x.copy())
-        sampled = root.derive("sample", t).choice_without_replacement(
+        sampled = sample_root.derive(t).choice_without_replacement(
             cfg.num_clients, cfg.clients_per_round)
 
-        decoded = []
-        for cid in sampled:
-            cid = int(cid)
-            shard = shards[cid]
-            if cfg.local_batch >= shard.shape[0]:
-                batch = shard
-            else:
-                pick = root.derive("batch", t, cid).choice_without_replacement(
-                    shard.shape[0], cfg.local_batch)
-                batch = shard[pick]
+        # A shard no larger than the batch is used whole. Shard sizes differ by
+        # at most one, so each size group draws its picks at once: row r of
+        # the draw is derive(t, sampled[rows[r]])'s own.
+        batches = [shards[cid] for cid in sampled.tolist()]
+        sampled_sizes = shard_sizes[sampled]
+        for size in set(sampled_sizes.tolist()):
+            if cfg.local_batch < size:
+                rows = np.flatnonzero(sampled_sizes == size)
+                picks = batch_root.derive(t, sampled[rows]).choice_without_replacement(
+                    size, cfg.local_batch)
+                for r, pick in zip(rows.tolist(), picks):
+                    batches[r] = batches[r][pick]
+
+        # a running sum from +0.0 in client order is np.mean over the stacked
+        # decoded gradients bit for bit, without holding the stack
+        total = np.zeros(d)
+        for cid, batch in zip(sampled.tolist(), batches):
             g = problem.stochastic_gradient(x, batch)
-            decoded.append(step(g, sch, cb, root.derive("quantize", t, cid)))
-        g_bar = np.mean(decoded, axis=0)
+            total += step(g, sch, cb, quantize_root.derive(t, cid))
+        g_bar = total / len(batches)
 
         if cfg.downlink_compressed:
             # validate() allows this only where the scheme's table entry sets downlink

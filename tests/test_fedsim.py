@@ -1,10 +1,15 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsq
 from hsq.codebook import CodebookMethod, generate
 from hsq.errors import ConfigError
 from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, FedConfig, LrSchedule, QuantizerScheme,
@@ -392,6 +397,24 @@ def test_running_sum_mean_equals_np_mean():
                     total += row
                 expected = np.mean(rows, axis=0)
             assert (total / n).tobytes() == expected.tobytes()
+
+
+def test_simulator_and_validators_leave_numpy_ma_unimported():
+    # the first np.unique call imports numpy.ma, which adds ~1.25 MiB to peak
+    # RSS, as much as the benchmark allows a simulator workload to grow
+    path = [str(Path(hsq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import sys\n"
+            "from hsq import fedsim, metrics, problems\n"
+            "cfg = fedsim.FedConfig(num_clients=5, clients_per_round=3, rounds=3, local_batch=4,\n"
+            "                       scheme=fedsim.QuantizerScheme(name='qsgd', s=15),\n"
+            "                       lr=fedsim.LrSchedule(eta=0.5), seed=0)\n"
+            "fedsim.run(cfg, problems.TinyMLP((16, 8, 4), seed=1, num_samples=37))\n"
+            "metrics.run_validator_suite(0)\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------

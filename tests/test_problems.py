@@ -199,6 +199,59 @@ def test_mlp_loss_and_gradient_peak_memory():
     assert peak < 4 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("sizes", sorted(_MLP_PINS))
+def test_mlp_scratch_reuse_is_invisible(sizes):
+    # the full-batch oracles reuse the instance's buffers: in any call order,
+    # with mini-batch calls in between, each result is a fresh instance's,
+    # and no later call changes a result already returned
+    def make():
+        return TinyMLP(sizes, seed=len(sizes), num_samples=40)
+
+    p = make()
+    st = Stream(31).derive(*sizes)
+    points = (p.x0, p.x0 + 0.3 * st.derive("near").normals(p.dim),
+              2.0 * st.derive("far").normals(p.dim))
+    batch = st.derive("batch").choice_without_replacement(p.num_samples, 16)
+    oracles = {
+        "objective": lambda q, x: np.float64(q.objective(x)),
+        "gradient": lambda q, x: q.gradient(x),
+        "loss_and_gradient": lambda q, x: q.loss_and_gradient(x),
+        "accuracy": lambda q, x: np.float64(q.accuracy(x)),
+        "one sample": lambda q, x: q.stochastic_gradient(x, np.array([7])),
+        "mini-batch": lambda q, x: q.stochastic_gradient(x, batch),
+    }
+    calls = [(name, k) for name in oracles for k in range(len(points))] * 2
+    order = np.random.default_rng(len(sizes)).permutation(len(calls))
+    returned = []
+    for name, k in (calls[i] for i in order):
+        got = oracles[name](p, points[k])
+        want = oracles[name](make(), points[k])
+        returned.append((got, want))
+        for g, w in returned:
+            if isinstance(g, tuple):
+                assert np.float64(g[0]).tobytes() == np.float64(w[0]).tobytes()
+                assert g[1].tobytes() == w[1].tobytes()
+            else:
+                assert g.tobytes() == w.tobytes(), name
+
+
+def test_mlp_loss_and_gradient_reuses_its_buffers():
+    import tracemalloc
+
+    # the first full-batch call makes the buffers; later calls allocate only
+    # (2048 x 4) logit temporaries and the gradient
+    p = TinyMLP((16, 64, 64, 4), seed=5, num_samples=2048)
+    x = p.x0 + 0.1 * Stream(25).normals(p.dim)
+    p.loss_and_gradient(x)
+    tracemalloc.start()
+    try:
+        p.loss_and_gradient(x + 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19, peak
+
+
 # ---------------------------------------------------------------------------
 # validation
 
