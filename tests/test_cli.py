@@ -131,7 +131,7 @@ def test_codebook_quantize_roundtrip_pipeline(tmp_path, capsys):
 
     cg = decode_frame(open(frame_path, "rb").read())
     assert cg.total_dim == 24
-    assert cg.num_segments() == 3
+    assert len(cg.indices) == 3
 
     assert main(["roundtrip", "--frame", frame_path]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -7,29 +7,21 @@ from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, OutOfRange,
                         Overflow)
 from hsq.metrics import check_variance_bound
-from hsq.quantizers import (CompressedGradient, Variant, _compress_rows, aggregate,
+from hsq.quantizers import (CompressedGradient, Variant, _compress_rows, _select, aggregate,
                             compress, decode, decode_pseudo_norm, quantize_greedy,
-                            quantize_pseudo_norm, quantize_unbiased,
+                            quantize_pseudo_norm, round_in_cell, rounding_cell,
                             sample_unbiased_codes, segment_gradient)
 from hsq.rng import Stream
 
 
-class FixedStream(Stream):
-    """Stream stub emitting a preset uniform sequence (for branch enumeration)."""
-
-    def __init__(self, values):
-        super().__init__(0)
-        self._values = list(values)
-
-    def uniform(self):
-        return self._values.pop(0)
-
-    def uniforms(self, n):
-        return np.array([self.uniform() for _ in range(n)])
-
-
 def sob(dim):
     return generate(CodebookMethod.SOB, dim, dim, seed=0)
+
+
+def unbiased_draws(g, cb, draws):
+    """The unbiased selection rule on one segment, one pick per given uniform."""
+    idx, u = _select(np.asarray(g, dtype=np.float64)[None], cb.pinv, np.array([draws]))
+    return idx[0].tolist(), u[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +29,9 @@ def sob(dim):
 
 
 def test_unbiased_zero_gradient():
-    u, idx = quantize_unbiased(np.zeros(4), sob(4), Stream(1))
-    assert (u, idx) == (0.0, 0)
+    assert unbiased_draws(np.zeros(4), sob(4), [0.0, 0.5, 0.99]) == ([0, 0, 0], [0.0, 0.0, 0.0])
+    idx, u = sample_unbiased_codes(np.zeros(4), sob(4), 3, Stream(1))
+    assert idx.tolist() == [0, 0, 0] and u.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_unbiased_enumerated_positive():
@@ -46,8 +39,7 @@ def test_unbiased_enumerated_positive():
     # u is +7 in both branches
     cb = sob(2)
     g = np.array([3.0, 4.0])
-    u0, i0 = quantize_unbiased(g, cb, FixedStream([3 / 7 - 1e-9]))
-    u1, i1 = quantize_unbiased(g, cb, FixedStream([3 / 7 + 1e-9]))
+    (i0, i1), (u0, u1) = unbiased_draws(g, cb, [3 / 7 - 1e-9, 3 / 7 + 1e-9])
     assert (i0, i1) == (0, 1)
     assert u0 == pytest.approx(7.0) and u1 == pytest.approx(7.0)
     # expectation over the two enumerated outcomes reproduces g
@@ -59,8 +51,7 @@ def test_unbiased_enumerated_sign():
     # g=(-3,4): drawing index 0 must flip u to -7
     cb = sob(2)
     g = np.array([-3.0, 4.0])
-    u0, i0 = quantize_unbiased(g, cb, FixedStream([0.1]))
-    u1, i1 = quantize_unbiased(g, cb, FixedStream([0.9]))
+    (i0, i1), (u0, u1) = unbiased_draws(g, cb, [0.1, 0.9])
     assert (i0, u0) == (0, -7.0)
     assert (i1, u1) == (1, 7.0)
     mean = (3 / 7) * u0 * cb.columns[:, 0] + (4 / 7) * u1 * cb.columns[:, 1]
@@ -70,9 +61,7 @@ def test_unbiased_enumerated_sign():
 def test_unbiased_rejects_nan_and_shape():
     cb = sob(4)
     with pytest.raises(InvalidGradient):
-        quantize_unbiased(np.array([1.0, np.nan, 0, 0]), cb, Stream(0))
-    with pytest.raises(DimensionMismatch):
-        quantize_unbiased(np.ones(3), cb, Stream(0))
+        sample_unbiased_codes(np.array([1.0, np.nan, 0, 0]), cb, 1, Stream(0))
     with pytest.raises(DimensionMismatch):
         sample_unbiased_codes(np.ones(3), cb, 10, Stream(0))
     with pytest.raises(DimensionMismatch):
@@ -81,22 +70,22 @@ def test_unbiased_rejects_nan_and_shape():
 
 def test_unbiased_one_draw_per_segment():
     cb = sob(4)
-    s = Stream(5)
-    quantize_unbiased(np.array([1.0, 2, 3, 4]), cb, s)
-    assert s._counter == 1  # exactly one uniform consumed
+    for n in (1, 5):
+        s = Stream(5)
+        sample_unbiased_codes(np.array([1.0, 2, 3, 4]), cb, n, s)
+        assert s._counter == n  # exactly one uniform consumed per draw
 
 
 def test_sample_unbiased_matches_single_draws():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=2)
     g = Stream(3).normals(8)
     idx, u = sample_unbiased_codes(g, cb, 50, Stream(9))
-    singles = [quantize_unbiased(g, cb, Stream(9).derive(i)) for i in range(3)]
+    # draw r is the selection rule on the r-th uniform of the stream
+    assert (idx.tolist(), u.tolist()) == unbiased_draws(g, cb, Stream(9).uniforms(50))
     # same distribution support: all indices valid, |u| constant = l1
     l1 = float(np.abs(cb.pinv @ g).sum())
     assert np.all((idx >= 0) & (idx < 16))
     np.testing.assert_allclose(np.abs(u), l1, atol=1e-12)
-    for su, _ in singles:
-        assert abs(su) == pytest.approx(l1)
     for seg in (g, np.zeros(8)):  # no draws: empty arrays
         idx, u = sample_unbiased_codes(seg, cb, 0, Stream(9))
         assert idx.shape == u.shape == (0,) and idx.dtype == np.int64
@@ -149,17 +138,23 @@ def test_greedy_scale_equivariance():
 # pseudo-norm grid rounding
 
 
+def grid_levels(u, u_min, u_max, s, draws):
+    """The grid level that rounding u reaches on each given uniform."""
+    _, _, k, p_lower = rounding_cell(u, u_min, u_max, s)
+    return round_in_cell(k, p_lower, np.asarray(draws)).tolist()
+
+
 def test_pseudo_norm_grid_endpoints():
-    for _ in range(5):
-        assert quantize_pseudo_norm(0.0, 0.0, 1.0, 4, Stream(1)) == 0
-        assert quantize_pseudo_norm(1.0, 0.0, 1.0, 4, Stream(2)) == 4
+    draws = Stream(1).uniforms(5).tolist() + [0.0, 1.0 - 2 ** -53]
+    assert grid_levels(0.0, 0.0, 1.0, 4, draws) == [0] * 7
+    assert grid_levels(1.0, 0.0, 1.0, 4, draws) == [4] * 7
 
 
 def test_pseudo_norm_enumerated_probabilities():
     # u=0.3 on [0,1] with s=4: delta=.25, k=1, P(level 1)=0.8, P(level 2)=0.2
-    lo = quantize_pseudo_norm(0.3, 0.0, 1.0, 4, FixedStream([0.8 - 1e-9]))
-    hi = quantize_pseudo_norm(0.3, 0.0, 1.0, 4, FixedStream([0.8 + 1e-9]))
-    assert (lo, hi) == (1, 2)
+    uu, delta, k, p_lower = rounding_cell(0.3, 0.0, 1.0, 4)
+    assert (uu, delta, k) == (0.3, 0.25, 1) and p_lower == pytest.approx(0.8)
+    assert grid_levels(0.3, 0.0, 1.0, 4, [0.8 - 1e-9, 0.8 + 1e-9]) == [1, 2]
     assert decode_pseudo_norm(1, 0.0, 1.0, 4) == pytest.approx(0.25)
     assert decode_pseudo_norm(2, 0.0, 1.0, 4) == pytest.approx(0.5)
     # expectation over the enumerated branches
@@ -167,11 +162,20 @@ def test_pseudo_norm_enumerated_probabilities():
 
 
 def test_pseudo_norm_monte_carlo_unbiased():
-    draws = np.array([quantize_pseudo_norm(0.3, 0.0, 1.0, 4, Stream(1).derive(i))
-                      for i in range(20_000)])
-    decoded = np.array([decode_pseudo_norm(k, 0.0, 1.0, 4) for k in draws])
+    levels = grid_levels(0.3, 0.0, 1.0, 4, Stream(1).uniforms(20_000))
+    decoded = decode_pseudo_norm(np.array(levels), 0.0, 1.0, 4)
     se = decoded.std() / np.sqrt(decoded.size)
     assert abs(decoded.mean() - 0.3) < 4 * se
+
+
+def test_rounding_cell_clamps_into_interval():
+    # compress's u always lies in its own [u_min, u_max]; rounding_cell
+    # clamps anything outside onto the nearest end level
+    draws = [0.0, 0.5, 1.0 - 2 ** -53]
+    assert grid_levels(1.1, 0.0, 1.0, 4, draws) == [4] * 3
+    assert grid_levels(1.0 + 5e-13, 0.0, 1.0, 4, draws) == [4] * 3
+    assert grid_levels(-0.1, 0.0, 1.0, 4, draws) == [0] * 3
+    assert rounding_cell(-0.1, 0.0, 1.0, 4)[0] == 0.0
 
 
 def test_pseudo_norm_out_of_range():
@@ -188,13 +192,15 @@ def test_pseudo_norm_out_of_range():
 
 
 def test_pseudo_norm_degenerate_interval():
-    assert quantize_pseudo_norm(2.0, 2.0, 2.0, 8, Stream(0)) == 0
+    assert rounding_cell(2.0, 2.0, 2.0, 8)[1:] == (0.0, 0, 1.0)
+    assert grid_levels(2.0, 2.0, 2.0, 8, [0.0, 0.5, 1.0 - 2 ** -53]) == [0] * 3
     assert decode_pseudo_norm(0, 2.0, 2.0, 8) == 2.0
 
 
 def test_pseudo_norm_requires_positive_s():
+    # s = 0 sends exact norms; there is no grid to decode onto
     with pytest.raises(ValueError):
-        quantize_pseudo_norm(0.5, 0.0, 1.0, 0, Stream(0))
+        decode_pseudo_norm(0, 0.0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ def test_compress_two_segments_minmax():
     cb = sob(8)
     g = Stream(3).normals(16)
     cg = compress(g, cb, 0, Variant.GREEDY)
-    assert cg.num_segments() == 2
+    assert len(cg.indices) == 2
     norms = list(cg.norms)
     assert cg.u_min <= min(norms) and cg.u_max >= max(norms)
     # f32 outward rounding keeps the bounds within one ulp of the exact norms
@@ -234,7 +240,7 @@ def test_compress_pads_and_decode_strips():
     cb = sob(8)
     g = np.arange(1.0, 11.0)  # d=10
     cg = compress(g, cb, 0, Variant.GREEDY)
-    assert cg.num_segments() == 2
+    assert len(cg.indices) == 2
     out = decode(cg, cb)
     assert out.shape == (10,)
 
@@ -287,7 +293,7 @@ def test_decode_matches_scalar_reference():
         s = [0, 7, 63][trial % 3]
         cg = compress(g, cb, s, Variant.UNBIASED, st.derive("q"))
         expected = []
-        for j in range(cg.num_segments()):
+        for j in range(len(cg.indices)):
             if cg.grid is not None:
                 u = cg.u_min + int(cg.grid[j]) * ((cg.u_max - cg.u_min) / cg.levels)
             else:

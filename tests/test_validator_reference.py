@@ -15,8 +15,9 @@ import pytest
 
 from hsq.codebook import generate
 from hsq.fedsim import vq_bound
-from hsq.metrics import (beta_correlation, check_alpha, check_variance_bound, greedy_residual_sq,
-                         greedy_vs_unbiased_mse, unbiased_expected_residual_sq)
+from hsq.metrics import (beta_correlation, check_alpha, check_unbiasedness, check_variance_bound,
+                         greedy_residual_sq, greedy_vs_unbiased_mse,
+                         unbiased_expected_residual_sq)
 from hsq.quantizers import Variant, compress, decode
 from hsq.rng import Stream
 from hsq.wire import encode_frame, random_frame
@@ -115,6 +116,39 @@ def test_variance_bound_matches_per_draw_reference(method, d_prime, m, d, s, n_d
     empirical, mc_slack, bound, passed = _ref_variance_bound(cb, d, s, n_draws, rng, scale)
     assert (res.empirical, res.mc_slack, res.bound, res.passed) == (empirical, mc_slack, bound,
                                                                      passed)
+
+
+def _ref_greedy_z(g, cb):
+    """Greedy z-scores as (cb.columns[:, idx] * u).T - segments, one segment at a time."""
+    d = g.shape[0]
+    n_seg = -(-d // cb.dim)
+    padded = np.zeros(n_seg * cb.dim)
+    padded[:d] = g
+    z = []
+    for j in range(n_seg):
+        seg = padded[j * cb.dim:(j + 1) * cb.dim]
+        i, u = 0, 0.0
+        if seg.any():
+            corr = cb.columns.T @ seg
+            i = int(np.argmax(np.abs(corr)))
+            u = corr[i]
+        diff = cb.columns[:, i] * u - seg
+        z.extend(math.copysign(math.inf, x) if x != 0.0 else 0.0 for x in diff)
+    return np.array(z[:d])
+
+
+@pytest.mark.parametrize("method,d_prime,m", [("sob", 8, 8), ("random-rotation", 8, 8),
+                                              ("random-gaussian", 8, 16),
+                                              ("kmeans-gaussian", 8, 16)])
+def test_greedy_unbiasedness_matches_per_segment_reference(method, d_prime, m):
+    # ragged d = 21 on d' = 8, with and without an all-zero middle segment
+    cb = generate(method, d_prime, m, seed=5)
+    g = Stream(59).derive(method).normals(21)
+    for grad in (g, np.concatenate([g[:8], np.zeros(8), g[16:]])):
+        z = check_unbiasedness("greedy", cb, grad, 10, Stream(61))
+        ref = _ref_greedy_z(grad, cb)
+        assert z.shape == (21,)
+        assert z.tobytes() == ref.tobytes()
 
 
 def test_random_frames_pinned():

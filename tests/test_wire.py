@@ -295,7 +295,7 @@ def _mutants(blob: bytes, cg: CompressedGradient, st: Stream):
     non-finite patches of the f32 header fields and raw pseudo-norms."""
     nbits = 8 * len(blob)
     record = index_bits(cg.codeword_count) + level_bits(cg.levels)
-    used = 8 * HEADER.size + cg.num_segments() * record
+    used = 8 * HEADER.size + len(cg.indices) * record
     for u in st.derive("flip").uniforms(8):
         yield _flip(blob, int(u * nbits))
     for pos in range(used, nbits):
@@ -304,7 +304,7 @@ def _mutants(blob: bytes, cg: CompressedGradient, st: Stream):
         yield blob[:int(u * len(blob))]
     yield blob + bytes([int(st.derive("ext").uniforms(1)[0] * 256)])
     yield blob + bytes(4)
-    j = int(st.derive("seg").uniforms(1)[0] * cg.num_segments())
+    j = int(st.derive("seg").uniforms(1)[0] * len(cg.indices))
     shift = nbits - (8 * HEADER.size + j * record + index_bits(cg.codeword_count)) - 32
     for bad in (math.nan, math.inf, -math.inf):
         for offset in (23, 27):  # u_min, u_max
