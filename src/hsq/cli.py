@@ -191,6 +191,13 @@ def _config_echo(cfg: fedsim.FedConfig) -> dict:
         k: v.value if isinstance(v, enum.Enum) else v for k, v in items})
 
 
+def _require_positive(args, *flags: str) -> None:
+    """Refuse each named integer flag below 1 as a config error naming it."""
+    bad = [f"--{f}: must be >= 1, got {getattr(args, f)}" for f in flags if getattr(args, f) < 1]
+    if bad:
+        raise ConfigError(bad)
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -224,6 +231,7 @@ def _cmd_roundtrip(args) -> int:
                "d": cg.total_dim, "d_prime": cg.segment_dim,
                "m": cg.codeword_count, "s": cg.levels}, None)
         return 0 if ok else _fail_runtime("roundtrip", "re-encoded frame differs")
+    _require_positive(args, "frames")
     root = Stream(args.seed).derive("cli-roundtrip")
     for i in range(args.frames):
         frame = wire.random_frame(root.derive(i))
@@ -294,6 +302,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    _require_positive(args, "d", "kappa")
     d = args.d
     if args.name == "extreme":
         d_prime = d

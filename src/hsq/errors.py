@@ -17,10 +17,6 @@ class InvalidGradient(HsqError):
     """Gradient contains NaN or Inf entries."""
 
 
-class OutOfRange(HsqError):
-    """A pseudo-norm lies outside the quantization interval."""
-
-
 class DimensionMismatch(HsqError):
     """Inputs that must agree on dimensions do not."""
 

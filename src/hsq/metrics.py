@@ -24,14 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .errors import UnknownScheme
 from .fedsim import vq_bound
 from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _decoded, _project,
                          _select, decode_pseudo_norm, round_in_cell, rounding_cell,
                          sample_unbiased_codes, segment_gradient)
 from .rng import Stream
-
-QUANTIZERS = ("identity", "unbiased", "greedy")
 
 
 def _check_draws(n_draws: int) -> None:
@@ -54,7 +51,7 @@ def _z_from_moments(mean: np.ndarray, ex2: np.ndarray, target: np.ndarray,
     return z
 
 
-def check_unbiasedness(quantizer: str, cb: Codebook, g: np.ndarray, n_draws: int,
+def check_unbiasedness(variant: Variant | str, cb: Codebook, g: np.ndarray, n_draws: int,
                       rng: Stream) -> np.ndarray:
     """Per-coordinate z-scores of the decoded mean against g itself.
 
@@ -64,18 +61,14 @@ def check_unbiasedness(quantizer: str, cb: Codebook, g: np.ndarray, n_draws: int
     its z-scores are 0 where the decode is exact and +-inf where it is
     not — which is precisely how its bias shows up.
     """
-    if quantizer not in QUANTIZERS:
-        raise UnknownScheme(f"unknown quantizer {quantizer!r}; expected one of {QUANTIZERS}")
+    variant = Variant(variant)
     _check_draws(n_draws)
     g = _check_gradient(g)
-    if quantizer == "identity":
-        return np.zeros_like(g)
-
     segments = segment_gradient(g, cb.dim)
-    if quantizer == "greedy":
+    if variant is Variant.GREEDY:
         idx, u = _select(segments, cb.columns.T)
-        diff = (cb.columns[:, idx[:, 0]] * u[:, 0]).T - segments
-        return np.where(diff != 0.0, np.copysign(np.inf, diff), 0.0).reshape(-1)[:g.shape[0]]
+        diff = _decoded(idx[:, 0], u[:, 0], cb, g.shape[0]) - g
+        return np.where(diff != 0.0, np.copysign(np.inf, diff), 0.0)
     z = np.empty(segments.size)
     for j, seg in enumerate(segments):
         idx, u = sample_unbiased_codes(seg, cb, n_draws, rng.derive(j))

@@ -22,18 +22,13 @@ pseudo-norm travels as a 32-bit float instead.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .codebook import Codebook
-from .errors import DimensionMismatch, EmptyInput, InvalidGradient, Overflow, OutOfRange
+from .errors import DimensionMismatch, EmptyInput, InvalidGradient, Overflow
 from .rng import Stream
-
-# Absolute slack when checking u against [u_min, u_max]; values inside it
-# are clamped, values beyond it are errors.
-RANGE_SLACK = 1e-12
 
 
 class Variant(enum.Enum):
@@ -63,9 +58,6 @@ class CompressedGradient:
     indices: np.ndarray
     norms: np.ndarray
     grid: np.ndarray | None
-
-    def num_segments(self) -> int:
-        return len(self.indices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompressedGradient):
@@ -139,21 +131,6 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
     return idx, u
 
 
-def quantize_unbiased(g_segment: np.ndarray, cb: Codebook, rng: Stream) -> tuple[float, int]:
-    """Probabilistic codeword selection; unbiased in expectation.
-
-    Consumes exactly one uniform draw from ``rng`` (inverse CDF over the
-    selection probabilities), so results are reproducible from the
-    stream seed alone.
-
-    Returns:
-        (u, codeword_index) with u = sign(p_i) * ||p||_1, or (0.0, 0)
-        for the all-zero segment.
-    """
-    idx, u = sample_unbiased_codes(g_segment, cb, 1, rng)
-    return float(u[0]), int(idx[0])
-
-
 def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
     """Deterministic selection of the max-|correlation| codeword.
 
@@ -162,25 +139,6 @@ def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
     """
     idx, u = _select(_check_segment(g_segment, cb)[None], cb.columns.T)
     return float(u[0, 0]), int(idx[0, 0])
-
-
-def quantize_pseudo_norm(u: float, u_min: float, u_max: float, s: int, rng: Stream) -> int:
-    """Stochastically round u onto the s+1 grid points of [u_min, u_max].
-
-    Rounds to one of the two adjacent grid points with probabilities
-    chosen so the decoded expectation equals u. Consumes one uniform.
-
-    Raises:
-        OutOfRange: u or a bound not finite, or u outside the interval by more than the slack.
-    """
-    if s < 1:
-        raise ValueError("grid rounding needs s >= 1; s = 0 transmits exact norms")
-    if not (math.isfinite(u_min) and math.isfinite(u_max) and u_min <= u_max):
-        raise OutOfRange(f"not a finite, non-empty interval: [{u_min}, {u_max}]")
-    if not u_min - RANGE_SLACK <= u <= u_max + RANGE_SLACK:  # also false for NaN
-        raise OutOfRange(f"u={u} outside [{u_min}, {u_max}]")
-    _, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
-    return int(round_in_cell(k, p_lower, rng.uniform())) if delta else 0
 
 
 def rounding_cell(u, u_min, u_max, s: int):
@@ -315,6 +273,9 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
         raise DimensionMismatch(
             f"compressed gradient carries d'={cg.segment_dim}, m={cg.codeword_count}; "
             f"codebook has d'={cb.dim}, m={cb.count}")
+    if len(cg.indices) != -(-cg.total_dim // cg.segment_dim):
+        raise DimensionMismatch(f"{len(cg.indices)} segments cannot carry d={cg.total_dim} "
+                                f"at d'={cg.segment_dim}")
     u = cg.norms if cg.grid is None else decode_pseudo_norm(cg.grid, cg.u_min, cg.u_max,
                                                              cg.levels)
     return _decoded(cg.indices, u, cb, cg.total_dim)
@@ -344,8 +305,8 @@ def sample_unbiased_codes(g_segment: np.ndarray, cb: Codebook, n: int,
                           rng: Stream) -> tuple[np.ndarray, np.ndarray]:
     """n independent draws of the unbiased selector for one segment.
 
-    Returns (indices, u values); draw r equals :func:`quantize_unbiased`
-    on the r-th uniform of ``rng``. The all-zero segment draws nothing.
+    Returns (indices, u values); draw r is ``_select``'s unbiased rule on
+    the r-th uniform of ``rng``. The all-zero segment draws nothing.
     """
     g = _check_segment(g_segment, cb)
     idx, u = _select(g[None], cb.pinv, (rng.uniforms(n) if np.any(g) else np.zeros(n))[None])

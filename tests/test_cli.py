@@ -110,6 +110,18 @@ def test_preset_high_precision(capsys):
     assert report["scheme"]["d_prime"] == 5
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["compact", "--d", "0"], "--d"),
+    (["extreme", "--d", "-3"], "--d"),
+    (["high-precision", "--d", "100", "--kappa", "0"], "--kappa"),
+])
+def test_preset_rejects_nonpositive_sizes_naming_the_flag(capsys, argv, flag):
+    assert main(["preset", *argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert [v.split(":")[0] for v in err["violations"]] == [flag]
+
+
 # ---------------------------------------------------------------------------
 # codebook / quantize / roundtrip pipeline
 
@@ -158,6 +170,15 @@ def test_roundtrip_random_suite(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report == {"schema_version": 1, "mode": "random-suite",
                       "frames": 50, "ok": True}
+
+
+@pytest.mark.parametrize("frames", ["0", "-5"])
+def test_roundtrip_rejects_fewer_than_one_frame(capsys, frames):
+    assert main(["roundtrip", "--frames", frames]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "config", "violations": [f"--frames: must be >= 1, got {frames}"]}
 
 
 def test_quantize_missing_codebook_file_is_runtime_error(tmp_path, capsys):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from hsq.codebook import Codebook, CodebookMethod, generate
-from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, OutOfRange,
-                        Overflow)
+from hsq.errors import DimensionMismatch, EmptyInput, InvalidGradient, Overflow
 from hsq.metrics import check_variance_bound
 from hsq.quantizers import (CompressedGradient, Variant, _compress_rows, _select, aggregate,
                             compress, decode, decode_pseudo_norm, quantize_greedy,
-                            quantize_pseudo_norm, round_in_cell, rounding_cell,
-                            sample_unbiased_codes, segment_gradient)
+                            round_in_cell, rounding_cell, sample_unbiased_codes,
+                            segment_gradient)
 from hsq.rng import Stream
 
 
@@ -178,19 +177,6 @@ def test_rounding_cell_clamps_into_interval():
     assert rounding_cell(-0.1, 0.0, 1.0, 4)[0] == 0.0
 
 
-def test_pseudo_norm_out_of_range():
-    with pytest.raises(OutOfRange):
-        quantize_pseudo_norm(1.1, 0.0, 1.0, 4, Stream(0))
-    with pytest.raises(OutOfRange):
-        quantize_pseudo_norm(-0.1, 0.0, 1.0, 4, Stream(0))
-    # inside the 1e-12 slack: clamped, not an error
-    assert quantize_pseudo_norm(1.0 + 5e-13, 0.0, 1.0, 4, Stream(0)) == 4
-    for u, lo, hi in ((np.nan, 0.0, 1.0), (0.5, np.nan, 1.0), (0.5, 0.0, np.nan),
-                      (0.5, -np.inf, 1.0), (0.5, 0.0, np.inf), (np.inf, 0.0, np.inf)):
-        with pytest.raises(OutOfRange):
-            quantize_pseudo_norm(u, lo, hi, 4, Stream(0))
-
-
 def test_pseudo_norm_degenerate_interval():
     assert rounding_cell(2.0, 2.0, 2.0, 8)[1:] == (0.0, 0, 1.0)
     assert grid_levels(2.0, 2.0, 2.0, 8, [0.0, 0.5, 1.0 - 2 ** -53]) == [0] * 3
@@ -308,6 +294,20 @@ def test_decode_dimension_mismatch():
     cg = compress(np.ones(8), cb8, 0, Variant.GREEDY)
     with pytest.raises(DimensionMismatch):
         decode(cg, cb4)
+
+
+def test_decode_checks_segment_count():
+    # d=100 at d'=16 is 7 segments; 2 records would decode to 32 entries
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 16, 32, seed=0)
+    cg = CompressedGradient(total_dim=100, segment_dim=16, codeword_count=32, levels=0,
+                            u_min=0.0, u_max=1.0, indices=np.array([0, 1]),
+                            norms=np.array([0.0, 1.0]), grid=None)
+    with pytest.raises(DimensionMismatch, match="2 segments cannot carry d=100"):
+        decode(cg, cb)
+    good = compress(Stream(1).normals(100), cb, 0, Variant.GREEDY)
+    for batch in ([cg], [good, cg]):
+        with pytest.raises(DimensionMismatch):
+            aggregate(batch, cb)
 
 
 def test_decoded_levels_stay_in_interval():
