@@ -367,20 +367,25 @@ def test_aggregate_errors():
 # pinned outputs: frames, decoded gradients and their aggregate must stay
 # bit-identical across refactors of the codec's representation
 
-# (codebook method, d', m, d): every d leaves a ragged tail when d' > 1
+# (codebook method, d', m, d): every d leaves a ragged tail when d' > 1; the
+# last d has enough segments to batch them, the one before it too few
 _PIN_GRID = (("random-gaussian", 1, 1, 37),
              ("random-rotation", 16, 16, 105),
-             ("random-gaussian", 16, 256, 105))
-_PIN_DIGESTS = {  # (frames, decoded gradients, aggregate), keyed by m
-    1: ("28b42a475bfd4ea74359d62f2d9740155eddfbe3d58bb62087778d45740d4432",
-        "b3b2a75aa68926dcfecf21aa830913ef301f73ee081390bd4f1e94ab5d8fedc8",
-        "59772b0e90695cb2ec184e9aca93314a70a27179725699081f51753cc785e1d3"),
-    16: ("2048d4bbccfe21cf8fc4039c2b07658488ef0467e37e8ab2f5a26cbf752ac0a9",
-         "3d02a6f63ceaeb85c9e6cffab02525454e5341f4d67203b61059e8273320bc63",
-         "ac7bc61baee3969ce4b6392a2cdf6b7a068f7ef5e6e2abcf822a5afa3396468b"),
-    256: ("25d8c192e0faf69e14a1023758aae5ce44e8e773871cd1c6850622d3127affec",
-          "b6d3ab1c81070bcfdd7ae84cbe44f7419597c14cc12eb7c285a11239b9ee896e",
-          "22fb41f7b18b361b7e660a548ce449d4b203492b006acdc58235e59c99b563ef"),
+             ("random-gaussian", 16, 256, 105),
+             ("random-gaussian", 16, 256, 16 * 1024 + 5))
+_PIN_DIGESTS = {  # (frames, decoded gradients, aggregate), keyed by (m, d)
+    (1, 37): ("28b42a475bfd4ea74359d62f2d9740155eddfbe3d58bb62087778d45740d4432",
+              "b3b2a75aa68926dcfecf21aa830913ef301f73ee081390bd4f1e94ab5d8fedc8",
+              "59772b0e90695cb2ec184e9aca93314a70a27179725699081f51753cc785e1d3"),
+    (16, 105): ("2048d4bbccfe21cf8fc4039c2b07658488ef0467e37e8ab2f5a26cbf752ac0a9",
+                "3d02a6f63ceaeb85c9e6cffab02525454e5341f4d67203b61059e8273320bc63",
+                "ac7bc61baee3969ce4b6392a2cdf6b7a068f7ef5e6e2abcf822a5afa3396468b"),
+    (256, 105): ("25d8c192e0faf69e14a1023758aae5ce44e8e773871cd1c6850622d3127affec",
+                 "b6d3ab1c81070bcfdd7ae84cbe44f7419597c14cc12eb7c285a11239b9ee896e",
+                 "22fb41f7b18b361b7e660a548ce449d4b203492b006acdc58235e59c99b563ef"),
+    (256, 16389): ("4851a9b9e06e0f5319b0def12b616c5431f7b8a8f4d7468908695ca685049ee6",
+                   "813e8dd82e39534224bbce312b81e0cdee2fa3b16d3e402d92d7cb2a372b9744",
+                   "2cc12e6190552843ddacdd6c2501cb206afb2fb3f30c6c11d1a19867adc8417b"),
 }
 
 
@@ -410,7 +415,7 @@ def test_codec_outputs_pinned(method, d_prime, m, d):
             cgs.append(cg)
     got = (frames.hexdigest(), decoded.hexdigest(),
            hashlib.sha256(aggregate(cgs, cb).tobytes()).hexdigest())
-    assert got == _PIN_DIGESTS[m]
+    assert got == _PIN_DIGESTS[m, d]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,8 @@ def test_compress_pseudo_norm_overflow_raises():
             _reference_compress(g, cb, 7, variant, Stream(1))
 
 
-@pytest.mark.parametrize("d", [40, 10, 1])  # ragged; one segment, so every interval is degenerate
+# ragged; one segment, so every interval is degenerate; enough segments to batch them
+@pytest.mark.parametrize("d", [40, 10, 1, 16 * 1024 + 5])
 def test_compress_rows_match_compress_row_by_row(d):
     cb = generate("random-gaussian", 16, 32, seed=4)
     st = Stream(8).derive("rows", d)
