@@ -191,9 +191,10 @@ def _config_echo(cfg: fedsim.FedConfig) -> dict:
         k: v.value if isinstance(v, enum.Enum) else v for k, v in items})
 
 
-def _require_positive(args, *flags: str) -> None:
-    """Refuse each named integer flag below 1 as a config error naming it."""
-    bad = [f"--{f}: must be >= 1, got {getattr(args, f)}" for f in flags if getattr(args, f) < 1]
+def _require_at_least(args, least: int, *flags: str) -> None:
+    """Refuse each named integer flag below ``least`` as a config error naming it."""
+    bad = [f"--{f}: must be >= {least}, got {getattr(args, f)}"
+           for f in flags if getattr(args, f) < least]
     if bad:
         raise ConfigError(bad)
 
@@ -203,6 +204,8 @@ def _require_positive(args, *flags: str) -> None:
 
 
 def _cmd_codebook_gen(args) -> int:
+    _require_at_least(args, 1, "dprime")
+    _require_at_least(args, args.dprime, "m")
     method = CodebookMethod(args.method)
     cb = generate(method, args.dprime, args.m, args.seed)
     save_codebook(cb, args.out)
@@ -214,6 +217,7 @@ def _cmd_codebook_gen(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
+    _require_at_least(args, 0, "s")
     cb = load_codebook(args.codebook)
     g = _read_gradient(args.input)
     rng = Stream(args.seed).derive("cli-quantize")
@@ -231,7 +235,7 @@ def _cmd_roundtrip(args) -> int:
                "d": cg.total_dim, "d_prime": cg.segment_dim,
                "m": cg.codeword_count, "s": cg.levels}, None)
         return 0 if ok else _fail_runtime("roundtrip", "re-encoded frame differs")
-    _require_positive(args, "frames")
+    _require_at_least(args, 1, "frames")
     root = Stream(args.seed).derive("cli-roundtrip")
     for i in range(args.frames):
         frame = wire.random_frame(root.derive(i))
@@ -302,7 +306,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    _require_positive(args, "d", "kappa")
+    _require_at_least(args, 1, "d", "kappa")
     d = args.d
     if args.name == "extreme":
         d_prime = d

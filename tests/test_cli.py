@@ -122,6 +122,24 @@ def test_preset_rejects_nonpositive_sizes_naming_the_flag(capsys, argv, flag):
     assert [v.split(":")[0] for v in err["violations"]] == [flag]
 
 
+@pytest.mark.parametrize("argv, violation", [
+    (["codebook", "gen", "--dprime", "0", "--m", "4"], "--dprime: must be >= 1, got 0"),
+    (["codebook", "gen", "--dprime", "8", "--m", "4"], "--m: must be >= 8, got 4"),
+    (["quantize", "--s", "-1", "--codebook", "missing.hsqc", "--input", "missing.txt"],
+     "--s: must be >= 0, got -1"),
+])
+def test_codebook_gen_and_quantize_reject_flags_below_their_least(tmp_path, capsys, argv,
+                                                                   violation):
+    # checked before any file is read or written
+    rest = (["--method", "random-gaussian", "--out", str(tmp_path / "cb.hsqc")]
+            if argv[0] == "codebook" else ["--out", str(tmp_path / "g.hsqf")])
+    assert main([*argv, *rest, "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "config", "violations": [violation]}
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # codebook / quantize / roundtrip pipeline
 
