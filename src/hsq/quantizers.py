@@ -22,6 +22,8 @@ pseudo-norm travels as a 32-bit float instead.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -97,6 +99,95 @@ def _blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+# Blocks of fewer segments x codewords than this search the full CDF: below it,
+# the two-level search's extra numpy calls cost more than they save (at m = 256
+# the two paths took about as long on a block of 32 to 48 segments)
+_TWO_LEVEL_MIN = 1 << 14
+# l1 range in which every quantity of the certificate is a normal, finite double
+_L1_LO, _L1_HI = 2.0 ** -900, 2.0 ** 900
+
+
+def _cdf_search(mag: np.ndarray, l1: np.ndarray):
+    """The unbiased rule's exact arithmetic as a function of the draws.
+
+    mag is rows x m (|p| per row), l1 rows x 1 (its sum). The search maps
+    rows x k uniforms to the index of each, as searchsorted(cdf[:-1], draw,
+    side="right") with cdf = cumsum(mag / l1): the index stays below m even
+    if the cumsum's last entry rounds below a draw.
+    """
+    cdf = np.cumsum(mag / l1, axis=1)[:, None, :-1]
+    return lambda x: (cdf <= x[:, :, None]).sum(axis=2)
+
+
+@functools.cache
+def _group_size(m: int) -> int:
+    """The largest divisor of m not above sqrt(m)."""
+    return max(b for b in range(1, math.isqrt(m) + 1) if m % b == 0)
+
+
+def _two_level_search(mag: np.ndarray, l1: np.ndarray):
+    """_cdf_search's rule by a certified two-level search on unnormalized sums.
+
+    The m codewords form groups of b. A draw x picks the group by the running
+    sums of the group sums against t = x * l1, and the index inside it by the
+    running sums A_{gb-1} .. A_{gb+b-1} of that group's entries, started from
+    the sum before it (A_{-1} = 0). The index i is certified when as many of
+    those A lie at or below t - tau as lie below t + tau, tau = 4 m 2^-53 l1,
+    so that A_{i-1} <= t - tau and A_i >= t + tau, and when l1 lies in
+    [2^-900, 2^900]. Rows with any uncertified draw go through _cdf_search,
+    except rows with l1 = 0, all-zero segments among them: there its CDF is
+    all NaN, so it picks index 0 for every draw.
+
+    Why tau suffices, with u = 2^-53 and S_j the exact sums of mag[:j + 1]:
+    in that l1 range t, tau and every sum are normal and finite. The exact
+    rule compares c_j = cumsum(mag / l1)[j] <= x, and c_j is j + 1 rounded
+    quotients summed in j rounding additions, so |c_j l1 - S_j| <= g(m) S_j
+    + m 2^-1075 l1 (g(n) = n u / (1 - n u); the last term is the quotients'
+    underflow). A_j passes through at most b - 1 roundings in its group's
+    sum, G - 1 in the running sum of the G = m / b group sums and b more
+    inside the group, 2b + G - 2 <= m in all, so |A_j - S_j| <= g(m) S_j.
+    S_j <= l1 / (1 - g(m)) as l1 sums the same m terms, t is within u l1 of
+    x l1 (x < 1, as uniforms are) and t -+ tau rounds by at most u l1. So |(A_j - t) - (c_j - x) l1|
+    stays below (2 m + 2) u l1 (1 + O(m u)) < tau: A_{i-1} <= t - tau gives
+    c_{i-1} < x and A_i >= t + tau gives c_i > x, and as c is nondecreasing
+    the exact count is i. The candidate's own rounding only picks which i
+    to check, so the result never depends on the BLAS kernel's sum order.
+    """
+    n, m = mag.shape
+    b = _group_size(m)
+    # the group and run axes go first, so each running sum and count is one
+    # vectorized step over every row
+    starts = np.zeros((m // b + 1, n))  # starts[g]: each row's sum before group g
+    starts[1:] = (mag.reshape(-1, b) @ np.ones(b)).reshape(n, -1).T
+    np.cumsum(starts, axis=0, out=starts)
+    groups = mag.reshape(n, -1, b).transpose(2, 0, 1)
+    rows = np.arange(n)[:, None]
+    in_range = (l1 >= _L1_LO) & (l1 <= _L1_HI)
+    # out of range: tau = inf, so no index is certified, and t stays finite
+    tau = np.where(in_range, (4 * m * 2.0 ** -53) * l1, np.inf)
+    scale = np.where(in_range, l1, 1.0)
+    zero = l1[:, 0] == 0.0  # all of mag is 0, so the exact rule divides 0 by 0
+
+    def search(x):
+        t = x * scale
+        g = (starts[1:-1, :, None] <= t).sum(axis=0)
+        run = np.empty((b + 1,) + x.shape)  # A_{gb-1} .. A_{gb+b-1} per draw
+        run[0] = starts[g, rows]
+        run[1:] = groups[:, rows, g]
+        np.cumsum(run, axis=0, out=run)
+        lo = (run <= t - tau).sum(axis=0)
+        hi = (run < t + tau).sum(axis=0)
+        i = g * b + lo - 1
+        bad = (lo != hi) | (hi > b)
+        if bad.any():
+            i[zero] = 0  # what the exact rule's all-NaN CDF gives
+            redo = bad.any(axis=1) & ~zero
+            i[redo] = _cdf_search(mag[redo], l1[redo])(x[redo])
+        return i
+
+    return search
+
+
 @np.errstate(invalid="ignore")  # 0/0 on all-zero rows
 def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = None):
     """The selection rule on a batch of finite segments, one per row.
@@ -120,11 +211,9 @@ def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = No
             continue
         mag = np.abs(p)
         l1 = mag.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(mag / l1, axis=1)[:, None, :-1]
+        search = (_cdf_search if mag.size < _TWO_LEVEL_MIN else _two_level_search)(mag, l1)
         for c in _blocks(k, mat.shape[0]):  # draws too, if one row's exceed a block
-            # as searchsorted(cdf[:-1], draw, side="right"): the index stays
-            # below m even if the cumsum's last entry rounds below a draw
-            i = np.count_nonzero(cdf <= draws[at, c, None], axis=2)
+            i = search(draws[at, c])
             v = np.copysign(l1, p[rows, i])
             np.copyto(idx[at, c], i, where=live)
             np.copyto(u[at, c], v, where=live)

@@ -566,6 +566,137 @@ def test_compress_rows_overflow_in_any_row_raises():
             _compress_rows(rows, cb, 7, variant, Stream(1).derive(np.arange(3)))
 
 
+# ---------------------------------------------------------------------------
+# the unbiased rule's certified two-level search against a straight-line rule
+
+# (codebook method, d', m): prime m (groups of one), square codebooks (m = d')
+# and the codec's shape
+_SEARCH_GRID = (("random-gaussian", 3, 7), ("random-gaussian", 5, 31), ("sob", 16, 16),
+                ("random-rotation", 9, 9), ("random-gaussian", 16, 256))
+
+
+def _search_segments(cb, st):
+    """Gaussian segments, scaled by 2^300 and 2^-300, sparse with zero tails,
+    subnormal (all entries, and lone ones) and all-zero."""
+    d = cb.dim
+    g = st.derive("g").normals(4 * d).reshape(4, d)
+    sparse = np.zeros((2, d))
+    sparse[0, :-(-d // 2)] = g[0, :-(-d // 2)]
+    sparse[1, 0] = -3.0
+    return np.vstack([g[:2], g[2] * 2.0 ** 300, g[3] * 2.0 ** -300, sparse,
+                      g[0] * 2.0 ** -1060, np.full(d, 5e-324), np.zeros(d)])
+
+
+def _cdf(seg, cb):
+    """cumsum(|pinv @ g| / l1), the unbiased rule's CDF on one segment, and l1."""
+    mag = np.abs(cb.pinv @ seg)
+    l1 = mag.sum()
+    with np.errstate(invalid="ignore"):  # 0/0 on an all-zero segment
+        return np.cumsum(mag / l1), l1
+
+
+@pytest.mark.parametrize("method,d_prime,m", _SEARCH_GRID)
+def test_certified_search_matches_searchsorted_rule(monkeypatch, method, d_prime, m):
+    from hsq import quantizers
+
+    cb = generate(method, d_prime, m, seed=6)
+    st = Stream(77).derive("search", m)
+    segments = _search_segments(cb, st)
+    rows, draws, boundary = [], [], []
+    for r, seg in enumerate(segments):
+        cdf, l1 = _cdf(seg, cb)
+        for c in cdf[:-1]:  # one ulp below, on and one ulp above each CDF value
+            x = [np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)]
+            if 0.0 <= x[0] and x[2] < 1.0:
+                rows.append(r)
+                draws.append(x)
+                boundary.append(True)
+        rows.append(r)  # at and past the CDF's end
+        draws.append([np.nextafter(1.0, 0.0), 1.0, 2.0])
+        boundary.append(True)
+        for x in st.derive("x", r).uniforms(3 * 40).reshape(40, 3):
+            rows.append(r)
+            draws.append(x.tolist())
+            boundary.append(False)
+    rows, draws = np.array(rows), np.array(draws)
+    # the straight-line rule, one segment and one draw at a time
+    want = np.array([[np.searchsorted(_cdf(segments[r], cb)[0][:-1], x, side="right")
+                      for x in xs] for r, xs in zip(rows, draws)])
+    live = segments[rows].any(axis=1)
+    want[~live] = 0
+
+    for forced in (False, True):  # the size selection's own choice, then the two-level search
+        if forced:
+            monkeypatch.setattr(quantizers, "_TWO_LEVEL_MIN", 0)
+        fallback = set()
+        real = quantizers._cdf_search
+
+        def spy(mag, l1):
+            search = real(mag, l1)
+
+            def recorded(x):
+                fallback.update(map(tuple, x.tolist()))
+                return search(x)
+            return recorded
+
+        monkeypatch.setattr(quantizers, "_cdf_search", spy)
+        for k in (1, 3):
+            idx, u = _select(np.repeat(segments[rows], 3 // k, axis=0), cb.pinv,
+                             draws.reshape(-1, k))
+            assert idx.reshape(want.shape).tolist() == want.tolist(), (forced, k)
+        monkeypatch.setattr(quantizers, "_cdf_search", real)
+        if forced:
+            l1 = np.array([_cdf(seg, cb)[1] for seg in segments])[rows]
+            in_range = (2.0 ** -900 <= l1) & (l1 <= 2.0 ** 900)
+            took = np.array([tuple(x) in fallback for x in draws.tolist()])
+            assert took[boundary].all()
+            # every random draw on a segment of ordinary scale was certified,
+            # and l1 = 0 has the exact rule's answer without the fallback
+            # (random draws only: the end-of-CDF row is the same on every segment)
+            random = ~np.array(boundary)
+            assert not took[random & in_range].any()
+            assert took[~in_range & (l1 > 0)].all() and not took[random & (l1 == 0)].any()
+
+
+def _openblas_core() -> str | None:
+    """The kernel name numpy's bundled OpenBLAS chose, None if it cannot be read."""
+    import ctypes
+    import glob
+    import os
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def test_certified_search_matches_searchsorted_rule_under_haswell_kernel():
+    """The search test again, in a child process on OpenBLAS's Haswell kernel,
+    whose sums round differently; the digest pins are left out, they differ there."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if _openblas_core() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not readable here")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, pytest, test_quantizers as t; print(t._openblas_core()); "
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-k', "
+            "'test_certified_search_matches_searchsorted_rule and not haswell', t.__file__]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0] == "Haswell"
+    assert f"{len(_SEARCH_GRID)} passed" in proc.stdout
+
+
 def test_variance_bound_peak_memory_flat_in_draws():
     import tracemalloc
 
