@@ -147,11 +147,12 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     sum, G - 1 in the running sum of the G = m / b group sums and b more
     inside the group, 2b + G - 2 <= m in all, so |A_j - S_j| <= g(m) S_j.
     S_j <= l1 / (1 - g(m)) as l1 sums the same m terms, t is within u l1 of
-    x l1 (x < 1, as uniforms are) and t -+ tau rounds by at most u l1. So |(A_j - t) - (c_j - x) l1|
-    stays below (2 m + 2) u l1 (1 + O(m u)) < tau: A_{i-1} <= t - tau gives
-    c_{i-1} < x and A_i >= t + tau gives c_i > x, and as c is nondecreasing
-    the exact count is i. The candidate's own rounding only picks which i
-    to check, so the result never depends on the BLAS kernel's sum order.
+    x l1 (x < 1, as uniforms are) and t -+ tau rounds by at most u l1. So
+    |(A_j - t) - (c_j - x) l1| stays below (2 m + 2) u l1 (1 + O(m u)) < tau:
+    A_{i-1} <= t - tau gives c_{i-1} < x and A_i >= t + tau gives c_i > x,
+    and as c is nondecreasing the exact count is i. The candidate's own
+    rounding only picks which i to check, so the result never depends on
+    the BLAS kernel's sum order.
     """
     n, m = mag.shape
     b = _group_size(m)
@@ -178,7 +179,7 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
         lo = (run <= t - tau).sum(axis=0)
         hi = (run < t + tau).sum(axis=0)
         i = g * b + lo - 1
-        bad = (lo != hi) | (hi > b)
+        bad = (lo != hi) | (hi > b)  # hi > b: no A in the group clears t from above
         if bad.any():
             i[zero] = 0  # what the exact rule's all-NaN CDF gives
             redo = bad.any(axis=1) & ~zero

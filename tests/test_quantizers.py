@@ -641,7 +641,7 @@ def test_certified_search_matches_searchsorted_rule(monkeypatch, method, d_prime
 
         monkeypatch.setattr(quantizers, "_cdf_search", spy)
         for k in (1, 3):
-            idx, u = _select(np.repeat(segments[rows], 3 // k, axis=0), cb.pinv,
+            idx, _ = _select(np.repeat(segments[rows], 3 // k, axis=0), cb.pinv,
                              draws.reshape(-1, k))
             assert idx.reshape(want.shape).tolist() == want.tolist(), (forced, k)
         monkeypatch.setattr(quantizers, "_cdf_search", real)
@@ -670,7 +670,7 @@ def _openblas_core() -> str | None:
         corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
         return None
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
 
