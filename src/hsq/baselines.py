@@ -2,9 +2,9 @@
 
 These exist for head-to-head comparisons in the simulator and for the
 bit-accounting tables; none of them shares machinery with the
-hyper-sphere path. All stochastic variants are unbiased and draw from
-the same deterministic Stream type, so simulator runs stay reproducible
-across schemes.
+hyper-sphere path beyond its gradient check. All stochastic variants
+are unbiased and draw from the same deterministic Stream type, so
+simulator runs stay reproducible across schemes.
 """
 
 from __future__ import annotations
@@ -14,19 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGradient
+from .quantizers import _check_gradient
 from .rng import Stream
 
 QSGD_BUCKET_SIZE = 512
-
-
-def _checked(g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1 or g.shape[0] < 1:
-        raise InvalidGradient("gradient must be a non-empty 1-D array")
-    if not np.all(np.isfinite(g)):
-        raise InvalidGradient("gradient contains NaN or Inf")
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +42,7 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
     probabilities that keep the decoded expectation equal to g. A zero
     bucket encodes as norm 0 with all levels 0.
     """
-    g = _checked(g)
+    g = _check_gradient(g)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if bucket_size < 1:
@@ -105,7 +96,7 @@ def compress_terngrad(g: np.ndarray, rng: Stream) -> TernGradCode:
 
     Decoding multiplies by the scaler, so the expectation equals g.
     """
-    g = _checked(g)
+    g = _check_gradient(g)
     scaler = float(np.max(np.abs(g)))
     if scaler == 0.0:
         return TernGradCode(dim=g.shape[0], scaler=0.0,
@@ -139,7 +130,7 @@ class SignCode:
 
 def compress_sign(g: np.ndarray) -> SignCode:
     """Transmit sign(g) only; zeros count as positive."""
-    g = _checked(g)
+    g = _check_gradient(g)
     return SignCode(dim=g.shape[0], signs=np.where(g >= 0, 1, -1).astype(np.int8))
 
 

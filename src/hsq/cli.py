@@ -13,6 +13,11 @@ Subcommands:
 Outputs are JSON (or CSV where noted). Failures print a machine-readable
 JSON object on stderr: config-schema problems list every violating field
 and exit 2; runtime errors exit 1.
+
+Each value is checked by the rule that owns it (``codebook.violations``,
+``QuantizerScheme.violations``, ``wire.length_violations``, and the count
+and seed rules ``FedConfig`` applies), never here; a field read from a flag
+is reported as that flag, before any file is read or written.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ import typing
 import numpy as np
 
 from . import fedsim, metrics, wire
-from .codebook import CodebookMethod, generate, load_codebook, save_codebook
-from .errors import ConfigError, HsqError
+from .codebook import CodebookMethod, generate, load_codebook, save_codebook, seed_violations
+from .codebook import violations as codebook_violations
+from .errors import ConfigError, HsqError, refuse
 from .problems import Logistic, Problem, Quadratic, TinyMLP
 from .quantizers import Variant, compress
 from .rng import Stream
@@ -38,33 +44,30 @@ from .rng import Stream
 SCHEMA_VERSION = 1
 
 
-def _fail_config(violations: list[str]) -> int:
-    json.dump({"error": "config", "violations": violations}, sys.stderr)
+def _fail(code: int, **report) -> int:
+    """Print report as the JSON line on stderr of a failure that exits with code."""
+    json.dump(report, sys.stderr)
     sys.stderr.write("\n")
-    return 2
+    return code
 
 
-def _fail_runtime(kind: str, message: str) -> int:
-    json.dump({"error": kind, "message": message}, sys.stderr)
-    sys.stderr.write("\n")
-    return 1
+def _write(data: str | bytes, path: str | None) -> None:
+    """data to the file at path, or to stdout when path is None or "-"."""
+    if path in (None, "-"):
+        (sys.stdout.buffer if isinstance(data, bytes) else sys.stdout).write(data)
+    else:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
 
 
 def _emit(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(json.dumps(obj, indent=2) + "\n", path)
 
 
 def _read_gradient(path: str) -> np.ndarray:
-    if path == "-":
-        return np.loadtxt(sys.stdin).ravel()
     if path.endswith(".npy"):
         return np.load(path).ravel()
-    return np.loadtxt(path).ravel()
+    return np.loadtxt(sys.stdin if path == "-" else path).ravel()
 
 
 def _read_bytes(path: str) -> bytes:
@@ -72,14 +75,6 @@ def _read_bytes(path: str) -> bytes:
         return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def _write_bytes(data: bytes, path: str) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -191,38 +186,28 @@ def _config_echo(cfg: fedsim.FedConfig) -> dict:
         k: v.value if isinstance(v, enum.Enum) else v for k, v in items})
 
 
-def _require_at_least(args, least: int, *flags: str) -> None:
-    """Refuse each named integer flag below ``least`` as a config error naming it."""
-    bad = [f"--{f}: must be >= {least}, got {getattr(args, f)}"
-           for f in flags if getattr(args, f) < least]
-    if bad:
-        raise ConfigError(bad)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def _cmd_codebook_gen(args) -> int:
-    _require_at_least(args, 1, "dprime")
-    _require_at_least(args, args.dprime, "m")
-    method = CodebookMethod(args.method)
-    cb = generate(method, args.dprime, args.m, args.seed)
+    refuse(codebook_violations(args.method, args.d_prime, args.m, args.seed))
+    cb = generate(args.method, args.d_prime, args.m, args.seed)
     save_codebook(cb, args.out)
     _emit({"schema_version": SCHEMA_VERSION, "file": args.out,
-           "method": method.value, "d_prime": cb.dim, "m": cb.count,
+           "method": args.method, "d_prime": cb.dim, "m": cb.count,
            "seed": args.seed, "sigma_min": cb.sigma_min, "sigma_max": cb.sigma_max},
           None)
     return 0
 
 
 def _cmd_quantize(args) -> int:
-    _require_at_least(args, 0, "s")
+    refuse(wire.SCHEMES["hsq"].violations({"s": args.s}) + seed_violations(args.seed))
     cb = load_codebook(args.codebook)
     g = _read_gradient(args.input)
     rng = Stream(args.seed).derive("cli-quantize")
     cg = compress(g, cb, args.s, Variant(args.variant), rng)
-    _write_bytes(wire.encode_frame(cg), args.out)
+    _write(wire.encode_frame(cg), args.out)
     return 0
 
 
@@ -234,52 +219,41 @@ def _cmd_roundtrip(args) -> int:
         _emit({"schema_version": SCHEMA_VERSION, "mode": "file", "ok": ok,
                "d": cg.total_dim, "d_prime": cg.segment_dim,
                "m": cg.codeword_count, "s": cg.levels}, None)
-        return 0 if ok else _fail_runtime("roundtrip", "re-encoded frame differs")
-    _require_at_least(args, 1, "frames")
+        return 0 if ok else _fail(1, error="roundtrip", message="re-encoded frame differs")
+    refuse(fedsim.count_violations(frames=args.frames) + seed_violations(args.seed))
     root = Stream(args.seed).derive("cli-roundtrip")
     for i in range(args.frames):
         frame = wire.random_frame(root.derive(i))
         if wire.decode_frame(wire.encode_frame(frame)) != frame:
-            return _fail_runtime("roundtrip", f"mismatch on random frame {i}")
+            return _fail(1, error="roundtrip", message=f"mismatch on random frame {i}")
     _emit({"schema_version": SCHEMA_VERSION, "mode": "random-suite",
            "frames": args.frames, "ok": True}, None)
     return 0
 
 
 def _cmd_ratio(args) -> int:
-    kw = dict(d=args.d, d_prime=args.dprime, m=args.m, s=args.s,
-              include_header=args.include_header, bucket_size=args.bucket_size)
+    kw = dict(d_prime=args.d_prime, m=args.m, s=args.s, bucket_size=args.bucket_size)
+    bad = {name: fedsim.QuantizerScheme(name, **kw).violations() for name in wire.SCHEMES}
+    refuse(([] if args.d is None else wire.length_violations(args.d)) + bad.get(args.scheme, []))
+    # the grid leaves out a scheme with a parameter it reads missing or out of range
+    ratios = {name: wire.compression_ratio(name, args.d, include_header=args.include_header, **kw)
+              for name in wire.SCHEMES if not bad[name]}
     if args.scheme is not None:
-        print(f"{wire.compression_ratio(args.scheme, **kw):.1f}")
+        print(f"{ratios[args.scheme]:.1f}")
         return 0
-    rows = []
-    for scheme in wire.SCHEMES:
-        try:
-            rows.append({"scheme": scheme,
-                         "ratio": round(wire.compression_ratio(scheme, **kw), 1)})
-        except ValueError:
-            continue  # a parameter the scheme reads is missing or out of range
     _emit({"schema_version": SCHEMA_VERSION, "include_header": args.include_header,
-           "grid": rows}, None)
+           "grid": [{"scheme": name, "ratio": round(r, 1)} for name, r in ratios.items()]}, None)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.rounds is not None:
-        raw["rounds"] = args.rounds
-    cfg, problem = _config_from_json(raw)
+    given = {k: v for k, v in vars(args).items() if k in ("seed", "rounds")}  # override it
+    cfg, problem = _config_from_json({**raw, **given} if isinstance(raw, dict) else raw)
     result = fedsim.run(cfg, problem)
 
-    csv_text = fedsim.logs_to_csv(result.logs)
-    if args.csv is not None:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(fedsim.logs_to_csv(result.logs), args.csv)
 
     last = result.logs[-1]
     summary = {"schema_version": SCHEMA_VERSION,
@@ -300,22 +274,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    refuse(seed_violations(args.seed))
     report = metrics.run_validator_suite(args.seed)
     _emit(report, args.out)
     return 0 if report["all_passed"] else 1
 
 
 def _cmd_preset(args) -> int:
-    _require_at_least(args, 1, "d", "kappa")
+    refuse(wire.length_violations(args.d))
     d = args.d
-    if args.name == "extreme":
-        d_prime = d
-    elif args.name == "compact":
-        d_prime = max(1, int(round(math.sqrt(d))))
-    else:  # high-precision
-        d_prime = args.kappa
+    d_prime = {"extreme": d, "compact": max(1, round(math.sqrt(d))),
+               "high-precision": args.d_prime}[args.name]
     scheme = {"name": "hsq", "d_prime": d_prime, "m": d_prime, "s": 0,
               "variant": "unbiased", "codebook_method": "random-rotation"}
+    refuse(fedsim.QuantizerScheme(**scheme).violations())
     bits = wire.payload_bits("hsq", d, d_prime=d_prime, m=d_prime, s=0)
     _emit({"schema_version": SCHEMA_VERSION, "preset": args.name, "d": d,
            "scheme": scheme, "payload_bits": bits,
@@ -336,11 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = cb_sub.add_parser("gen", help="generate and save a codebook")
     p_gen.add_argument("--method", required=True,
                        choices=[m.value for m in CodebookMethod if m.value != "custom"])
-    p_gen.add_argument("--dprime", type=int, required=True, help="segment length d'")
+    p_gen.add_argument("--dprime", dest="d_prime", type=int, required=True,
+                       help="segment length d'")
     p_gen.add_argument("--m", type=int, required=True, help="codeword count")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=_cmd_codebook_gen)
+    p_gen.set_defaults(func=_cmd_codebook_gen, parser=p_gen)
 
     p_q = sub.add_parser("quantize", help="compress a gradient file into a frame")
     p_q.add_argument("--codebook", required=True)
@@ -349,42 +322,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--variant", choices=[v.value for v in Variant], default="unbiased")
     p_q.add_argument("--seed", type=int, required=True)
     p_q.add_argument("--out", default="-", help="frame file; - for stdout")
-    p_q.set_defaults(func=_cmd_quantize)
+    p_q.set_defaults(func=_cmd_quantize, parser=p_q)
 
     p_rt = sub.add_parser("roundtrip", help="codec self-check")
     p_rt.add_argument("--frame", help="check one existing frame file")
     p_rt.add_argument("--frames", type=int, default=1000, help="random-suite size")
     p_rt.add_argument("--seed", type=int, default=0)
-    p_rt.set_defaults(func=_cmd_roundtrip)
+    p_rt.set_defaults(func=_cmd_roundtrip, parser=p_rt)
 
     p_r = sub.add_parser("ratio", help="compression-ratio accounting")
     p_r.add_argument("--scheme", choices=wire.SCHEMES, help="omit for the full grid")
     p_r.add_argument("--d", type=int)
-    p_r.add_argument("--dprime", dest="dprime", type=int)
+    p_r.add_argument("--dprime", dest="d_prime", type=int)
     p_r.add_argument("--m", type=int)
     p_r.add_argument("--s", type=int)
     p_r.add_argument("--bucket-size", type=int, default=wire.QSGD_BUCKET_SIZE)
     p_r.add_argument("--include-header", action="store_true")
-    p_r.set_defaults(func=_cmd_ratio)
+    p_r.set_defaults(func=_cmd_ratio, parser=p_r)
 
     p_s = sub.add_parser("simulate", help="run a federated experiment")
     p_s.add_argument("--config", required=True, help="JSON config file")
-    p_s.add_argument("--seed", type=int, help="override config seed")
-    p_s.add_argument("--rounds", type=int, help="override config rounds")
+    # absent unless given, so a config value is not reported as the flag
+    p_s.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override config seed")
+    p_s.add_argument("--rounds", type=int, default=argparse.SUPPRESS,
+                     help="override config rounds")
     p_s.add_argument("--csv", help="round log CSV path (default stdout)")
     p_s.add_argument("--summary", help="summary JSON path")
-    p_s.set_defaults(func=_cmd_simulate)
+    p_s.set_defaults(func=_cmd_simulate, parser=p_s)
 
     p_a = sub.add_parser("analyze", help="run the validator suite")
     p_a.add_argument("--seed", type=int, default=0)
     p_a.add_argument("--out", help="report path (default stdout)")
-    p_a.set_defaults(func=_cmd_analyze)
+    p_a.set_defaults(func=_cmd_analyze, parser=p_a)
 
     p_p = sub.add_parser("preset", help="canned scheme configurations")
     p_p.add_argument("name", choices=["extreme", "compact", "high-precision"])
     p_p.add_argument("--d", type=int, required=True, help="model dimension")
-    p_p.add_argument("--kappa", type=int, default=4, help="segment length for high-precision")
-    p_p.set_defaults(func=_cmd_preset)
+    p_p.add_argument("--kappa", dest="d_prime", type=int, default=4, help="high-precision's d'")
+    p_p.set_defaults(func=_cmd_preset, parser=p_p)
     return parser
 
 
@@ -393,11 +368,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        return _fail_config(exc.violations)
-    except HsqError as exc:
-        return _fail_runtime(type(exc).__name__, str(exc))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail_runtime(type(exc).__name__, str(exc))
+        # a field the command read from a flag is reported as that flag; rules check
+        # numbers only, so a config file's field never takes the name of a path flag
+        flags = {a.dest: a.option_strings[0] for a in args.parser._actions
+                 if a.type is int and hasattr(args, a.dest)}
+        return _fail(2, error="config", violations=[flags.get(f, f) + sep + rest for f, sep, rest
+                                                    in (v.partition(":") for v in exc.violations)])
+    except (HsqError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+        return _fail(1, error=type(exc).__name__, message=str(exc))
 
 
 if __name__ == "__main__":

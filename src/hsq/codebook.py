@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShape, RankDeficient, WireFormatError
+from .errors import InvalidShape, RankDeficient, WireFormatError, out_of_range
 from .rng import Stream
 
 UNIT_NORM_TOL = 1e-12
@@ -34,6 +34,7 @@ KMEANS_ITERATIONS = 25
 
 CODEBOOK_MAGIC = b"HSQC"
 CODEBOOK_VERSION = 1
+_U32_MAX = 0xFFFFFFFF  # the file header's d' and m fields are u32, its seed u64
 
 
 class CodebookMethod(enum.Enum):
@@ -86,18 +87,16 @@ class Codebook:
         """Build a codebook from explicit columns, validating invariants.
 
         Raises:
-            InvalidShape: not a 2-D matrix with count >= dim, or columns
-                that are not finite and unit norm.
+            InvalidShape: not a 2-D matrix the codebook rule (``violations``)
+                accepts, or columns that are not finite and unit norm.
             RankDeficient: smallest singular value below 1e-10.
         """
         columns = np.ascontiguousarray(columns, dtype=np.float64)
         if columns.ndim != 2:
             raise InvalidShape(f"codebook must be a 2-D matrix, got ndim={columns.ndim}")
+        if bad := violations(method, *columns.shape, seed):
+            raise InvalidShape("; ".join(bad))
         dim, count = columns.shape
-        if dim < 1:
-            raise InvalidShape("segment length must be at least 1")
-        if count < dim:
-            raise InvalidShape(f"need at least as many codewords as dimensions, got m={count} < {dim}")
         if not np.all(np.isfinite(columns)):
             raise InvalidShape("codebook entries must be finite")
         norms = np.linalg.norm(columns, axis=0)
@@ -193,34 +192,41 @@ def _lloyd(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return centers
 
 
+def seed_violations(seed: int) -> list[str]:
+    """The seed rule: a u64, as the file header stores it."""
+    return out_of_range("seed", seed, 0, 2 ** 64 - 1)
+
+
+def violations(method: CodebookMethod | str, d_prime: int, m: int, seed: int = 0) -> list[str]:
+    """The codebook rule, one "field: problem" message per field it refuses.
+
+    d' >= 1 and m >= d' (full row rank), m = d' for sob and random-rotation,
+    and d', m and seed within the file header. m is checked once d' is valid.
+    """
+    method = CodebookMethod(method)
+    out = out_of_range("d_prime", d_prime, 1, _U32_MAX) or out_of_range("m", m, d_prime, _U32_MAX)
+    if not out and method in (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION) and m != d_prime:
+        out.append(f"m: {method.value} codebooks are square, must equal {d_prime}, got {m}")
+    return out + seed_violations(seed)
+
+
 def generate(method: CodebookMethod | str, dim: int, count: int, seed: int) -> Codebook:
-    """Generate the shared codebook for (method, dim, count, seed).
+    """Generate the shared codebook for (method, dim = d', count = m, seed).
 
     Deterministic: the same arguments reproduce the same columns
     bit-for-bit in any process, which is what lets a coordinator ship a
     seed instead of the matrix itself.
 
-    Args:
-        method: placement method; SOB and RANDOM_ROTATION require count == dim.
-        dim: segment length d'.
-        count: number of codewords m >= dim.
-        seed: 64-bit generation seed.
-
     Raises:
-        InvalidShape: impossible dim/count combination.
+        InvalidShape: arguments the codebook rule refuses, or the custom method.
         RankDeficient: the sampled matrix is numerically rank deficient
             (resolve by retrying with a different seed).
     """
+    if bad := violations(method, dim, count, seed):
+        raise InvalidShape("; ".join(bad))
     method = CodebookMethod(method)
-    if dim < 1:
-        raise InvalidShape("segment length must be at least 1")
-    if count < dim:
-        raise InvalidShape(f"need count >= dim for full row rank, got m={count} < d'={dim}")
-    if method in (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION) and count != dim:
-        raise InvalidShape(f"{method.value} codebooks are square, got dim={dim} count={count}")
     if method is CodebookMethod.CUSTOM:
         raise InvalidShape("custom codebooks are built via Codebook.from_columns")
-
     stream = Stream(seed).derive("codebook", method.value, dim, count)
     if method is CodebookMethod.SOB:
         columns = np.eye(dim)
@@ -242,7 +248,9 @@ _HEADER = struct.Struct("<4sHIIBQ")
 
 
 def save_codebook(cb: Codebook, path: str) -> None:
-    """Write a codebook to the self-describing little-endian binary format."""
+    """Write cb in the self-describing little-endian format, if the codebook rule holds."""
+    if bad := violations(cb.method, cb.dim, cb.count, cb.seed):
+        raise InvalidShape("; ".join(bad))
     header = _HEADER.pack(CODEBOOK_MAGIC, CODEBOOK_VERSION, cb.dim, cb.count,
                           _METHOD_CODES[cb.method], cb.seed)
     body = cb.columns.astype("<f8").tobytes(order="C")

@@ -47,3 +47,17 @@ class ConfigError(HsqError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def out_of_range(name: str, value, least, most=None, label=None) -> list[str]:
+    """[] if least <= value <= most, else one "name: problem" message; None as value
+    violates, None as a bound is none, and label stands for least in the message."""
+    if value is None or least is not None and value < least:
+        return [f"{name}: must be >= {least if label is None else label}, got {value!r}"]
+    return [] if most is None or value <= most else [f"{name}: must be <= {most}, got {value!r}"]
+
+
+def refuse(violations: list[str]) -> None:
+    """Raise a rule's violations, if any, as a ConfigError."""
+    if violations:
+        raise ConfigError(violations)

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import baselines
-from .codebook import Codebook, CodebookMethod
-from .errors import ConfigError
+from .codebook import Codebook, CodebookMethod, seed_violations
+from .errors import ConfigError, out_of_range, refuse
 from .problems import Problem
 from .quantizers import Variant
 from .rng import Stream
@@ -42,7 +42,8 @@ class QuantizerScheme:
 
     wire.SCHEMES[name].params lists the parameters the scheme reads and
     their bounds; it ignores the others. variant and codebook_method
-    apply to hsq, and s doubles as the level count for qsgd.
+    apply to hsq, and s doubles as the level count for qsgd. violations(),
+    which adds the rule of the codebook it builds, leaves out "scheme.".
     """
 
     name: str = "identity"
@@ -55,8 +56,9 @@ class QuantizerScheme:
 
     def violations(self) -> list[str]:
         if self.name not in SCHEMES:
-            return [f"scheme.name: {self.name!r} not one of {tuple(SCHEMES)}"]
-        return [f"scheme.{v}" for v in SCHEMES[self.name].violations(vars(self))]
+            return [f"name: {self.name!r} not one of {tuple(SCHEMES)}"]
+        entry = SCHEMES[self.name]
+        return entry.violations(vars(self)) or entry.codebook_rule(self)
 
 
 # kind -> (recipe(rounds, *params), {param: (comparison, bound)}), params in
@@ -110,13 +112,11 @@ class FedConfig:
     seed: int = 0
 
     def violations(self) -> list[str]:
-        out = [f"{n}: must be >= {least}, got {getattr(self, n)}"
-               for n, least in (("num_clients", 1), ("rounds", 1), ("local_batch", 1),
-                                ("seed", 0)) if getattr(self, n) < least]
-        if not 1 <= self.clients_per_round <= max(self.num_clients, 1):
-            out.append(f"clients_per_round: must be in [1, num_clients], "
-                       f"got {self.clients_per_round}")
-        out.extend(self.scheme.violations())
+        out = count_violations(num_clients=self.num_clients, rounds=self.rounds,
+                               local_batch=self.local_batch) + seed_violations(self.seed)
+        out += out_of_range("clients_per_round", self.clients_per_round, 1,
+                            max(self.num_clients, 1))
+        out.extend(f"scheme.{v}" for v in self.scheme.violations())
         out.extend(self.lr.violations())
         if (self.downlink_compressed and self.scheme.name in SCHEMES
                 and not SCHEMES[self.scheme.name].downlink):
@@ -125,9 +125,12 @@ class FedConfig:
         return out
 
     def validate(self) -> None:
-        v = self.violations()
-        if v:
-            raise ConfigError(v)
+        refuse(self.violations())
+
+
+def count_violations(**counts: int) -> list[str]:
+    """The count rule: one "name: problem" message per count below 1."""
+    return [v for name, n in counts.items() for v in out_of_range(name, n, 1)]
 
 
 @dataclass

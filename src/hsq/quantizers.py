@@ -69,9 +69,10 @@ class CompressedGradient:
 
 
 def _check_gradient(g: np.ndarray) -> np.ndarray:
+    """g as float64 if it is a gradient, 1-D, non-empty and finite; else InvalidGradient."""
     g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1:
-        raise InvalidGradient(f"gradient must be 1-D, got ndim={g.ndim}")
+    if g.ndim != 1 or g.shape[0] < 1:
+        raise InvalidGradient(f"gradient must be a non-empty 1-D array, got shape {g.shape}")
     if not np.isfinite(g).all():
         raise InvalidGradient("gradient contains NaN or Inf")
     return g
@@ -341,8 +342,6 @@ def compress(g: np.ndarray, cb: Codebook, s: int,
     """
     variant = Variant(variant)
     g = _check_gradient(g)
-    if g.shape[0] < 1:
-        raise InvalidGradient("empty gradient")
     if s < 0:
         raise ValueError(f"level count must be >= 0, got {s}")
     if rng is None:

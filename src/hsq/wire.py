@@ -40,8 +40,9 @@ import numpy as np
 from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
-from .codebook import Codebook, generate
-from .errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError
+from .codebook import _U32_MAX, Codebook, generate
+from .codebook import violations as codebook_violations
+from .errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError, out_of_range
 from .quantizers import CompressedGradient, compress, decode, decode_pseudo_norm
 
 MAGIC = b"HSQG"
@@ -50,7 +51,6 @@ HEADER = struct.Struct("<4sHBIIIIff")
 HEADER_BITS = HEADER.size * 8  # 248
 
 SCHEME_HSQ = 1
-_U32_MAX = 0xFFFFFFFF
 
 
 def index_bits(m: int) -> int:
@@ -234,45 +234,47 @@ class Scheme:
     """Everything the package knows about one uplink compressor.
 
     params lists, in order, the parameters its accounting and step read,
-    each with its least valid value: an int, or the name of an earlier
-    parameter. payload_bits(d, *params) is the cost of a length-d
+    each with its (least, most) valid values: least an int or the name of
+    an earlier parameter, most an int or None (a frame carries hsq's in
+    u32 fields). payload_bits(d, *params) is the cost of a length-d
     gradient without the fixed header_bits; natural_d names the length
-    compression_ratio uses when d is omitted (1 if None).
-    codebook(p, seed) builds what step(g, p, cb, rng) needs to compress
-    one client gradient and return its decoding (p is a
-    fedsim.QuantizerScheme); downlink allows compressed model updates.
+    compression_ratio uses when d is omitted (1 if None). codebook(p, seed)
+    builds what step(g, p, cb, rng) needs to compress one client gradient
+    and return its decoding, codebook_rule(p) what that build refuses (p is
+    a fedsim.QuantizerScheme); downlink allows compressed model updates.
     """
 
     payload_bits: Callable[..., float]
     step: Callable[..., np.ndarray]
-    params: dict[str, int | str] = field(default_factory=dict)
+    params: dict[str, tuple[int | str, int | None]] = field(default_factory=dict)
     header_bits: int = 0
     natural_d: str | None = None
     codebook: Callable[..., Codebook | None] = lambda p, seed: None
+    codebook_rule: Callable[..., list[str]] = lambda p: []
     downlink: bool = False
 
     def violations(self, values: dict) -> list[str]:
-        """One message per declared parameter that values lacks or puts below its bound."""
+        """One message per parameter in values that is None or out of bounds (a least
+        named by an earlier parameter is its value; only None is refused while it is invalid)."""
         out, valid = [], {}
-        for name, least in self.params.items():
-            label = least
-            if isinstance(least, str):  # an earlier parameter: its value once valid, else its least
-                least = valid.get(least, self.params[least])
-            value = values.get(name)
-            if value is None or value < least:
-                out.append(f"{name}: must be >= {label}, got {value!r}")
-            else:
-                valid[name] = value
+        for name, (least, most) in self.params.items():
+            if name in values:
+                ref = valid.get(least) if isinstance(least, str) else least
+                bad = out_of_range(name, values[name], ref, None if ref is None else most, least)
+                out += bad
+                valid[name] = None if bad else values[name]
         return out
 
 
 SCHEMES = {
     "identity": Scheme(payload_bits=lambda d: 32.0 * d, step=lambda g, *_: g),
-    "hsq": Scheme(payload_bits=hsq_payload_bits, params={"d_prime": 1, "m": "d_prime", "s": 0},
-                  header_bits=HEADER_BITS, natural_d="d_prime", downlink=True,
+    "hsq": Scheme(payload_bits=hsq_payload_bits, header_bits=HEADER_BITS, natural_d="d_prime",
+                  params={"d_prime": (1, _U32_MAX), "m": ("d_prime", _U32_MAX), "s": (0, _U32_MAX)},
                   codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),
+                  codebook_rule=lambda p: codebook_violations(p.codebook_method, p.d_prime, p.m),
+                  downlink=True,
                   step=lambda g, p, cb, rng: decode(compress(g, cb, p.s, p.variant, rng), cb)),
-    "qsgd": Scheme(payload_bits=qsgd_dense_bits, params={"s": 1, "bucket_size": 1},
+    "qsgd": Scheme(payload_bits=qsgd_dense_bits, params={"s": (1, None), "bucket_size": (1, None)},
                    natural_d="bucket_size",
                    step=lambda g, p, cb, rng: decode_qsgd(
                        compress_qsgd(g, p.s, rng, p.bucket_size))),
@@ -283,11 +285,16 @@ SCHEMES = {
 }
 
 
-def _scheme(name: str, values: dict | None = None) -> Scheme:
-    """The table entry for name; with values, ValueError unless they satisfy its params."""
+def length_violations(d: int) -> list[str]:
+    """The rule for a gradient length: 1 <= d, within the u32 a frame header carries it in."""
+    return out_of_range("d", d, 1, _U32_MAX)
+
+
+def _scheme(name: str, values: dict | None = None, d: int = 1) -> Scheme:
+    """The table entry for name; with values, ValueError unless d and they satisfy its rules."""
     if name not in SCHEMES:
         raise UnknownScheme(f"unknown scheme {name!r}; expected one of {tuple(SCHEMES)}")
-    if values is not None and (bad := SCHEMES[name].violations(values)):
+    if values is not None and (bad := length_violations(d) + SCHEMES[name].violations(values)):
         raise ValueError(f"{name} accounting: " + "; ".join(bad))
     return SCHEMES[name]
 
@@ -301,12 +308,11 @@ def payload_bits(scheme: str, d: int, d_prime: int | None = None,
     scaler) so that the d'-segment cost structure is visible; QSGD's
     per-bucket norms stay in because they grow with d. May be
     fractional: a ternary coordinate costs log2(3) bits. Parameters
-    are checked by the rule QuantizerScheme.violations applies.
+    are checked by the rule QuantizerScheme.violations applies, and d by
+    length_violations.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     values = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
-    entry = _scheme(scheme, values)
+    entry = _scheme(scheme, values, d)
     return float(entry.payload_bits(d, *(values[p] for p in entry.params)))
 
 

@@ -6,7 +6,9 @@ import pytest
 from hsq.baselines import (QSGD_BUCKET_SIZE, compress_qsgd, compress_sign,
                            compress_terngrad, decode_qsgd, decode_sign,
                            decode_terngrad, qsgd_dense_bits, sign_bits)
+from hsq.codebook import CodebookMethod, generate
 from hsq.errors import InvalidGradient
+from hsq.quantizers import Variant, compress
 from hsq.rng import Stream
 from hsq.wire import payload_bits, scheme_header_bits
 
@@ -202,3 +204,17 @@ def test_sign_bits_matches_dimension():
 def test_sign_rejects_nan():
     with pytest.raises(InvalidGradient):
         compress_sign(np.array([np.nan]))
+
+
+@pytest.mark.parametrize("g", [np.array([]), np.ones((2, 2)), np.array([1.0, np.nan]),
+                               np.array([np.inf, 1.0]), np.array([[1.0]])])
+@pytest.mark.parametrize("compressor", [
+    lambda g: compress_qsgd(g, 1, Stream(0)),
+    lambda g: compress_terngrad(g, Stream(0)),
+    compress_sign,
+    lambda g: compress(g, generate(CodebookMethod.SOB, 2, 2, seed=0), 0, Variant.GREEDY),
+], ids=["qsgd", "terngrad", "sign", "hsq"])
+def test_every_compressor_refuses_the_same_gradients(compressor, g):
+    # one gradient check: 1-D, non-empty and finite
+    with pytest.raises(InvalidGradient):
+        compressor(g)

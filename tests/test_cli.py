@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import hsq
-from hsq.cli import main
+from hsq.cli import build_parser, main
+from hsq.codebook import CodebookMethod, generate, save_codebook
 from hsq.wire import decode_frame
 
 
@@ -68,12 +70,19 @@ def test_ratio_grid_skips_underspecified_schemes(capsys):
     (["--scheme", "hsq", "--dprime", "4", "--m", "4", "--s", "-1"], "s"),
     (["--scheme", "qsgd", "--s", "0"], "s"),
     (["--scheme", "hsq", "--dprime", "0", "--m", "4", "--s", "1"], "d_prime"),
+    (["--scheme", "qsgd", "--s", "3", "--bucket-size", "0"], "bucket_size"),
+    (["--d", "0"], "d"),  # the grid too: no scheme takes a length below 1
 ])
 def test_ratio_rejects_parameters_a_config_rejects(capsys, argv, param):
-    assert main(["ratio", *argv]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
-    assert f"accounting: {param}: must be >= " in err["message"]
+    # the violation a config would list for param, named by the flag that set it
+    flag = "--dprime" if param == "d_prime" else "--" + param.replace("_", "-")
+    assert main(["ratio", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert [v.split(":")[0] for v in err["violations"]] == [flag]
+    assert err["violations"][0].startswith(f"{flag}: must be >= ")
 
 
 def test_ratio_grid_full_parameters(capsys):
@@ -138,6 +147,22 @@ def test_codebook_gen_and_quantize_reject_flags_below_their_least(tmp_path, caps
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "config", "violations": [violation]}
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, violation", [
+    (["--method", "random-gaussian", "--m", "8", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["--method", "random-gaussian", "--m", "8", "--seed", str(2 ** 64)],
+     f"--seed: must be <= {2 ** 64 - 1}, got {2 ** 64}"),
+    (["--method", "sob", "--m", "8", "--seed", "0"],
+     "--m: sob codebooks are square, must equal 4, got 8"),
+    (["--method", "random-rotation", "--m", "8", "--seed", "0"],
+     "--m: random-rotation codebooks are square, must equal 4, got 8"),
+])
+def test_codebook_gen_refuses_what_the_codebook_rule_refuses(tmp_path, capsys, argv, violation):
+    out = tmp_path / "x.hsqc"
+    assert main(["codebook", "gen", "--dprime", "4", *argv, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "violations": [violation]}
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +345,11 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     ({"problem": {"kind": "tinymlp", "layer_sizes": [2], "seed": 0}}, "problem.layer_sizes"),
     ({"problem": {"kind": "quadratic", "dim": 8}}, "problem.seed"),
     ({"problem": {"kind": "logistic", "seed": 0}}, "problem.dim"),
+    # the codebook rule: sob and random-rotation codebooks are square
+    ({"scheme": {"name": "hsq", "d_prime": 4, "m": 8, "s": 15, "codebook_method": "sob"}},
+     "scheme.m"),
+    ({"scheme": {"name": "hsq", "d_prime": 4, "m": 8, "s": 15,
+                 "codebook_method": "random-rotation"}}, "scheme.m"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))
@@ -359,6 +389,15 @@ def test_simulate_malformed_json_exits_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]
 
 
+def test_simulate_names_a_flag_only_for_the_value_it_gave(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, _good_config(seed=-1))
+    assert main(["simulate", "--config", cfg_path]) == 2
+    assert json.loads(capsys.readouterr().err)["violations"] == ["seed: must be >= 0, got -1"]
+    cfg_path = _write_config(tmp_path, _good_config(), name="good.json")
+    assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["violations"] == ["--seed: must be >= 0, got -1"]
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -369,6 +408,70 @@ def test_analyze_all_green(tmp_path):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert len(report["checks"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag of every subcommand at the edges of an int
+
+
+_BIG = str(2 ** 63)
+_EDGES = ("0", "-1", "nan", "inf", _BIG)
+# (id, subcommand, other arguments, its numeric flags with valid values); {tmp} is tmp_path
+_FLAG_TABLE = [
+    ("codebook-gen", ("codebook", "gen"), ["--method", "random-gaussian", "--out", "{tmp}/o.hsqc"],
+     {"--dprime": "4", "--m": "8", "--seed": "0"}),
+    ("quantize", ("quantize",), ["--codebook", "{tmp}/sob.hsqc", "--input", "{tmp}/g.txt",
+                                 "--out", "{tmp}/o.hsqf"], {"--s": "7", "--seed": "0"}),
+    ("roundtrip", ("roundtrip",), [], {"--frames": "1", "--seed": "0"}),
+    ("ratio-hsq", ("ratio",), ["--scheme", "hsq"],
+     {"--d": "64", "--dprime": "4", "--m": "8", "--s": "3"}),
+    ("ratio-qsgd", ("ratio",), ["--scheme", "qsgd"], {"--d": "64", "--s": "3", "--bucket-size": "16"}),
+    ("ratio-grid", ("ratio",), [],
+     {"--d": "64", "--dprime": "4", "--m": "8", "--s": "3", "--bucket-size": "16"}),
+    ("simulate", ("simulate",), ["--config", "{tmp}/config.json", "--csv", "{tmp}/log.csv"],
+     {"--seed": "0", "--rounds": "2"}),
+    ("analyze", ("analyze",), ["--out", "{tmp}/report.json"], {"--seed": "0"}),
+    *[(f"preset-{name}", ("preset",), [name], {"--d": "64", "--kappa": "4"})
+      for name in ("extreme", "compact", "high-precision")],
+]
+# flags that set how much work a command does: an accepted value is never run
+_WORK = {("roundtrip", "--frames"), ("simulate", "--rounds")}
+
+
+def _int_flags(parser, path=()):
+    """(subcommand path, option) for every int-typed option of the parser's subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _int_flags(sub, path + (name,))
+        elif action.type is int:
+            yield path, action.option_strings[0]
+
+
+def test_flag_table_covers_every_numeric_flag():
+    covered = {(path, flag) for _, path, _, flags in _FLAG_TABLE for flag in flags}
+    assert covered == set(_int_flags(build_parser()))
+
+
+@pytest.mark.parametrize("path, rest, flags, flag, value", [
+    pytest.param(path, rest, flags, flag, value, id=f"{name}{flag}={value}")
+    for name, path, rest, flags in _FLAG_TABLE for flag in flags for value in _EDGES
+    if not ((path[0], flag) in _WORK and value == _BIG)])
+def test_numeric_flag_exits_0_or_2_naming_it(tmp_path, capsys, path, rest, flags, flag, value):
+    save_codebook(generate(CodebookMethod.SOB, 4, 4, seed=0), str(tmp_path / "sob.hsqc"))
+    np.savetxt(tmp_path / "g.txt", np.arange(8.0))
+    _write_config(tmp_path, _good_config(rounds=2))
+    argv = [*path, *rest, *(a for f, v in {**flags, flag: value}.items() for a in (f, v))]
+    try:
+        rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:  # argparse refusing a value that is not an int
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc == 2 and err.startswith("usage:"):
+        assert f"argument {flag}: invalid int value: '{value}'" in err
+    elif rc == 2:
+        assert [v.split(":")[0] for v in json.loads(err)["violations"]] == [flag]
 
 
 # ---------------------------------------------------------------------------

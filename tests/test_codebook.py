@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -238,3 +240,47 @@ def test_load_rejects_non_finite_entry(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(WireFormatError):
         cbm.load_codebook(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the codebook rule
+
+
+def test_generate_and_from_columns_refuse_exactly_what_the_rule_refuses():
+    for method, d_prime, m, seed in itertools.product(
+            [m for m in CodebookMethod if m is not CodebookMethod.CUSTOM],
+            (-1, 0, 1, 3, 2 ** 32), (0, 2, 3, 4, 2 ** 32), (-1, 0, 2 ** 64)):
+        bad = cbm.violations(method, d_prime, m, seed)
+        if bad:
+            with pytest.raises(InvalidShape) as exc:
+                generate(method, d_prime, m, seed)
+            assert str(exc.value) == "; ".join(bad)
+            continue
+        cb = generate(method, d_prime, m, seed)
+        assert (cb.dim, cb.count, cb.seed) == (d_prime, m, seed)
+    # from_columns holds any matrix to the same rule
+    with pytest.raises(InvalidShape, match="^m: must be >= 3, got 2$"):
+        Codebook.from_columns(np.eye(3)[:, :2])
+    with pytest.raises(InvalidShape, match="^m: sob codebooks are square, must equal 2, got 3$"):
+        Codebook.from_columns(np.eye(2)[:, [0, 1, 1]], method=CodebookMethod.SOB)
+
+
+def test_rule_names_each_field_once_and_holds_m_to_a_valid_d_prime():
+    assert cbm.violations("random-gaussian", 4, 8, 0) == []
+    assert cbm.violations("random-gaussian", 0, 0, -1) == [
+        "d_prime: must be >= 1, got 0", "seed: must be >= 0, got -1"]
+    assert cbm.violations("sob", 2 ** 32, 2 ** 32, 2 ** 64) == [
+        "d_prime: must be <= 4294967295, got 4294967296",
+        "seed: must be <= 18446744073709551615, got 18446744073709551616"]
+    assert cbm.violations("random-rotation", 4, 8) == [
+        "m: random-rotation codebooks are square, must equal 4, got 8"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_save_codebook_refuses_a_seed_its_header_cannot_hold(tmp_path, seed):
+    # a Codebook built around from_columns; the header's seed field is a u64
+    cb = dataclasses.replace(generate(CodebookMethod.SOB, 4, 4, seed=0), seed=seed)
+    path = tmp_path / "cb.hsqc"
+    with pytest.raises(InvalidShape, match="^seed: must be "):
+        cbm.save_codebook(cb, str(path))
+    assert not path.exists()
