@@ -3,16 +3,15 @@
 from .codebook import Codebook, CodebookMethod, generate, load_codebook, save_codebook
 from .errors import (ConfigError, DimensionMismatch, EmptyInput, HsqError,
                      InvalidGradient, InvalidShape, Overflow,
-                     RankDeficient, UnknownScheme, WireFormatError)
+                     RankDeficient, WireFormatError)
 from .fedsim import (FedConfig, LrSchedule, QuantizerScheme, RoundLog, SimResult,
-                     curly_l, logs_to_csv, lr_theorem1, lr_theorem3, run,
-                     theorem1_gap_bound, vq_bound)
+                     compression_ratio, curly_l, logs_to_csv, lr_theorem1, lr_theorem3,
+                     payload_bits, run, theorem1_gap_bound, vq_bound)
 from .problems import Logistic, Problem, Quadratic, TinyMLP, estimate_second_moment
 from .quantizers import (CompressedGradient, Variant, aggregate, compress, decode,
                          decode_pseudo_norm, quantize_greedy, segment_gradient)
 from .rng import Stream
-from .wire import (compression_ratio, decode_frame, encode_frame,
-                   hsq_payload_bits, payload_bits)
+from .wire import decode_frame, encode_frame, hsq_payload_bits
 
 __version__ = "0.1.0"
 
@@ -21,7 +20,7 @@ __all__ = [
     "DimensionMismatch", "EmptyInput", "FedConfig", "HsqError",
     "InvalidGradient", "InvalidShape", "Logistic", "LrSchedule", "Overflow",
     "Problem", "Quadratic", "QuantizerScheme", "RankDeficient",
-    "RoundLog", "SimResult", "Stream", "TinyMLP", "UnknownScheme",
+    "RoundLog", "SimResult", "Stream", "TinyMLP",
     "Variant", "WireFormatError",
     "aggregate", "compress", "compression_ratio", "curly_l", "decode",
     "decode_frame", "decode_pseudo_norm", "encode_frame",

@@ -15,9 +15,9 @@ JSON object on stderr: config-schema problems list every violating field
 and exit 2; runtime errors exit 1.
 
 Each value is checked by the rule that owns it (``codebook.violations``,
-``QuantizerScheme.violations``, ``wire.length_violations``, and the count
-and seed rules ``FedConfig`` applies), never here; a field read from a flag
-is reported as that flag, before any file is read or written.
+``QuantizerScheme.violations``, ``wire.length_violations``/``level_violations``,
+and the count and seed rules ``FedConfig`` applies), never here; a field read
+from a flag is reported as that flag, before any file is read or written.
 """
 
 from __future__ import annotations
@@ -101,12 +101,13 @@ class _ProblemConfig:
             violations.append(f"problem.kind: {self.kind!r} is not one of {tuple(_PROBLEMS)}")
             return None
         required = ("seed",) if self.kind == "tinymlp" else ("seed", "dim")
-        missing = [n for n in required if getattr(self, n) is None]
-        violations.extend(f"problem.{n}: required for {self.kind}" for n in missing)
+        bad = [f"{n}: required for {self.kind}" for n in required if getattr(self, n) is None]
+        bad += [] if self.seed is None else seed_violations(self.seed)
+        violations.extend(f"problem.{v}" for v in bad)
         sizes = (2, 8, 2) if self.layer_sizes is None else tuple(self.layer_sizes)
         extra = {} if self.num_samples is None else {"num_samples": self.num_samples}
         try:
-            return None if missing else _PROBLEMS[self.kind](
+            return None if bad else _PROBLEMS[self.kind](
                 sizes if self.kind == "tinymlp" else self.dim, self.seed, **extra)
         except ValueError as exc:  # the constructors' range checks name their parameter
             violations.append(f"problem.{exc}")
@@ -202,7 +203,7 @@ def _cmd_codebook_gen(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    refuse(wire.SCHEMES["hsq"].violations({"s": args.s}) + seed_violations(args.seed))
+    refuse(wire.level_violations(args.s) + seed_violations(args.seed))
     cb = load_codebook(args.codebook)
     g = _read_gradient(args.input)
     rng = Stream(args.seed).derive("cli-quantize")
@@ -233,11 +234,12 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_ratio(args) -> int:
     kw = dict(d_prime=args.d_prime, m=args.m, s=args.s, bucket_size=args.bucket_size)
-    bad = {name: fedsim.QuantizerScheme(name, **kw).violations() for name in wire.SCHEMES}
+    schemes = {name: fedsim.QuantizerScheme(name, **kw) for name in fedsim.SCHEMES}
+    bad = {name: p.violations() for name, p in schemes.items()}
     refuse(([] if args.d is None else wire.length_violations(args.d)) + bad.get(args.scheme, []))
     # the grid leaves out a scheme with a parameter it reads missing or out of range
-    ratios = {name: wire.compression_ratio(name, args.d, include_header=args.include_header, **kw)
-              for name in wire.SCHEMES if not bad[name]}
+    ratios = {name: fedsim.compression_ratio(p, args.d, args.include_header)
+              for name, p in schemes.items() if not bad[name]}
     if args.scheme is not None:
         print(f"{ratios[args.scheme]:.1f}")
         return 0
@@ -287,8 +289,7 @@ def _cmd_preset(args) -> int:
                "high-precision": args.d_prime}[args.name]
     scheme = {"name": "hsq", "d_prime": d_prime, "m": d_prime, "s": 0,
               "variant": "unbiased", "codebook_method": "random-rotation"}
-    refuse(fedsim.QuantizerScheme(**scheme).violations())
-    bits = wire.payload_bits("hsq", d, d_prime=d_prime, m=d_prime, s=0)
+    bits = fedsim.payload_bits(fedsim.QuantizerScheme(**scheme), d)
     _emit({"schema_version": SCHEMA_VERSION, "preset": args.name, "d": d,
            "scheme": scheme, "payload_bits": bits,
            "compression_ratio": round(32.0 * d / bits, 1)}, None)
@@ -331,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.set_defaults(func=_cmd_roundtrip, parser=p_rt)
 
     p_r = sub.add_parser("ratio", help="compression-ratio accounting")
-    p_r.add_argument("--scheme", choices=wire.SCHEMES, help="omit for the full grid")
+    p_r.add_argument("--scheme", choices=fedsim.SCHEMES, help="omit for the full grid")
     p_r.add_argument("--d", type=int)
     p_r.add_argument("--dprime", dest="d_prime", type=int)
     p_r.add_argument("--m", type=int)
     p_r.add_argument("--s", type=int)
-    p_r.add_argument("--bucket-size", type=int, default=wire.QSGD_BUCKET_SIZE)
+    p_r.add_argument("--bucket-size", type=int, default=fedsim.QSGD_BUCKET_SIZE)
     p_r.add_argument("--include-header", action="store_true")
     p_r.set_defaults(func=_cmd_ratio, parser=p_r)
 

@@ -201,10 +201,12 @@ def violations(method: CodebookMethod | str, d_prime: int, m: int, seed: int = 0
     """The codebook rule, one "field: problem" message per field it refuses.
 
     d' >= 1 and m >= d' (full row rank), m = d' for sob and random-rotation,
-    and d', m and seed within the file header. m is checked once d' is valid.
+    and d', m and seed within the file header. An invalid d' leaves m only required.
     """
     method = CodebookMethod(method)
-    out = out_of_range("d_prime", d_prime, 1, _U32_MAX) or out_of_range("m", m, d_prime, _U32_MAX)
+    out = out_of_range("d_prime", d_prime, 1, _U32_MAX)
+    least, most, label = (None, None, "d_prime") if out else (d_prime, _U32_MAX, None)
+    out += out_of_range("m", m, least, most, label)
     if not out and method in (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION) and m != d_prime:
         out.append(f"m: {method.value} codebooks are square, must equal {d_prime}, got {m}")
     return out + seed_violations(seed)

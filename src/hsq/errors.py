@@ -25,10 +25,6 @@ class EmptyInput(HsqError):
     """An aggregate-style operation received no inputs."""
 
 
-class UnknownScheme(HsqError):
-    """Quantizer scheme name is not recognized."""
-
-
 class Overflow(HsqError):
     """A field exceeds the range representable on the wire."""
 

@@ -13,6 +13,10 @@ per-round client sampling, per-(round, client) batch and quantizer
 streams. Clients are evaluated and aggregated in ascending client-id
 order, so results do not depend on evaluation schedule, and two runs
 with the same config produce bit-identical logs.
+
+SCHEMES is the one table of uplink compressors: for each, the rule its
+QuantizerScheme parameters obey, its bit accounting (payload_bits,
+compression_ratio), its codebook and the per-client step.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import baselines
-from .codebook import Codebook, CodebookMethod, seed_violations
+from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
+                        compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
+                        qsgd_dense_bits, sign_bits, ternary_bits)
+from .codebook import Codebook, CodebookMethod, generate, seed_violations
+from .codebook import violations as codebook_violations
 from .errors import ConfigError, out_of_range, refuse
 from .problems import Problem
-from .quantizers import Variant
+from .quantizers import Variant, compress, decode
 from .rng import Stream
-from .wire import SCHEMES, payload_bits
+from .wire import HEADER_BITS, hsq_payload_bits, length_violations, level_violations
 
 CSV_COLUMNS = ("round", "loss", "grad_norm_sq", "uplink_bits",
                "downlink_bits", "cumulative_bits")
@@ -40,10 +47,10 @@ CSV_COLUMNS = ("round", "loss", "grad_norm_sq", "uplink_bits",
 class QuantizerScheme:
     """Uplink compressor selection plus its parameters.
 
-    wire.SCHEMES[name].params lists the parameters the scheme reads and
-    their bounds; it ignores the others. variant and codebook_method
-    apply to hsq, and s doubles as the level count for qsgd. violations(),
-    which adds the rule of the codebook it builds, leaves out "scheme.".
+    SCHEMES[name].rule says which parameters the scheme reads and their
+    bounds; it ignores the others. variant and codebook_method apply to
+    hsq, and s doubles as the level count for qsgd. violations() leaves
+    out "scheme.".
     """
 
     name: str = "identity"
@@ -52,13 +59,89 @@ class QuantizerScheme:
     s: int | None = None
     variant: Variant = Variant.UNBIASED
     codebook_method: CodebookMethod = CodebookMethod.RANDOM_GAUSSIAN
-    bucket_size: int = baselines.QSGD_BUCKET_SIZE
+    bucket_size: int = QSGD_BUCKET_SIZE
 
     def violations(self) -> list[str]:
         if self.name not in SCHEMES:
             return [f"name: {self.name!r} not one of {tuple(SCHEMES)}"]
-        entry = SCHEMES[self.name]
-        return entry.violations(vars(self)) or entry.codebook_rule(self)
+        return SCHEMES[self.name].rule(self)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the package knows about one uplink compressor; p is a QuantizerScheme.
+
+    rule(p) is one "field: problem" message per parameter the scheme reads
+    that is missing or out of range. payload_bits(p, d) is the cost of a
+    length-d gradient without the fixed header_bits, and natural_d(p) the
+    length compression_ratio uses when d is omitted. codebook(p, seed)
+    builds what step(g, p, cb, rng) needs to compress one client gradient
+    and return its decoding; downlink allows compressed model updates.
+    """
+
+    payload_bits: Callable[[QuantizerScheme, int], float]
+    step: Callable[..., np.ndarray]
+    rule: Callable[[QuantizerScheme], list[str]] = lambda p: []
+    header_bits: int = 0
+    natural_d: Callable[[QuantizerScheme], int] = lambda p: 1
+    codebook: Callable[[QuantizerScheme, int], Codebook | None] = lambda p, seed: None
+    downlink: bool = False
+
+
+SCHEMES = {
+    "identity": Scheme(payload_bits=lambda p, d: 32.0 * d, step=lambda g, *_: g),
+    "hsq": Scheme(payload_bits=lambda p, d: hsq_payload_bits(d, p.d_prime, p.m, p.s),
+                  rule=lambda p: (codebook_violations(p.codebook_method, p.d_prime, p.m)
+                                  + level_violations(p.s)),
+                  header_bits=HEADER_BITS, natural_d=lambda p: p.d_prime,
+                  codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),
+                  downlink=True,
+                  step=lambda g, p, cb, rng: decode(compress(g, cb, p.s, p.variant, rng), cb)),
+    "qsgd": Scheme(payload_bits=lambda p, d: qsgd_dense_bits(d, p.s, p.bucket_size),
+                   rule=lambda p: (out_of_range("s", p.s, 1)
+                                   + out_of_range("bucket_size", p.bucket_size, 1)),
+                   natural_d=lambda p: p.bucket_size,
+                   step=lambda g, p, cb, rng: decode_qsgd(
+                       compress_qsgd(g, p.s, rng, p.bucket_size))),
+    "terngrad": Scheme(payload_bits=lambda p, d: ternary_bits(d),
+                       header_bits=TERNGRAD_SCALER_BITS,
+                       step=lambda g, p, cb, rng: decode_terngrad(compress_terngrad(g, rng))),
+    "signsgd": Scheme(payload_bits=lambda p, d: sign_bits(d),
+                      step=lambda g, *_: decode_sign(compress_sign(g))),
+}
+
+
+def payload_bits(scheme: QuantizerScheme, d: int) -> float:
+    """Uplink payload bits for one gradient of length d under a scheme.
+
+    Excludes fixed per-message overhead (frame header, TernGrad's
+    scaler) so that the d'-segment cost structure is visible; QSGD's
+    per-bucket norms stay in because they grow with d. May be
+    fractional: a ternary coordinate costs log2(3) bits.
+
+    Raises:
+        ConfigError: d or the scheme's parameters break their rules.
+    """
+    refuse(length_violations(d) + scheme.violations())
+    return float(SCHEMES[scheme.name].payload_bits(scheme, d))
+
+
+def compression_ratio(scheme: QuantizerScheme, d: int | None = None,
+                      include_header: bool = False) -> float:
+    """Raw-f32 bits over compressed bits for one gradient.
+
+    When d is omitted a scheme-natural length is used (one segment for
+    hsq, one bucket for qsgd, 1 otherwise), which yields the asymptotic
+    per-coordinate ratio since the excluded header is the only
+    d-dependent distortion; include_header amortizes it over one message.
+    """
+    if d is None:
+        refuse(scheme.violations())
+        d = SCHEMES[scheme.name].natural_d(scheme)
+    bits = payload_bits(scheme, d)
+    if include_header:
+        bits += SCHEMES[scheme.name].header_bits
+    return 32.0 * d / bits
 
 
 # kind -> (recipe(rounds, *params), {param: (comparison, bound)}), params in
@@ -219,8 +302,7 @@ def run(cfg: FedConfig, problem: Problem,
     step = SCHEMES[sch.name].step
 
     d = problem.dim
-    per_client = payload_bits(sch.name, d, d_prime=sch.d_prime, m=sch.m, s=sch.s,
-                              bucket_size=sch.bucket_size)
+    per_client = payload_bits(sch, d)
     uplink_per_round = int(math.ceil(cfg.clients_per_round * per_client))
     downlink_per_client = per_client if cfg.downlink_compressed else 32.0 * d
     downlink_per_round = int(math.ceil(cfg.clients_per_round * downlink_per_client))

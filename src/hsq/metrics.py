@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .fedsim import vq_bound
+from .fedsim import QuantizerScheme, compression_ratio, vq_bound
 from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _decoded, _project,
                          _select, decode_pseudo_norm, round_in_cell, rounding_cell,
                          sample_unbiased_codes, segment_gradient)
@@ -275,7 +275,6 @@ def run_validator_suite(seed: int = 0) -> dict:
     with one entry per check plus an overall verdict.
     """
     from .codebook import CodebookMethod, generate
-    from .wire import compression_ratio
 
     root = Stream(seed).derive("validator-suite")
     checks = []
@@ -328,11 +327,11 @@ def run_validator_suite(seed: int = 0) -> dict:
     record("beta-distribution-ks", stat <= thresh, statistic=stat, threshold=thresh)
 
     ratios = {
-        "hsq-8": f"{compression_ratio('hsq', d_prime=8, m=256, s=63):.1f}",
-        "hsq-16": f"{compression_ratio('hsq', d_prime=16, m=256, s=63):.1f}",
-        "hsq-64": f"{compression_ratio('hsq', d_prime=64, m=256, s=63):.1f}",
-        "terngrad": f"{compression_ratio('terngrad'):.1f}",
-        "signsgd": f"{compression_ratio('signsgd'):.1f}",
+        "hsq-8": f"{compression_ratio(QuantizerScheme('hsq', 8, 256, 63)):.1f}",
+        "hsq-16": f"{compression_ratio(QuantizerScheme('hsq', 16, 256, 63)):.1f}",
+        "hsq-64": f"{compression_ratio(QuantizerScheme('hsq', 64, 256, 63)):.1f}",
+        "terngrad": f"{compression_ratio(QuantizerScheme('terngrad')):.1f}",
+        "signsgd": f"{compression_ratio(QuantizerScheme('signsgd')):.1f}",
     }
     expected = {"hsq-8": "18.3", "hsq-16": "36.6", "hsq-64": "146.3",
                 "terngrad": "20.2", "signsgd": "32.0"}

@@ -1,4 +1,4 @@
-"""Binary frame codec and bit accounting for compressed gradients.
+"""Binary frame codec for compressed gradients.
 
 Frame layout (all multi-byte header fields little-endian):
 
@@ -20,30 +20,22 @@ level bits; when s = 0 the level bits are replaced by the raw 32 bits
 of the segment's f32 pseudo-norm (IEEE-754, most significant bit
 first). The final byte is zero-padded.
 
-Bit accounting (payload_bits / compression_ratio) excludes this fixed
-header by default so that ratios describe the per-coordinate cost in
-the large-d limit; pass include_header=True to amortize it over one
-message of length d. SCHEMES is the one table of uplink compressors:
-the parameters each reads and their bounds, its bit accounting, its
-codebook and the simulator's per-client step.
+hsq_payload_bits counts the payload without the HEADER_BITS of the
+header; length_violations and level_violations are the rules for the d
+and s header fields. The simulator's table of uplink compressors does
+the bit accounting of every scheme.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
-                        compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
-                        qsgd_dense_bits, sign_bits, ternary_bits)
-from .codebook import _U32_MAX, Codebook, generate
-from .codebook import violations as codebook_violations
-from .errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError, out_of_range
-from .quantizers import CompressedGradient, compress, decode, decode_pseudo_norm
+from .codebook import _U32_MAX
+from .errors import InvalidGradient, Overflow, WireFormatError, out_of_range
+from .quantizers import CompressedGradient, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -229,114 +221,11 @@ def hsq_payload_bits(d: int, d_prime: int, m: int, s: int) -> int:
     return -(-d // d_prime) * (index_bits(m) + level_bits(s))
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """Everything the package knows about one uplink compressor.
-
-    params lists, in order, the parameters its accounting and step read,
-    each with its (least, most) valid values: least an int or the name of
-    an earlier parameter, most an int or None (a frame carries hsq's in
-    u32 fields). payload_bits(d, *params) is the cost of a length-d
-    gradient without the fixed header_bits; natural_d names the length
-    compression_ratio uses when d is omitted (1 if None). codebook(p, seed)
-    builds what step(g, p, cb, rng) needs to compress one client gradient
-    and return its decoding, codebook_rule(p) what that build refuses (p is
-    a fedsim.QuantizerScheme); downlink allows compressed model updates.
-    """
-
-    payload_bits: Callable[..., float]
-    step: Callable[..., np.ndarray]
-    params: dict[str, tuple[int | str, int | None]] = field(default_factory=dict)
-    header_bits: int = 0
-    natural_d: str | None = None
-    codebook: Callable[..., Codebook | None] = lambda p, seed: None
-    codebook_rule: Callable[..., list[str]] = lambda p: []
-    downlink: bool = False
-
-    def violations(self, values: dict) -> list[str]:
-        """One message per parameter in values that is None or out of bounds (a least
-        named by an earlier parameter is its value; only None is refused while it is invalid)."""
-        out, valid = [], {}
-        for name, (least, most) in self.params.items():
-            if name in values:
-                ref = valid.get(least) if isinstance(least, str) else least
-                bad = out_of_range(name, values[name], ref, None if ref is None else most, least)
-                out += bad
-                valid[name] = None if bad else values[name]
-        return out
-
-
-SCHEMES = {
-    "identity": Scheme(payload_bits=lambda d: 32.0 * d, step=lambda g, *_: g),
-    "hsq": Scheme(payload_bits=hsq_payload_bits, header_bits=HEADER_BITS, natural_d="d_prime",
-                  params={"d_prime": (1, _U32_MAX), "m": ("d_prime", _U32_MAX), "s": (0, _U32_MAX)},
-                  codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),
-                  codebook_rule=lambda p: codebook_violations(p.codebook_method, p.d_prime, p.m),
-                  downlink=True,
-                  step=lambda g, p, cb, rng: decode(compress(g, cb, p.s, p.variant, rng), cb)),
-    "qsgd": Scheme(payload_bits=qsgd_dense_bits, params={"s": (1, None), "bucket_size": (1, None)},
-                   natural_d="bucket_size",
-                   step=lambda g, p, cb, rng: decode_qsgd(
-                       compress_qsgd(g, p.s, rng, p.bucket_size))),
-    "terngrad": Scheme(payload_bits=ternary_bits, header_bits=TERNGRAD_SCALER_BITS,
-                       step=lambda g, p, cb, rng: decode_terngrad(compress_terngrad(g, rng))),
-    "signsgd": Scheme(payload_bits=sign_bits,
-                      step=lambda g, *_: decode_sign(compress_sign(g))),
-}
-
-
 def length_violations(d: int) -> list[str]:
     """The rule for a gradient length: 1 <= d, within the u32 a frame header carries it in."""
     return out_of_range("d", d, 1, _U32_MAX)
 
 
-def _scheme(name: str, values: dict | None = None, d: int = 1) -> Scheme:
-    """The table entry for name; with values, ValueError unless d and they satisfy its rules."""
-    if name not in SCHEMES:
-        raise UnknownScheme(f"unknown scheme {name!r}; expected one of {tuple(SCHEMES)}")
-    if values is not None and (bad := length_violations(d) + SCHEMES[name].violations(values)):
-        raise ValueError(f"{name} accounting: " + "; ".join(bad))
-    return SCHEMES[name]
-
-
-def payload_bits(scheme: str, d: int, d_prime: int | None = None,
-                 m: int | None = None, s: int | None = None,
-                 bucket_size: int = QSGD_BUCKET_SIZE) -> float:
-    """Uplink payload bits for one gradient of length d under a scheme.
-
-    Excludes fixed per-message overhead (frame header, TernGrad's
-    scaler) so that the d'-segment cost structure is visible; QSGD's
-    per-bucket norms stay in because they grow with d. May be
-    fractional: a ternary coordinate costs log2(3) bits. Parameters
-    are checked by the rule QuantizerScheme.violations applies, and d by
-    length_violations.
-    """
-    values = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
-    entry = _scheme(scheme, values, d)
-    return float(entry.payload_bits(d, *(values[p] for p in entry.params)))
-
-
-def scheme_header_bits(scheme: str) -> int:
-    """Fixed per-message overhead excluded from payload accounting."""
-    return _scheme(scheme).header_bits
-
-
-def compression_ratio(scheme: str, d: int | None = None,
-                      d_prime: int | None = None, m: int | None = None,
-                      s: int | None = None, include_header: bool = False,
-                      bucket_size: int = QSGD_BUCKET_SIZE) -> float:
-    """Raw-f32 bits over compressed bits for one gradient.
-
-    When d is omitted a scheme-natural length is used (one segment for
-    hsq, one bucket for qsgd, 1 otherwise), which yields the asymptotic
-    per-coordinate ratio since the excluded header is the only
-    d-dependent distortion.
-    """
-    values = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
-    if d is None:
-        natural = _scheme(scheme, values).natural_d
-        d = values[natural] if natural else 1
-    bits = payload_bits(scheme, d, **values)
-    if include_header:
-        bits += scheme_header_bits(scheme)
-    return 32.0 * d / bits
+def level_violations(s: int) -> list[str]:
+    """The rule for a pseudo-norm grid: s >= 0 levels (0 = raw f32), within its u32 header field."""
+    return out_of_range("s", s, 0, _U32_MAX)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from hsq.codebook import CodebookMethod, generate
-from hsq.fedsim import (FedConfig, LrSchedule, QuantizerScheme, run,
+from hsq.fedsim import (FedConfig, LrSchedule, QuantizerScheme, compression_ratio, run,
                         theorem1_gap_bound, vq_bound)
 from hsq.metrics import (check_alpha, check_unbiasedness, check_variance_bound,
                          greedy_vs_unbiased_mse, pseudo_norm_z,
@@ -19,8 +19,7 @@ from hsq.metrics import (check_alpha, check_unbiasedness, check_variance_bound,
 from hsq.problems import Logistic, Quadratic, TinyMLP, estimate_second_moment
 from hsq.quantizers import Variant
 from hsq.rng import Stream
-from hsq.wire import (HEADER, compression_ratio, decode_frame, encode_frame,
-                      hsq_payload_bits, random_frame)
+from hsq.wire import HEADER, decode_frame, encode_frame, hsq_payload_bits, random_frame
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -31,11 +30,11 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 def test_criterion_01_compression_ratios():
     """Reference compression ratios, exact to one decimal."""
     got = {
-        "hsq-8": f"{compression_ratio('hsq', d_prime=8, m=256, s=63):.1f}",
-        "hsq-16": f"{compression_ratio('hsq', d_prime=16, m=256, s=63):.1f}",
-        "hsq-64": f"{compression_ratio('hsq', d_prime=64, m=256, s=63):.1f}",
-        "terngrad": f"{compression_ratio('terngrad'):.1f}",
-        "signsgd": f"{compression_ratio('signsgd'):.1f}",
+        "hsq-8": f"{compression_ratio(QuantizerScheme('hsq', 8, 256, 63)):.1f}",
+        "hsq-16": f"{compression_ratio(QuantizerScheme('hsq', 16, 256, 63)):.1f}",
+        "hsq-64": f"{compression_ratio(QuantizerScheme('hsq', 64, 256, 63)):.1f}",
+        "terngrad": f"{compression_ratio(QuantizerScheme('terngrad')):.1f}",
+        "signsgd": f"{compression_ratio(QuantizerScheme('signsgd')):.1f}",
     }
     want = {"hsq-8": "18.3", "hsq-16": "36.6", "hsq-64": "146.3",
             "terngrad": "20.2", "signsgd": "32.0"}

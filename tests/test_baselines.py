@@ -10,7 +10,7 @@ from hsq.codebook import CodebookMethod, generate
 from hsq.errors import InvalidGradient
 from hsq.quantizers import Variant, compress
 from hsq.rng import Stream
-from hsq.wire import payload_bits, scheme_header_bits
+from hsq.fedsim import SCHEMES, QuantizerScheme, payload_bits
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_terngrad_unbiased_monte_carlo():
 
 
 def test_terngrad_bits():
-    bits = payload_bits("terngrad", 100) + scheme_header_bits("terngrad")
+    bits = payload_bits(QuantizerScheme("terngrad"), 100) + SCHEMES["terngrad"].header_bits
     assert bits == pytest.approx(100 * math.log2(3) + 32)
 
 

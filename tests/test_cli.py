@@ -165,6 +165,20 @@ def test_codebook_gen_refuses_what_the_codebook_rule_refuses(tmp_path, capsys, a
     assert not out.exists()
 
 
+def test_m_below_d_prime_gets_one_message_from_every_entry_point(tmp_path, capsys):
+    # the codebook rule's message, named by the flag or config field that set m
+    cfg = _good_config(scheme={"name": "hsq", "d_prime": 8, "m": 4, "s": 3})
+    for argv, field in [
+        (["ratio", "--scheme", "hsq", "--dprime", "8", "--m", "4", "--s", "3"], "--m"),
+        (["codebook", "gen", "--method", "random-gaussian", "--dprime", "8", "--m", "4",
+          "--seed", "0", "--out", str(tmp_path / "cb.hsqc")], "--m"),
+        (["simulate", "--config", _write_config(tmp_path, cfg)], "scheme.m"),
+    ]:
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "violations": [f"{field}: must be >= 8, got 4"]}
+
+
 # ---------------------------------------------------------------------------
 # codebook / quantize / roundtrip pipeline
 
@@ -350,6 +364,9 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
      "scheme.m"),
     ({"scheme": {"name": "hsq", "d_prime": 4, "m": 8, "s": 15,
                  "codebook_method": "random-rotation"}}, "scheme.m"),
+    # the seed rule holds the problem's seed to a u64 as it does the run's
+    ({"problem": {"kind": "quadratic", "dim": 4, "seed": -1}}, "problem.seed"),
+    ({"problem": {"kind": "quadratic", "dim": 4, "seed": 2 ** 64}}, "problem.seed"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))

@@ -12,14 +12,13 @@ import pytest
 import hsq
 from hsq.codebook import CodebookMethod, generate
 from hsq.errors import ConfigError
-from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, FedConfig, LrSchedule, QuantizerScheme,
-                        RoundLog, curly_l, logs_to_csv, lr_theorem1,
-                        lr_theorem3, partition_indices, run,
+from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, SCHEMES, FedConfig, LrSchedule,
+                        QuantizerScheme, RoundLog, compression_ratio, curly_l, logs_to_csv,
+                        lr_theorem1, lr_theorem3, partition_indices, payload_bits, run,
                         theorem1_gap_bound, vq_bound)
 from hsq.problems import Logistic, Quadratic, TinyMLP
 from hsq.quantizers import Variant
 from hsq.rng import Stream
-from hsq.wire import SCHEMES, compression_ratio, payload_bits
 
 
 def _identity_cfg(**kw):
@@ -134,7 +133,7 @@ def test_config_scheme_name_unknown():
 
 def test_config_hsq_m_smaller_than_d_prime():
     sch = QuantizerScheme(name="hsq", d_prime=16, m=8, s=0)
-    assert any("must be >= d_prime" in m for m in sch.violations())
+    assert "m: must be >= 16, got 8" in sch.violations()
 
 
 def test_theorem1_zero_radius_is_a_violation():
@@ -148,19 +147,21 @@ def test_accounting_and_config_apply_one_rule_per_parameter(name):
     # its message names the same parameters
     grid = (None, -1, 0, 1, 4, 16)
     for d_prime, m, s, bucket_size in itertools.product(grid, grid, grid, (0, 1, 512)):
-        params = dict(d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
-        named = [v.split(":")[0].removeprefix("scheme.")
-                 for v in QuantizerScheme(name=name, **params).violations()]
+        sch = QuantizerScheme(name=name, d_prime=d_prime, m=m, s=s, bucket_size=bucket_size)
+        named = [v.split(":")[0] for v in sch.violations()]
         if not named:
-            assert payload_bits(name, 64, **params) > 0
-            assert compression_ratio(name, **params) > 0
+            assert payload_bits(sch, 64) > 0
+            assert compression_ratio(sch) > 0
             continue
-        for call in (lambda: payload_bits(name, 64, **params),
-                     lambda: compression_ratio(name, **params)):
-            with pytest.raises(ValueError) as exc:
+        for call in (lambda: payload_bits(sch, 64), lambda: compression_ratio(sch)):
+            with pytest.raises(ConfigError) as exc:
                 call()
-            listed = str(exc.value).split("accounting: ", 1)[1].split("; ")
-            assert [v.split(":")[0] for v in listed] == named
+            assert [v.split(":")[0] for v in exc.value.violations] == named
+
+
+def test_every_export_resolves_once():
+    assert len(hsq.__all__) == len(set(hsq.__all__))
+    assert [name for name in hsq.__all__ if not hasattr(hsq, name)] == []
 
 
 def test_every_accepted_lr_schedule_resolves():
@@ -273,7 +274,7 @@ def test_uplink_bits_accounting():
     cfg = FedConfig(num_clients=8, clients_per_round=5, rounds=3, scheme=sch,
                     lr=LrSchedule(eta=0.01), seed=0)
     res = run(cfg, p)
-    expect = math.ceil(5 * payload_bits("hsq", 64, d_prime=16, m=256, s=63))
+    expect = math.ceil(5 * payload_bits(sch, 64))
     assert all(log.uplink_bits == expect for log in res.logs)
     # uncompressed downlink is n * 32d
     assert all(log.downlink_bits == 5 * 32 * 64 for log in res.logs)
@@ -285,7 +286,7 @@ def test_downlink_compressed_accounting_and_shape():
     cfg = FedConfig(num_clients=4, clients_per_round=2, rounds=3, scheme=sch,
                     lr=LrSchedule(eta=0.01), downlink_compressed=True, seed=1)
     res = run(cfg, p)
-    expect = math.ceil(2 * payload_bits("hsq", 32, d_prime=8, m=64, s=63))
+    expect = math.ceil(2 * payload_bits(sch, 32))
     assert all(log.downlink_bits == expect for log in res.logs)
     assert res.x_final.shape == (32,)
     assert np.all(np.isfinite(res.x_final))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from hsq.codebook import CodebookMethod, generate
-from hsq.errors import InvalidGradient, Overflow, UnknownScheme, WireFormatError
+from hsq.errors import ConfigError, InvalidGradient, Overflow, WireFormatError
+from hsq.fedsim import SCHEMES, QuantizerScheme, compression_ratio, payload_bits
 from hsq.quantizers import CompressedGradient, Variant, compress, decode
 from hsq.rng import Stream
 from hsq.wire import (HEADER, HEADER_BITS, MAGIC, SCHEME_HSQ, VERSION,
-                      compression_ratio, decode_frame, encode_frame,
-                      hsq_payload_bits, index_bits, level_bits, payload_bits,
-                      random_frame, scheme_header_bits)
+                      decode_frame, encode_frame, hsq_payload_bits, index_bits, level_bits,
+                      random_frame)
 
 
 def _frame(d=8, d_prime=8, m=256, s=63, u_min=0.0, u_max=1.0, indices=(5,), grid=(9,),
@@ -343,12 +343,12 @@ def test_decode_mutants_roundtrip_or_raise_wire_format_error():
 
 
 def test_payload_bits_per_scheme():
-    assert payload_bits("identity", 100) == 3200.0
-    assert payload_bits("hsq", 64, d_prime=8, m=64, s=0) == 8 * (6 + 32)
-    assert payload_bits("hsq", 64, d_prime=16, m=256, s=63) == 4 * 14
-    assert payload_bits("signsgd", 77) == 77.0
-    assert payload_bits("terngrad", 100) == pytest.approx(100 * math.log2(3))
-    assert payload_bits("qsgd", 512, s=7) == pytest.approx(512 * 4 + 32)
+    assert payload_bits(QuantizerScheme("identity"), 100) == 3200.0
+    assert payload_bits(QuantizerScheme("hsq", d_prime=8, m=64, s=0), 64) == 8 * (6 + 32)
+    assert payload_bits(QuantizerScheme("hsq", d_prime=16, m=256, s=63), 64) == 4 * 14
+    assert payload_bits(QuantizerScheme("signsgd"), 77) == 77.0
+    assert payload_bits(QuantizerScheme("terngrad"), 100) == pytest.approx(100 * math.log2(3))
+    assert payload_bits(QuantizerScheme("qsgd", s=7), 512) == pytest.approx(512 * 4 + 32)
 
 
 @pytest.mark.parametrize("scheme, params, bad", [
@@ -360,41 +360,40 @@ def test_payload_bits_per_scheme():
     ("qsgd", dict(s=7, bucket_size=0), "bucket_size"),
 ])
 def test_payload_bits_rejects_invalid_parameters(scheme, params, bad):
-    with pytest.raises(ValueError, match=f"accounting: {bad}: must be >= "):
-        payload_bits(scheme, 64, **params)
-    with pytest.raises(ValueError, match=f"accounting: {bad}: must be >= "):
-        compression_ratio(scheme, **params)
+    for call in (lambda p: payload_bits(p, 64), compression_ratio):
+        with pytest.raises(ConfigError) as exc:
+            call(QuantizerScheme(scheme, **params))
+        assert exc.value.violations[0].startswith(f"{bad}: must be >= ")
 
 
 def test_payload_bits_rejects_unknown_scheme():
-    with pytest.raises(UnknownScheme):
-        payload_bits("zipgrad", 10)
+    with pytest.raises(ConfigError) as exc:
+        payload_bits(QuantizerScheme("zipgrad"), 10)
+    assert [v.split(":")[0] for v in exc.value.violations] == ["name"]
 
 
 def test_scheme_header_bits():
-    assert scheme_header_bits("hsq") == HEADER_BITS
-    assert scheme_header_bits("terngrad") == 32
-    assert scheme_header_bits("identity") == 0
-    assert scheme_header_bits("signsgd") == 0
-    with pytest.raises(UnknownScheme):
-        scheme_header_bits("nope")
+    assert SCHEMES["hsq"].header_bits == HEADER_BITS
+    assert SCHEMES["terngrad"].header_bits == 32
+    assert SCHEMES["identity"].header_bits == 0
+    assert SCHEMES["signsgd"].header_bits == 0
+    assert "nope" not in SCHEMES
 
 
 def test_compression_ratio_reference_values():
     # per-coordinate asymptotic ratios at m=256, s=63
-    assert f"{compression_ratio('hsq', d_prime=8, m=256, s=63):.1f}" == "18.3"
-    assert f"{compression_ratio('hsq', d_prime=16, m=256, s=63):.1f}" == "36.6"
-    assert f"{compression_ratio('hsq', d_prime=64, m=256, s=63):.1f}" == "146.3"
-    assert f"{compression_ratio('terngrad'):.1f}" == "20.2"
-    assert f"{compression_ratio('signsgd'):.1f}" == "32.0"
-    assert compression_ratio("identity") == 1.0
+    assert f"{compression_ratio(QuantizerScheme('hsq', 8, 256, 63)):.1f}" == "18.3"
+    assert f"{compression_ratio(QuantizerScheme('hsq', 16, 256, 63)):.1f}" == "36.6"
+    assert f"{compression_ratio(QuantizerScheme('hsq', 64, 256, 63)):.1f}" == "146.3"
+    assert f"{compression_ratio(QuantizerScheme('terngrad')):.1f}" == "20.2"
+    assert f"{compression_ratio(QuantizerScheme('signsgd')):.1f}" == "32.0"
+    assert compression_ratio(QuantizerScheme("identity")) == 1.0
 
 
 def test_compression_ratio_header_overhead_shrinks_with_d():
-    small = compression_ratio("hsq", d=64, d_prime=16, m=256, s=63,
-                              include_header=True)
-    large = compression_ratio("hsq", d=2 ** 20, d_prime=16, m=256, s=63,
-                              include_header=True)
-    bare = compression_ratio("hsq", d_prime=16, m=256, s=63)
+    hsq16 = QuantizerScheme("hsq", d_prime=16, m=256, s=63)
+    small = compression_ratio(hsq16, d=64, include_header=True)
+    large = compression_ratio(hsq16, d=2 ** 20, include_header=True)
+    bare = compression_ratio(hsq16)
     assert small < large < bare
     assert large == pytest.approx(bare, rel=1e-3)
