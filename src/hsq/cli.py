@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fedsim, metrics, wire
 from .codebook import CodebookMethod, generate, load_codebook, save_codebook, seed_violations
-from .codebook import violations as codebook_violations
+from .codebook import generate_violations
 from .errors import ConfigError, HsqError, refuse
 from .problems import Logistic, Problem, Quadratic, TinyMLP
 from .quantizers import Variant, compress
@@ -192,7 +192,7 @@ def _config_echo(cfg: fedsim.FedConfig) -> dict:
 
 
 def _cmd_codebook_gen(args) -> int:
-    refuse(codebook_violations(args.method, args.d_prime, args.m, args.seed))
+    refuse(generate_violations(args.method, args.d_prime, args.m, args.seed))
     cb = generate(args.method, args.d_prime, args.m, args.seed)
     save_codebook(cb, args.out)
     _emit({"schema_version": SCHEMA_VERSION, "file": args.out,
@@ -289,10 +289,10 @@ def _cmd_preset(args) -> int:
                "high-precision": args.d_prime}[args.name]
     scheme = {"name": "hsq", "d_prime": d_prime, "m": d_prime, "s": 0,
               "variant": "unbiased", "codebook_method": "random-rotation"}
-    bits = fedsim.payload_bits(fedsim.QuantizerScheme(**scheme), d)
+    qs = fedsim.QuantizerScheme(**scheme)
     _emit({"schema_version": SCHEMA_VERSION, "preset": args.name, "d": d,
-           "scheme": scheme, "payload_bits": bits,
-           "compression_ratio": round(32.0 * d / bits, 1)}, None)
+           "scheme": scheme, "payload_bits": fedsim.payload_bits(qs, d),
+           "compression_ratio": round(fedsim.compression_ratio(qs, d), 1)}, None)
     return 0
 
 

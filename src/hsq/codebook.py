@@ -10,7 +10,7 @@ Column generation avoids LAPACK: orthonormalization is done by modified
 Gram-Schmidt with one re-orthogonalization pass. Its dot products and the
 k-means distance products still go through BLAS, so the columns are
 bit-identical for a given BLAS kernel, not across kernels (ROADMAP item
-2). The pseudo-inverse and the singular values are derived metadata
+3). The pseudo-inverse and the singular values are derived metadata
 (computed from the columns at construction) and are allowed to use the
 dense linear-algebra routines.
 """
@@ -212,6 +212,15 @@ def violations(method: CodebookMethod | str, d_prime: int, m: int, seed: int = 0
     return out + seed_violations(seed)
 
 
+def generate_violations(method: CodebookMethod | str, d_prime: int, m: int,
+                        seed: int = 0) -> list[str]:
+    """The rule of generate: the codebook rule, for a method that a seed can build."""
+    out = violations(method, d_prime, m, seed)
+    if CodebookMethod(method) is CodebookMethod.CUSTOM:
+        out.append("codebook_method: custom codebooks are built via Codebook.from_columns")
+    return out
+
+
 def generate(method: CodebookMethod | str, dim: int, count: int, seed: int) -> Codebook:
     """Generate the shared codebook for (method, dim = d', count = m, seed).
 
@@ -220,15 +229,13 @@ def generate(method: CodebookMethod | str, dim: int, count: int, seed: int) -> C
     seed instead of the matrix itself.
 
     Raises:
-        InvalidShape: arguments the codebook rule refuses, or the custom method.
+        InvalidShape: arguments generate_violations refuses.
         RankDeficient: the sampled matrix is numerically rank deficient
             (resolve by retrying with a different seed).
     """
-    if bad := violations(method, dim, count, seed):
+    if bad := generate_violations(method, dim, count, seed):
         raise InvalidShape("; ".join(bad))
     method = CodebookMethod(method)
-    if method is CodebookMethod.CUSTOM:
-        raise InvalidShape("custom codebooks are built via Codebook.from_columns")
     stream = Stream(seed).derive("codebook", method.value, dim, count)
     if method is CodebookMethod.SOB:
         columns = np.eye(dim)

@@ -31,8 +31,7 @@ import numpy as np
 from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
-from .codebook import Codebook, CodebookMethod, generate, seed_violations
-from .codebook import violations as codebook_violations
+from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
 from .errors import ConfigError, out_of_range, refuse
 from .problems import Problem
 from .quantizers import Variant, compress, decode
@@ -91,7 +90,7 @@ class Scheme:
 SCHEMES = {
     "identity": Scheme(payload_bits=lambda p, d: 32.0 * d, step=lambda g, *_: g),
     "hsq": Scheme(payload_bits=lambda p, d: hsq_payload_bits(d, p.d_prime, p.m, p.s),
-                  rule=lambda p: (codebook_violations(p.codebook_method, p.d_prime, p.m)
+                  rule=lambda p: (generate_violations(p.codebook_method, p.d_prime, p.m)
                                   + level_violations(p.s)),
                   header_bits=HEADER_BITS, natural_d=lambda p: p.d_prime,
                   codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),

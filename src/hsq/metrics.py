@@ -30,6 +30,8 @@ from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _dec
                          sample_unbiased_codes, segment_gradient)
 from .rng import Stream
 
+KS_ALPHA = 0.01  # significance level of ks_threshold
+
 
 def _check_draws(n_draws: int) -> None:
     if n_draws < 1:
@@ -261,9 +263,9 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def ks_threshold(n_a: int, n_b: int, alpha_level: float = 0.01) -> float:
-    """Critical KS value c(alpha) * sqrt((n_a + n_b) / (n_a n_b))."""
-    c = math.sqrt(-0.5 * math.log(alpha_level / 2.0))
+def ks_threshold(n_a: int, n_b: int) -> float:
+    """Critical KS value c(alpha) * sqrt((n_a + n_b) / (n_a n_b)) at alpha = KS_ALPHA."""
+    c = math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0))
     return c * math.sqrt((n_a + n_b) / (n_a * n_b))
 
 

@@ -29,6 +29,7 @@ from .rng import Stream
 
 LOGISTIC_RIDGE = 1e-3
 LOGISTIC_MARGIN = 0.5
+TINYMLP_BLOB_SPREAD = 0.7
 
 
 class Problem:
@@ -109,27 +110,25 @@ class Logistic(Problem):
 
     kind = "logistic"
 
-    def __init__(self, dim: int, seed: int, num_samples: int = 200,
-                 margin: float = LOGISTIC_MARGIN, ridge: float = LOGISTIC_RIDGE):
+    def __init__(self, dim: int, seed: int, num_samples: int = 200):
         for name, value, least in (("dim", dim, 1), ("num_samples", num_samples, 2)):
             if value < least:
                 raise ValueError(f"{name}: must be >= {least}, got {value}")
         self.dim = dim
         self.num_samples = num_samples
-        self.ridge = ridge
         st = Stream(seed).derive("logistic", dim, num_samples)
         w_sep = st.derive("direction").normals(dim)
         w_sep /= np.linalg.norm(w_sep)
         y = np.where(st.derive("labels").uniforms(num_samples) < 0.5, -1.0, 1.0)
         X = st.derive("features").normal_matrix(num_samples, dim)
-        offsets = margin / 2 + 0.3 * np.abs(st.derive("offsets").normals(num_samples))
+        offsets = LOGISTIC_MARGIN / 2 + 0.3 * np.abs(st.derive("offsets").normals(num_samples))
         X += np.outer(y * offsets - X @ w_sep, w_sep)
         self.X, self.y = X, y
         self.x0 = np.zeros(dim)
         self.x_star = self._newton()
         self.f_star = self.objective(self.x_star)
         gram_eigs = np.linalg.eigvalsh(X.T @ X)
-        self.smoothness = float(gram_eigs[-1]) / (4 * num_samples) + ridge
+        self.smoothness = float(gram_eigs[-1]) / (4 * num_samples) + LOGISTIC_RIDGE
         self.radius = float(np.linalg.norm(self.x0 - self.x_star))
 
     def objective(self, x: np.ndarray) -> float:
@@ -137,13 +136,13 @@ class Logistic(Problem):
         z = -self.y * (self.X @ x)
         # log(1 + e^z) = max(z, 0) + log1p(e^-|z|), stable for large |z|
         loss = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        return float(loss.mean()) + 0.5 * self.ridge * float(x @ x)
+        return float(loss.mean()) + 0.5 * LOGISTIC_RIDGE * float(x @ x)
 
     def stochastic_gradient(self, x: np.ndarray, batch_indices: np.ndarray) -> np.ndarray:
         x = self._check_x(x)
         Xb, yb = self.X[batch_indices], self.y[batch_indices]
         sig = 1.0 / (1.0 + np.exp(yb * (Xb @ x)))
-        return Xb.T @ (-yb * sig) / len(batch_indices) + self.ridge * x
+        return Xb.T @ (-yb * sig) / len(batch_indices) + LOGISTIC_RIDGE * x
 
     def accuracy(self, x: np.ndarray) -> float:
         pred = np.where(self.X @ self._check_x(x) >= 0, 1.0, -1.0)
@@ -154,10 +153,10 @@ class Logistic(Problem):
         for _ in range(50):
             z = self.y * (self.X @ x)
             sig = 1.0 / (1.0 + np.exp(z))
-            grad = self.X.T @ (-self.y * sig) / self.num_samples + self.ridge * x
+            grad = self.X.T @ (-self.y * sig) / self.num_samples + LOGISTIC_RIDGE * x
             w = sig * (1.0 - sig)
             hess = (self.X.T * w) @ self.X / self.num_samples
-            hess[np.diag_indices_from(hess)] += self.ridge
+            hess[np.diag_indices_from(hess)] += LOGISTIC_RIDGE
             step = np.linalg.solve(hess, grad)
             x -= step
             if np.linalg.norm(step) < 1e-13:
@@ -178,9 +177,11 @@ class TinyMLP(Problem):
     kind = "tinymlp"
 
     def __init__(self, layer_sizes: tuple[int, ...] = (2, 8, 2), seed: int = 0,
-                 num_samples: int = 256, blob_spread: float = 0.7):
+                 num_samples: int = 256):
         if len(layer_sizes) < 2 or min(layer_sizes) < 1:
             raise ValueError(f"layer_sizes: needs >= 2 positive entries, got {layer_sizes}")
+        if num_samples < 1:
+            raise ValueError(f"num_samples: must be >= 1, got {num_samples}")
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.num_classes = self.layer_sizes[-1]
         self.num_samples = num_samples
@@ -191,7 +192,7 @@ class TinyMLP(Problem):
         means = st.derive("means").normal_matrix(self.num_classes, in_dim)
         means *= 3.0 / np.linalg.norm(means, axis=1, keepdims=True)
         self.labels = np.arange(num_samples) % self.num_classes
-        self.X = means[self.labels] + blob_spread * st.derive("noise").normal_matrix(
+        self.X = means[self.labels] + TINYMLP_BLOB_SPREAD * st.derive("noise").normal_matrix(
             num_samples, in_dim)
 
         x0 = []
@@ -295,39 +296,17 @@ class TinyMLP(Problem):
         return float(np.mean(self._forward(x)[2].argmax(axis=1) == self.labels))
 
 
-def estimate_second_moment(p: Problem, x_samples: list[np.ndarray], d_prime: int,
-                           batch_size: int = 1, rng: Stream | None = None,
-                           n_draws: int = 200) -> float:
-    """Largest per-segment second moment E||g'||^2 over the given points.
-
-    For batch_size 1 the expectation over a uniformly drawn sample index
-    is computed exactly by enumeration; full batches are deterministic,
-    so one evaluation suffices. Anything in between is Monte-Carlo
-    estimated with n_draws seeded batches.
-    """
+def estimate_second_moment(p: Problem, x_samples: list[np.ndarray], d_prime: int) -> float:
+    """Largest per-segment second moment E||g'||^2 over the given points, the
+    expectation over one uniformly drawn sample taken exactly by enumeration."""
     if d_prime < 1:
         raise ValueError(f"d_prime must be >= 1, got {d_prime}")
-    n_seg = -(-p.dim // d_prime)
-
-    def seg_sq(g: np.ndarray) -> np.ndarray:
-        return (segment_gradient(g, d_prime) ** 2).sum(axis=1)
-
     worst = 0.0
-    for j, x in enumerate(x_samples):
-        if batch_size >= p.num_samples:
-            moments = seg_sq(p.gradient(x))
-        elif batch_size == 1:
-            moments = np.zeros(n_seg)
-            for i in range(p.num_samples):
-                moments += seg_sq(p.stochastic_gradient(x, np.array([i])))
-            moments /= p.num_samples
-        else:
-            if rng is None:
-                raise ValueError("mini-batch estimation needs an rng stream")
-            moments = np.zeros(n_seg)
-            for t in range(n_draws):
-                idx = rng.derive(j, t).choice_without_replacement(p.num_samples, batch_size)
-                moments += seg_sq(p.stochastic_gradient(x, idx))
-            moments /= n_draws
+    for x in x_samples:
+        moments = np.zeros(-(-p.dim // d_prime))
+        for i in range(p.num_samples):
+            g = segment_gradient(p.stochastic_gradient(x, np.array([i])), d_prime)
+            moments += (g ** 2).sum(axis=1)
+        moments /= p.num_samples
         worst = max(worst, float(moments.max()))
     return worst

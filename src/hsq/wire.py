@@ -175,9 +175,10 @@ def decode_frame(buf: bytes) -> CompressedGradient:
             raise WireFormatError(f"level {grid.max()} out of range for s={s}")
         norms = decode_pseudo_norm(grid, u_min, u_max, s)
     else:
-        grid, norms = None, words.view(">f4").astype(np.float64)
-        if not np.all(np.isfinite(norms)):
+        raw = words.view(">f4")
+        if not np.all(np.isfinite(raw)):  # before the cast, which warns on a signalling NaN
             raise WireFormatError("raw pseudo-norms must be finite")
+        grid, norms = None, raw.astype(np.float64)
     return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
                               levels=s, u_min=float(u_min), u_max=float(u_max),
                               indices=indices, norms=norms, grid=grid)

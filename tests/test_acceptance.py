@@ -151,8 +151,7 @@ def test_criterion_07_convex_convergence():
     # the whole trajectory after the fact
     seed = 11
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 64, seed)
-    b_prime = 4.0 * estimate_second_moment(p, [p.x0, p.x_star], d_prime=8,
-                                           batch_size=1)
+    b_prime = 4.0 * estimate_second_moment(p, [p.x0, p.x_star], d_prime=8)
     vq = vq_bound(64, cb, s=0, b_prime=b_prime)
 
     def seg_moment(x):

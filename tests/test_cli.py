@@ -367,6 +367,10 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     # the seed rule holds the problem's seed to a u64 as it does the run's
     ({"problem": {"kind": "quadratic", "dim": 4, "seed": -1}}, "problem.seed"),
     ({"problem": {"kind": "quadratic", "dim": 4, "seed": 2 ** 64}}, "problem.seed"),
+    ({"problem": {"kind": "tinymlp", "seed": 0, "num_samples": 0}}, "problem.num_samples"),
+    # hsq generates its codebook from the run seed, which a custom codebook has no recipe for
+    ({"scheme": {"name": "hsq", "d_prime": 4, "m": 16, "s": 15, "codebook_method": "custom"}},
+     "scheme.codebook_method"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))

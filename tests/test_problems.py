@@ -269,6 +269,12 @@ def test_quadratic_rejects_underdetermined():
         Quadratic(dim=8, seed=0, num_samples=4)
 
 
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_tinymlp_rejects_nonpositive_sample_count(num_samples):
+    with pytest.raises(ValueError, match="^num_samples: must be >= 1"):
+        TinyMLP((2, 8, 2), 0, num_samples=num_samples)
+
+
 def test_finite_diff_check_rejects_bad_h():
     with pytest.raises(ValueError):
         finite_diff_check(Quadratic(dim=2, seed=0), np.zeros(2), h=0.0)
@@ -278,22 +284,13 @@ def test_finite_diff_check_rejects_bad_h():
 # second-moment estimation
 
 
-def test_second_moment_full_batch_is_exact_segment_max():
-    p = Quadratic(dim=8, seed=11)
-    x = Stream(12).normals(8)
-    g = p.gradient(x)
-    expected = max(float(g[:4] @ g[:4]), float(g[4:] @ g[4:]))
-    got = estimate_second_moment(p, [x], d_prime=4, batch_size=p.num_samples)
-    assert got == pytest.approx(expected)
-
-
 def test_second_moment_single_sample_enumeration():
     p = Quadratic(dim=4, seed=13)
     x = Stream(14).normals(4)
     # oracle: direct enumeration over samples, one segment
     exact = np.mean([np.sum(p.stochastic_gradient(x, np.array([i])) ** 2)
                      for i in range(p.num_samples)])
-    got = estimate_second_moment(p, [x], d_prime=4, batch_size=1)
+    got = estimate_second_moment(p, [x], d_prime=4)
     assert got == pytest.approx(exact)
 
 
@@ -303,30 +300,17 @@ def test_second_moment_quadratic_analytic():
     x = Stream(16).normals(3)
     residuals = p.A @ x - p.b
     exact = np.mean(np.sum(p.A ** 2, axis=1) * residuals ** 2)
-    got = estimate_second_moment(p, [x], d_prime=3, batch_size=1)
+    got = estimate_second_moment(p, [x], d_prime=3)
     assert got == pytest.approx(exact)
-
-
-def test_second_moment_minibatch_between_extremes():
-    p = Quadratic(dim=4, seed=17)
-    x = Stream(18).normals(4)
-    single = estimate_second_moment(p, [x], d_prime=4, batch_size=1)
-    full = estimate_second_moment(p, [x], d_prime=4, batch_size=p.num_samples)
-    mid = estimate_second_moment(p, [x], d_prime=4, batch_size=4,
-                                 rng=Stream(19), n_draws=3000)
-    # averaging shrinks the second moment toward the full-batch value
-    assert full <= mid <= single
-    with pytest.raises(ValueError):
-        estimate_second_moment(p, [x], d_prime=4, batch_size=4)  # rng missing
 
 
 def test_second_moment_takes_max_over_points():
     p = Quadratic(dim=4, seed=20)
     x_small = p.x_star  # zero gradient everywhere
     x_big = p.x_star + 10 * np.ones(4)
-    lo = estimate_second_moment(p, [x_small], d_prime=4, batch_size=1)
-    both = estimate_second_moment(p, [x_small, x_big], d_prime=4, batch_size=1)
-    hi = estimate_second_moment(p, [x_big], d_prime=4, batch_size=1)
+    lo = estimate_second_moment(p, [x_small], d_prime=4)
+    both = estimate_second_moment(p, [x_small, x_big], d_prime=4)
+    hi = estimate_second_moment(p, [x_big], d_prime=4)
     assert lo <= 1e-20
     assert both == pytest.approx(hi)
 
