@@ -34,8 +34,8 @@ import typing
 import numpy as np
 
 from . import fedsim, metrics, wire
-from .codebook import CodebookMethod, generate, load_codebook, save_codebook, seed_violations
-from .codebook import generate_violations
+from .codebook import (SEEDED_METHODS, generate, generate_violations, load_codebook,
+                       save_codebook, seed_violations)
 from .errors import ConfigError, HsqError, refuse
 from .problems import Logistic, Problem, Quadratic, TinyMLP
 from .quantizers import Variant, compress
@@ -80,14 +80,17 @@ def _read_bytes(path: str) -> bytes:
 # ---------------------------------------------------------------------------
 # config parsing for `simulate`
 
-_PROBLEMS = {cls.kind: cls for cls in (Quadratic, Logistic, TinyMLP)}
+# each problem kind's class, the size field it reads and the fields a config must give
+_PROBLEMS = {cls.kind: (cls, size, required) for cls, size, required in (
+    (Quadratic, "dim", ("seed", "dim")), (Logistic, "dim", ("seed", "dim")),
+    (TinyMLP, "layer_sizes", ("seed",)))}
 _MISTYPED = object()
 _TYPE_NAMES = {type(None): "null", bool: "bool", int: "int", float: "finite float", str: "str"}
 
 
 @dataclasses.dataclass(frozen=True)
 class _ProblemConfig:
-    """The ``problem`` object of a simulate config: tinymlp reads layer_sizes, the others dim."""
+    """The ``problem`` object of a simulate config; _PROBLEMS says which size field a kind reads."""
 
     kind: str | None = None
     seed: int | None = None
@@ -100,15 +103,15 @@ class _ProblemConfig:
         if self.kind not in _PROBLEMS:
             violations.append(f"problem.kind: {self.kind!r} is not one of {tuple(_PROBLEMS)}")
             return None
-        required = ("seed",) if self.kind == "tinymlp" else ("seed", "dim")
-        bad = [f"{n}: required for {self.kind}" for n in required if getattr(self, n) is None]
+        cls, size, required = _PROBLEMS[self.kind]
+        given = {n: v for n, v in vars(self).items() if v is not None and n != "kind"}
+        bad = [f"{n}: required for {self.kind}" for n in required if n not in given]
+        bad += [f"{n}: {self.kind} reads {size}, not {n}"
+                for n in given.keys() - {"seed", "num_samples", size}]
         bad += [] if self.seed is None else seed_violations(self.seed)
         violations.extend(f"problem.{v}" for v in bad)
-        sizes = (2, 8, 2) if self.layer_sizes is None else tuple(self.layer_sizes)
-        extra = {} if self.num_samples is None else {"num_samples": self.num_samples}
         try:
-            return None if bad else _PROBLEMS[self.kind](
-                sizes if self.kind == "tinymlp" else self.dim, self.seed, **extra)
+            return None if bad else cls(**given)
         except ValueError as exc:  # the constructors' range checks name their parameter
             violations.append(f"problem.{exc}")
             return None
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb_sub = p_cb.add_subparsers(dest="codebook_command", required=True)
     p_gen = cb_sub.add_parser("gen", help="generate and save a codebook")
     p_gen.add_argument("--method", required=True,
-                       choices=[m.value for m in CodebookMethod if m.value != "custom"])
+                       choices=[m.value for m in SEEDED_METHODS])
     p_gen.add_argument("--dprime", dest="d_prime", type=int, required=True,
                        help="segment length d'")
     p_gen.add_argument("--m", type=int, required=True, help="codeword count")

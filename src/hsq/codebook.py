@@ -55,6 +55,8 @@ _METHOD_CODES = {
     CodebookMethod.CUSTOM: 255,
 }
 _CODE_METHODS = {v: k for k, v in _METHOD_CODES.items()}
+SQUARE_METHODS = (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION)  # m = d' always
+SEEDED_METHODS = tuple(m for m in CodebookMethod if m is not CodebookMethod.CUSTOM)  # generate's
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def violations(method: CodebookMethod | str, d_prime: int, m: int, seed: int = 0
     out = out_of_range("d_prime", d_prime, 1, _U32_MAX)
     least, most, label = (None, None, "d_prime") if out else (d_prime, _U32_MAX, None)
     out += out_of_range("m", m, least, most, label)
-    if not out and method in (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION) and m != d_prime:
+    if not out and method in SQUARE_METHODS and m != d_prime:
         out.append(f"m: {method.value} codebooks are square, must equal {d_prime}, got {m}")
     return out + seed_violations(seed)
 
@@ -216,7 +218,7 @@ def generate_violations(method: CodebookMethod | str, d_prime: int, m: int,
                         seed: int = 0) -> list[str]:
     """The rule of generate: the codebook rule, for a method that a seed can build."""
     out = violations(method, d_prime, m, seed)
-    if CodebookMethod(method) is CodebookMethod.CUSTOM:
+    if CodebookMethod(method) not in SEEDED_METHODS:
         out.append("codebook_method: custom codebooks are built via Codebook.from_columns")
     return out
 

@@ -68,7 +68,7 @@ def check_unbiasedness(variant: Variant | str, cb: Codebook, g: np.ndarray, n_dr
     g = _check_gradient(g)
     segments = segment_gradient(g, cb.dim)
     if variant is Variant.GREEDY:
-        idx, u = _select(segments, cb.columns.T)
+        idx, u = _select(segments, cb)
         diff = _decoded(idx[:, 0], u[:, 0], cb, g.shape[0]) - g
         return np.where(diff != 0.0, np.copysign(np.inf, diff), 0.0)
     z = np.empty(segments.size)
@@ -138,10 +138,8 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     for at in _blocks(n_draws, -(-d // cb.dim) * cb.count):
         st = rng.derive(np.arange(n_draws)[at])
         g = scale * st.derive("g").normals(d)
-        indices, norms, grid, u_min, u_max = _compress_rows(g, cb, s, Variant.UNBIASED,
-                                                            st.derive("q"))
-        if grid is not None:
-            norms = decode_pseudo_norm(grid, u_min[:, None], u_max[:, None], s)
+        indices, norms, _, u_min, u_max = _compress_rows(g, cb, s, Variant.UNBIASED,
+                                                         st.derive("q"))
         sq_norms[at] = np.sum(_decoded(indices, norms, cb, d) ** 2, axis=1)
         worst_range = max(worst_range, float(np.max(u_max - u_min)))
     empirical = float(sq_norms.mean())
@@ -276,7 +274,7 @@ def run_validator_suite(seed: int = 0) -> dict:
     test-suite versions of the same checks. Returns a JSON-ready dict
     with one entry per check plus an overall verdict.
     """
-    from .codebook import CodebookMethod, generate
+    from .codebook import SEEDED_METHODS, SQUARE_METHODS, CodebookMethod, generate
 
     root = Stream(seed).derive("validator-suite")
     checks = []
@@ -312,10 +310,8 @@ def run_validator_suite(seed: int = 0) -> dict:
            bound_loose=vb.bound_loose)
 
     alpha_ok, alpha_worst = True, {}
-    for method in (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION,
-                   CodebookMethod.RANDOM_GAUSSIAN, CodebookMethod.KMEANS_GAUSSIAN):
-        count = 16 if method in (CodebookMethod.SOB, CodebookMethod.RANDOM_ROTATION) else 32
-        cb = generate(method, 16, count, seed)
+    for method in SEEDED_METHODS:
+        cb = generate(method, 16, 16 if method in SQUARE_METHODS else 32, seed)
         res = check_alpha(cb, 2000, root.derive("alpha", method.value))
         alpha_ok &= res.passed
         alpha_worst[method.value] = {"worst": res.worst, "floor": res.floor}

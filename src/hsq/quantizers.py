@@ -43,10 +43,10 @@ class CompressedGradient:
     """A whole gradient as per-segment arrays, one entry per segment.
 
     ``indices`` (int64) are the codeword indices. ``norms`` (float64)
-    are the exact signed pseudo-norms u from codeword selection, or in
-    exact-norm mode (s = 0) the f32-rounded u the wire carries. ``grid``
-    (int64) holds each u's level after stochastic rounding, and is None
-    when s = 0. u_min/u_max are the extreme pseudo-norms of this
+    are the pseudo-norms u~ the receiver decodes: in exact-norm mode
+    (s = 0) the f32-rounded u the wire carries, otherwise the grid value
+    of each level in ``grid`` (int64, None when s = 0), the u after
+    stochastic rounding. u_min/u_max are the extreme pseudo-norms of this
     gradient, rounded outward to f32 (they travel as 32-bit floats), so
     every segment's u stays inside the transmitted interval.
     """
@@ -191,16 +191,17 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
 
 
 @np.errstate(invalid="ignore")  # 0/0 on all-zero rows
-def _select(segments: np.ndarray, mat: np.ndarray, draws: np.ndarray | None = None):
+def _select(segments: np.ndarray, cb: Codebook, draws: np.ndarray | None = None):
     """The selection rule on a batch of finite segments, one per row.
 
-    Greedy when ``draws`` is None (mat = C^T): the largest |c . g_j|, ties
-    to the lowest index, u = c . g_j. Unbiased otherwise (mat = pinv): each
-    of row j's k draws picks codeword i with probability |p_i| / ||p||_1,
-    p = pinv @ g_j, and u = sign(p_i) ||p||_1. All-zero rows pick 0 with
-    u = 0. Returns (indices, u), rows x k (k = 1 when greedy).
+    Greedy when ``draws`` is None: the largest |c . g_j|, ties to the
+    lowest index, u = c . g_j. Unbiased otherwise: each of row j's k draws
+    picks codeword i with probability |p_i| / ||p||_1, p = pinv @ g_j, and
+    u = sign(p_i) ||p||_1. All-zero rows pick 0 with u = 0. Returns
+    (indices, u), rows x k (k = 1 when greedy).
     """
     k = 1 if draws is None else draws.shape[1]
+    mat = cb.columns.T if draws is None else cb.pinv
     idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
     for at in _blocks(len(segments), k * mat.shape[0]):
         block = segments[at]
@@ -228,7 +229,7 @@ def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
     Ties break toward the lowest index. Returns (u, codeword_index) with
     u = g . c, or (0.0, 0) for the all-zero segment.
     """
-    idx, u = _select(_check_segment(g_segment, cb)[None], cb.columns.T)
+    idx, u = _select(_check_segment(g_segment, cb)[None], cb)
     return float(u[0, 0]), int(idx[0, 0])
 
 
@@ -291,18 +292,18 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
     Row r draws from child r of ``streams`` (a stream of n children, or a
     plain stream when n = 1), so it equals ``compress`` of that row alone
     with that child. Returns (indices, norms, grid, u_min, u_max): n x
-    segments arrays, grid None when s = 0, and the n rows' intervals.
+    segments arrays as in CompressedGradient, and the n rows' intervals.
     """
     segments = segment_gradient(rows, cb.dim)
     n, n_seg = segments.shape[:2]
     segments = segments.reshape(n * n_seg, cb.dim)
     draws = streams.derive(np.arange(n_seg)).uniforms(2).reshape(n * n_seg, 2)
     if variant is Variant.UNBIASED:
-        indices, norms = _select(segments, cb.pinv, draws[:, :1])
+        indices, norms = _select(segments, cb, draws[:, :1])
         # a segment that drew to select rounds on its next uniform
         draws = np.where(segments.any(axis=1), draws[:, 1], draws[:, 0])
     else:
-        indices, norms = _select(segments, cb.columns.T)
+        indices, norms = _select(segments, cb)
         draws = draws[:, 0]
     shape = (n, n_seg)
     indices, norms, draws = indices.reshape(shape), norms.reshape(shape), draws.reshape(shape)
@@ -319,14 +320,14 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
         lo, hi = (u_min[:, None], u_max[:, None]) if n > 1 else (u_min[0], u_max[0])
         _, _, k, p_lower = rounding_cell(norms, lo, hi, s)
         grid = round_in_cell(k, p_lower, draws)
+        norms = decode_pseudo_norm(grid, lo, hi, s)
     else:
         norms = norms.astype(np.float32).astype(np.float64)  # what the wire carries
     return indices, norms, grid, u_min, u_max
 
 
-def compress(g: np.ndarray, cb: Codebook, s: int,
-             variant: Variant | str = Variant.GREEDY,
-             rng: Stream | None = None) -> CompressedGradient:
+def compress(g: np.ndarray, cb: Codebook, s: int, variant: Variant | str,
+             rng: Stream) -> CompressedGradient:
     """Quantize a full gradient, all segments as one batch.
 
     u_min/u_max are taken over this gradient's own segment pseudo-norms
@@ -338,16 +339,12 @@ def compress(g: np.ndarray, cb: Codebook, s: int,
     Args:
         g: gradient of any length (the tail segment is zero-padded).
         s: pseudo-norm grid levels; 0 transmits exact (f32) norms.
-        rng: required unless the variant is greedy and s == 0.
+        rng: the segments' parent stream (greedy at s = 0 draws nothing from it).
     """
     variant = Variant(variant)
     g = _check_gradient(g)
     if s < 0:
         raise ValueError(f"level count must be >= 0, got {s}")
-    if rng is None:
-        if variant is Variant.UNBIASED or s >= 1:
-            raise ValueError("an rng stream is required for stochastic quantization")
-        rng = Stream(0)  # never consumed
 
     indices, norms, grid, u_min, u_max = _compress_rows(g[None], cb, s, variant, rng)
     return CompressedGradient(total_dim=g.shape[0], segment_dim=cb.dim,
@@ -365,9 +362,10 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
     if len(cg.indices) != -(-cg.total_dim // cg.segment_dim):
         raise DimensionMismatch(f"{len(cg.indices)} segments cannot carry d={cg.total_dim} "
                                 f"at d'={cg.segment_dim}")
-    u = cg.norms if cg.grid is None else decode_pseudo_norm(cg.grid, cg.u_min, cg.u_max,
-                                                             cg.levels)
-    return _decoded(cg.indices, u, cb, cg.total_dim)
+    # as unsigned, a negative index wraps above m, so one comparison checks both ends
+    if len(cg.norms) != len(cg.indices) or (np.asarray(cg.indices, np.uint64) >= cb.count).any():
+        raise DimensionMismatch(f"each segment needs a pseudo-norm and an index in [0, {cb.count})")
+    return _decoded(cg.indices, cg.norms, cb, cg.total_dim)
 
 
 def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
@@ -398,5 +396,5 @@ def sample_unbiased_codes(g_segment: np.ndarray, cb: Codebook, n: int,
     the r-th uniform of ``rng``. The all-zero segment draws nothing.
     """
     g = _check_segment(g_segment, cb)
-    idx, u = _select(g[None], cb.pinv, (rng.uniforms(n) if np.any(g) else np.zeros(n))[None])
+    idx, u = _select(g[None], cb, (rng.uniforms(n) if np.any(g) else np.zeros(n))[None])
     return idx[0], u[0]

@@ -88,9 +88,9 @@ def _f32_clean(x) -> bool:
 def encode_frame(cg: CompressedGradient) -> bytes:
     """Serialize a compressed gradient; exact inverse of decode_frame.
 
-    Fields that travel as f32 (u_min, u_max, and the pseudo-norms in
-    s=0 mode) must already be exactly representable in f32, otherwise
-    the roundtrip could not be bit-exact and the frame is refused.
+    Fields that travel as f32 (u_min, u_max, s=0 pseudo-norms) must be
+    f32 values, and grid-mode pseudo-norms their levels' grid values, bit
+    for bit, so that decode_frame returns cg field for field; else it refuses.
     """
     if cg.total_dim < 1:
         raise InvalidGradient("cannot encode an empty gradient")
@@ -107,7 +107,7 @@ def encode_frame(cg: CompressedGradient) -> bytes:
 
     n_seg, s = -(-cg.total_dim // cg.segment_dim), cg.levels
     indices = _column(cg.indices, n_seg, "iu", "indices")
-    norms = _column(cg.norms, n_seg, "f", "norms")
+    norms = _column(cg.norms, n_seg, "f", "norms").astype(np.float64)
     if indices.min() < 0 or indices.max() >= cg.codeword_count:
         raise WireFormatError(f"codeword indices must lie in [0, {cg.codeword_count})")
     if s >= 1:
@@ -116,6 +116,8 @@ def encode_frame(cg: CompressedGradient) -> bytes:
         words = _column(cg.grid, n_seg, "iu", "grid")
         if words.min() < 0 or words.max() > s:
             raise WireFormatError(f"grid levels must lie in [0, {s}]")
+        if norms.tobytes() != decode_pseudo_norm(words, cg.u_min, cg.u_max, s).tobytes():
+            raise WireFormatError(f"s={s} pseudo-norms must be their levels' grid values")
     else:
         if cg.grid is not None:
             raise WireFormatError("s=0 frames carry raw norms, not levels")
@@ -133,9 +135,7 @@ def encode_frame(cg: CompressedGradient) -> bytes:
 def decode_frame(buf: bytes) -> CompressedGradient:
     """Parse a frame back into a CompressedGradient.
 
-    In grid mode (s >= 1) the exact pre-rounding pseudo-norm never
-    crosses the wire, so the reconstructed norms are the grid values
-    u_min + level*(u_max-u_min)/s.
+    In grid mode (s >= 1) the norms are the grid values u_min + level*(u_max-u_min)/s.
     """
     if len(buf) < HEADER.size:
         raise WireFormatError(f"frame shorter than the {HEADER.size}-byte header")

@@ -212,7 +212,7 @@ def test_sign_rejects_nan():
     lambda g: compress_qsgd(g, 1, Stream(0)),
     lambda g: compress_terngrad(g, Stream(0)),
     compress_sign,
-    lambda g: compress(g, generate(CodebookMethod.SOB, 2, 2, seed=0), 0, Variant.GREEDY),
+    lambda g: compress(g, generate(CodebookMethod.SOB, 2, 2, seed=0), 0, Variant.GREEDY, Stream(0)),
 ], ids=["qsgd", "terngrad", "sign", "hsq"])
 def test_every_compressor_refuses_the_same_gradients(compressor, g):
     # one gradient check: 1-D, non-empty and finite

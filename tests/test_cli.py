@@ -371,6 +371,12 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     # hsq generates its codebook from the run seed, which a custom codebook has no recipe for
     ({"scheme": {"name": "hsq", "d_prime": 4, "m": 16, "s": 15, "codebook_method": "custom"}},
      "scheme.codebook_method"),
+    # each kind reads one size field and refuses the other
+    ({"problem": {"kind": "tinymlp", "dim": 4000, "seed": 0}}, "problem.dim"),
+    ({"problem": {"kind": "quadratic", "dim": 8, "layer_sizes": [9, 9], "seed": 0}},
+     "problem.layer_sizes"),
+    ({"problem": {"kind": "logistic", "dim": 8, "layer_sizes": [9, 9], "seed": 0}},
+     "problem.layer_sizes"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))

@@ -19,7 +19,7 @@ def sob(dim):
 
 def unbiased_draws(g, cb, draws):
     """The unbiased selection rule on one segment, one pick per given uniform."""
-    idx, u = _select(np.asarray(g, dtype=np.float64)[None], cb.pinv, np.array([draws]))
+    idx, u = _select(np.asarray(g, dtype=np.float64)[None], cb, np.array([draws]))
     return idx[0].tolist(), u[0].tolist()
 
 
@@ -203,7 +203,7 @@ def test_segment_gradient_shapes():
 def test_compress_single_segment_greedy_exact():
     cb = generate(CodebookMethod.RANDOM_ROTATION, 8, 8, seed=1)
     g = Stream(2).normals(8)
-    cg = compress(g, cb, 0, Variant.GREEDY)
+    cg = compress(g, cb, 0, Variant.GREEDY, Stream(0))
     corr = cb.columns.T @ g
     best = int(np.argmax(np.abs(corr)))
     expected = np.float32(corr[best]) * cb.columns[:, best]
@@ -213,7 +213,7 @@ def test_compress_single_segment_greedy_exact():
 def test_compress_two_segments_minmax():
     cb = sob(8)
     g = Stream(3).normals(16)
-    cg = compress(g, cb, 0, Variant.GREEDY)
+    cg = compress(g, cb, 0, Variant.GREEDY, Stream(0))
     assert len(cg.indices) == 2
     norms = list(cg.norms)
     assert cg.u_min <= min(norms) and cg.u_max >= max(norms)
@@ -225,30 +225,20 @@ def test_compress_two_segments_minmax():
 def test_compress_pads_and_decode_strips():
     cb = sob(8)
     g = np.arange(1.0, 11.0)  # d=10
-    cg = compress(g, cb, 0, Variant.GREEDY)
+    cg = compress(g, cb, 0, Variant.GREEDY, Stream(0))
     assert len(cg.indices) == 2
     out = decode(cg, cb)
     assert out.shape == (10,)
 
 
-def test_compress_requires_rng_for_stochastic_paths():
-    cb = sob(4)
-    g = np.ones(4)
-    with pytest.raises(ValueError):
-        compress(g, cb, 0, Variant.UNBIASED)
-    with pytest.raises(ValueError):
-        compress(g, cb, 3, Variant.GREEDY)
-    compress(g, cb, 0, Variant.GREEDY)  # deterministic path needs none
-
-
 def test_compress_rejects_bad_input():
     cb = sob(4)
     with pytest.raises(InvalidGradient):
-        compress(np.array([]), cb, 0, Variant.GREEDY)
+        compress(np.array([]), cb, 0, Variant.GREEDY, Stream(0))
     with pytest.raises(InvalidGradient):
-        compress(np.array([1.0, np.inf, 0, 0]), cb, 0, Variant.GREEDY)
+        compress(np.array([1.0, np.inf, 0, 0]), cb, 0, Variant.GREEDY, Stream(0))
     with pytest.raises(ValueError):
-        compress(np.ones(4), cb, -1, Variant.GREEDY)
+        compress(np.ones(4), cb, -1, Variant.GREEDY, Stream(0))
 
 
 def test_compress_schedule_independent():
@@ -266,7 +256,7 @@ def test_compress_schedule_independent():
 
 def test_decode_zero_codes_zero_vector():
     cb = sob(4)
-    cg = compress(np.zeros(8), cb, 0, Variant.GREEDY)
+    cg = compress(np.zeros(8), cb, 0, Variant.GREEDY, Stream(0))
     np.testing.assert_array_equal(decode(cg, cb), np.zeros(8))
 
 
@@ -291,7 +281,7 @@ def test_decode_matches_scalar_reference():
 
 def test_decode_dimension_mismatch():
     cb8, cb4 = sob(8), sob(4)
-    cg = compress(np.ones(8), cb8, 0, Variant.GREEDY)
+    cg = compress(np.ones(8), cb8, 0, Variant.GREEDY, Stream(0))
     with pytest.raises(DimensionMismatch):
         decode(cg, cb4)
 
@@ -304,10 +294,21 @@ def test_decode_checks_segment_count():
                             norms=np.array([0.0, 1.0]), grid=None)
     with pytest.raises(DimensionMismatch, match="2 segments cannot carry d=100"):
         decode(cg, cb)
-    good = compress(Stream(1).normals(100), cb, 0, Variant.GREEDY)
+    good = compress(Stream(1).normals(100), cb, 0, Variant.GREEDY, Stream(0))
     for batch in ([cg], [good, cg]):
         with pytest.raises(DimensionMismatch):
             aggregate(batch, cb)
+
+
+@pytest.mark.parametrize("indices,norms", [([-1], [1.0]), ([4], [1.0]), ([0], [])],
+                         ids=["negative-index", "index-m", "no-norm"])
+def test_decode_rejects_malformed_codes(indices, norms):
+    # one raw-norm segment at d = d' = m = 4, built by hand as a caller could
+    cg = CompressedGradient(total_dim=4, segment_dim=4, codeword_count=4, levels=0,
+                            u_min=0.0, u_max=1.0, indices=np.array(indices, dtype=np.int64),
+                            norms=np.array(norms, dtype=np.float64), grid=None)
+    with pytest.raises(DimensionMismatch, match=r"a pseudo-norm and an index in \[0, 4\)"):
+        decode(cg, sob(4))
 
 
 def test_decoded_levels_stay_in_interval():
@@ -325,7 +326,7 @@ def test_decoded_levels_stay_in_interval():
 
 def test_aggregate_single_is_decode():
     cb = sob(4)
-    cg = compress(np.array([1.0, 2, 3, 4]), cb, 0, Variant.GREEDY)
+    cg = compress(np.array([1.0, 2, 3, 4]), cb, 0, Variant.GREEDY, Stream(0))
     np.testing.assert_array_equal(aggregate([cg], cb), decode(cg, cb))
 
 
@@ -357,8 +358,8 @@ def test_aggregate_errors():
     cb = sob(4)
     with pytest.raises(EmptyInput):
         aggregate([], cb)
-    a = compress(np.ones(4), cb, 0, Variant.GREEDY)
-    b = compress(np.ones(8), cb, 0, Variant.GREEDY)
+    a = compress(np.ones(4), cb, 0, Variant.GREEDY, Stream(0))
+    b = compress(np.ones(8), cb, 0, Variant.GREEDY, Stream(0))
     with pytest.raises(DimensionMismatch):
         aggregate([a, b], cb)
 
@@ -470,6 +471,7 @@ def _reference_compress(g, cb, s, variant, rng):
             p_lower = ((k + 1) * delta + u_min - u) / delta
             grid.append(k if st.uniform() < p_lower else k + 1)
         grid = np.array(grid, dtype=np.int64)
+        norms = u_min + grid * ((u_max - u_min) / s)  # the grid values the receiver decodes
     else:
         norms = np.array(norms, dtype=np.float32)
     return CompressedGradient(total_dim=d, segment_dim=cb.dim, codeword_count=cb.count,
@@ -641,7 +643,7 @@ def test_certified_search_matches_searchsorted_rule(monkeypatch, method, d_prime
 
         monkeypatch.setattr(quantizers, "_cdf_search", spy)
         for k in (1, 3):
-            idx, _ = _select(np.repeat(segments[rows], 3 // k, axis=0), cb.pinv,
+            idx, _ = _select(np.repeat(segments[rows], 3 // k, axis=0), cb,
                              draws.reshape(-1, k))
             assert idx.reshape(want.shape).tolist() == want.tolist(), (forced, k)
         monkeypatch.setattr(quantizers, "_cdf_search", real)

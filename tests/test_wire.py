@@ -118,6 +118,7 @@ def test_roundtrip_compressor_output():
             cg = compress(g, cb, s=s, variant=variant, rng=stream.derive("q", i, variant.value))
             blob = encode_frame(cg)
             back = decode_frame(blob)
+            assert back == cg  # field for field, the norms being what the receiver decodes
             assert encode_frame(back) == blob
             np.testing.assert_array_equal(decode(back, cb), decode(cg, cb))
 
@@ -195,6 +196,14 @@ def test_encode_rejects_out_of_range_level():
         encode_frame(_frame(d=8, m=4, s=63, indices=(0,), grid=(64,), norms=(1.0,)))
     with pytest.raises(WireFormatError):
         encode_frame(_frame(d=8, m=4, s=63, indices=(0,), grid=(-1,), norms=(1.0,)))
+
+
+def test_encode_rejects_grid_norms_that_differ_from_their_grid_values():
+    # 9/63 on [0, 1] is one grid value; the exact pre-rounding u or -0.0 for 0.0 are not
+    encode_frame(_frame(d=16, indices=(5, 6), grid=(9, 0)))
+    for norms in ((0.14, 0.0), (9 / 63, -0.0), (np.float32(9 / 63), 0.0)):
+        with pytest.raises(WireFormatError, match="grid values"):
+            encode_frame(_frame(d=16, indices=(5, 6), grid=(9, 0), norms=norms))
 
 
 def test_encode_rejects_level_in_raw_mode():
