@@ -17,7 +17,7 @@ from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, SCHEMES, FedConfig, LrSchedule,
                         lr_theorem1, lr_theorem3, partition_indices, payload_bits, run,
                         theorem1_gap_bound, vq_bound)
 from hsq.problems import Logistic, Quadratic, TinyMLP
-from hsq.quantizers import Variant
+from hsq.quantizers import Variant, compress, decode
 from hsq.rng import Stream
 
 
@@ -378,6 +378,28 @@ def test_grouped_batch_picks_equal_per_client_picks():
                 assert len(batches) == len(expected)
                 for got, want in zip(batches, expected):
                     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant,s", itertools.product(Variant, (0, 1, 63)))
+def test_hsq_step_is_decode_of_compress(variant, s):
+    # the simulator's per-client hsq result is decode(compress(...)) on the same
+    # stream, bit for bit: sign of zero included, all-zero and -0.0 segments too
+    sch = QuantizerScheme(name="hsq", d_prime=16, m=256, s=s, variant=variant)
+    cb = SCHEMES["hsq"].codebook(sch, 3)
+    root = Stream(2024).derive(variant.value, s)
+    for d in (1, 15, 16, 17, 48, 64, 1000):
+        n_seg = -(-d // 16)
+        g = root.derive("g", d).normals(d) * np.repeat(
+            np.exp2(np.floor(root.derive("scale", d).uniforms(n_seg) * 21) - 10), 16)[:d]
+        zero, neg_zero, mixed = g.copy(), g.copy(), g.copy()
+        zero[16 * (n_seg // 2):16 * (n_seg // 2 + 1)] = 0.0
+        neg_zero[16 * (n_seg - 1):] = -0.0
+        mixed[::3] = -0.0
+        for k, x in enumerate((g, zero, neg_zero, mixed, np.full(d, -0.0))):
+            stream = root.derive("q", d, k)
+            got = SCHEMES["hsq"].step(x, sch, cb, stream)
+            want = decode(compress(x, cb, s, variant, stream), cb)
+            assert got.tobytes() == want.tobytes(), (d, k)
 
 
 def test_running_sum_mean_equals_np_mean():
