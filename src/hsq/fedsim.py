@@ -34,7 +34,7 @@ from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, c
 from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
 from .errors import ConfigError, out_of_range, refuse
 from .problems import Problem
-from .quantizers import Variant, compress, decode
+from .quantizers import CompressedGradient, Variant, _decoded, compress
 from .rng import Stream
 from .wire import HEADER_BITS, hsq_payload_bits, length_violations, level_violations
 
@@ -87,6 +87,11 @@ class Scheme:
     downlink: bool = False
 
 
+def _hsq_step(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
+    """decode(cg, cb) without its checks, which a code compress just built passes."""
+    return _decoded(cg.indices, cg.norms, cb, cg.total_dim)
+
+
 SCHEMES = {
     "identity": Scheme(payload_bits=lambda p, d: 32.0 * d, step=lambda g, *_: g),
     "hsq": Scheme(payload_bits=lambda p, d: hsq_payload_bits(d, p.d_prime, p.m, p.s),
@@ -95,7 +100,7 @@ SCHEMES = {
                   header_bits=HEADER_BITS, natural_d=lambda p: p.d_prime,
                   codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),
                   downlink=True,
-                  step=lambda g, p, cb, rng: decode(compress(g, cb, p.s, p.variant, rng), cb)),
+                  step=lambda g, p, cb, rng: _hsq_step(compress(g, cb, p.s, p.variant, rng), cb)),
     "qsgd": Scheme(payload_bits=lambda p, d: qsgd_dense_bits(d, p.s, p.bucket_size),
                    rule=lambda p: (out_of_range("s", p.s, 1)
                                    + out_of_range("bucket_size", p.bucket_size, 1)),

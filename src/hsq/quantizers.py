@@ -73,7 +73,7 @@ def _check_gradient(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or g.shape[0] < 1:
         raise InvalidGradient(f"gradient must be a non-empty 1-D array, got shape {g.shape}")
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise InvalidGradient("gradient contains NaN or Inf")
     return g
 
@@ -116,8 +116,10 @@ def _cdf_search(mag: np.ndarray, l1: np.ndarray):
     side="right") with cdf = cumsum(mag / l1): the index stays below m even
     if the cumsum's last entry rounds below a draw.
     """
-    cdf = np.cumsum(mag / l1, axis=1)[:, None, :-1]
-    return lambda x: (cdf <= x[:, :, None]).sum(axis=2)
+    # a row with l1 = 0 divides by NaN, not 0: the same NaN CDF, which counts 0, without
+    # the 0/0 warning; the entries before the last are the prefix sums of mag[:, :-1]
+    cdf = np.add.accumulate(mag[:, :-1] / np.where(l1 > 0.0, l1, np.nan), axis=1)[:, None, :]
+    return lambda x: np.add.reduce(cdf <= x[:, :, None], axis=2)
 
 
 @functools.cache
@@ -190,7 +192,6 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     return search
 
 
-@np.errstate(invalid="ignore")  # 0/0 on all-zero rows
 def _select(segments: np.ndarray, cb: Codebook, draws: np.ndarray | None = None):
     """The selection rule on a batch of finite segments, one per row.
 
@@ -202,24 +203,22 @@ def _select(segments: np.ndarray, cb: Codebook, draws: np.ndarray | None = None)
     """
     k = 1 if draws is None else draws.shape[1]
     mat = cb.columns.T if draws is None else cb.pinv
-    idx, u = np.zeros((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
+    # both searches and argmax pick 0 on an all-zero row, so only u is masked
+    idx, u = np.empty((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
     for at in _blocks(len(segments), k * mat.shape[0]):
         block = segments[at]
-        p, live = _project(mat, block), block.any(axis=1)[:, None]
+        p, live = _project(mat, block), np.logical_or.reduce(block, axis=1)[:, None]
         rows = np.arange(len(p))[:, None]
         if draws is None:
-            i = np.abs(p).argmax(axis=1)[:, None]
-            np.copyto(idx[at], i, where=live)
+            i = idx[at] = np.abs(p).argmax(axis=1)[:, None]
             np.copyto(u[at], p[rows, i], where=live)
             continue
         mag = np.abs(p)
-        l1 = mag.sum(axis=1, keepdims=True)
+        l1 = np.add.reduce(mag, axis=1, keepdims=True)
         search = (_cdf_search if mag.size < _TWO_LEVEL_MIN else _two_level_search)(mag, l1)
         for c in _blocks(k, mat.shape[0]):  # draws too, if one row's exceed a block
-            i = search(draws[at, c])
-            v = np.copysign(l1, p[rows, i])
-            np.copyto(idx[at, c], i, where=live)
-            np.copyto(u[at, c], v, where=live)
+            i = idx[at, c] = search(draws[at, c])
+            np.copysign(l1, p[rows, i], out=u[at, c], where=live)
     return idx, u
 
 
@@ -244,11 +243,16 @@ def rounding_cell(u, u_min, u_max, s: int):
     delta = 0, k = 0 and p_lower = 1.
     """
     u = np.minimum(np.maximum(u, u_min), u_max)
+    return (u,) + _cell(u, u_min, u_max, s)
+
+
+def _cell(u, u_min, u_max, s: int):
+    """rounding_cell's (delta, k, p_lower) for a u already inside [u_min, u_max]."""
     delta = (u_max - u_min) / s
     dead = delta == 0.0
     step = delta + dead  # 1 on a degenerate interval: no 0/0, and k = 0 as |u - u_min| < 1
     k = np.minimum(((u - u_min) / step).astype(np.int64), s - 1)
-    return u, delta, k, np.where(dead, 1.0, ((k + 1) * step + u_min - u) / step)
+    return delta, k, np.where(dead, 1.0, ((k + 1) * step + u_min - u) / step)
 
 
 def round_in_cell(k, p_lower, draws):
@@ -276,13 +280,20 @@ def segment_gradient(g: np.ndarray, segment_dim: int) -> np.ndarray:
 # Rows (lo, hi) of a bounds array; hi rounds up to f32 as -hi rounds down, negation being exact
 _OUTWARD = np.array([[1.0], [-1.0]])
 _F32_MAX = float(np.finfo(np.float32).max)
+_F32_DOWN = np.float32(-np.inf)
 
 
 def _f32_outward(bounds: np.ndarray) -> np.ndarray:
-    """Per column of bounds (lo, hi) within the f32 range, the nearest f32 interval around it."""
+    """Per column of bounds (lo, hi), lo <= hi, the nearest f32 interval around it.
+
+    Raises Overflow, before the cast would overflow, if a bound lies outside
+    the f32 range or is NaN: as lo <= hi, that is when lo or -hi is below -max.
+    """
     x = bounds * _OUTWARD
+    if not np.minimum.reduce(x, axis=None) >= -_F32_MAX:
+        raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
     a = x.astype(np.float32)
-    np.nextafter(a, np.float32(-np.inf), out=a, where=a > x)
+    np.nextafter(a, _F32_DOWN, out=a, where=a > x)
     return a.astype(np.float64) * _OUTWARD
 
 
@@ -297,11 +308,12 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
     segments = segment_gradient(rows, cb.dim)
     n, n_seg = segments.shape[:2]
     segments = segments.reshape(n * n_seg, cb.dim)
-    draws = streams.derive(np.arange(n_seg)).uniforms(2).reshape(n * n_seg, 2)
+    # segment j draws from streams.derive(j)
+    draws = streams.child_uniforms(n_seg, 2).reshape(n * n_seg, 2)
     if variant is Variant.UNBIASED:
         indices, norms = _select(segments, cb, draws[:, :1])
         # a segment that drew to select rounds on its next uniform
-        draws = np.where(segments.any(axis=1), draws[:, 1], draws[:, 0])
+        draws = np.where(np.logical_or.reduce(segments, axis=1), draws[:, 1], draws[:, 0])
     else:
         indices, norms = _select(segments, cb)
         draws = draws[:, 0]
@@ -309,16 +321,15 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
     indices, norms, draws = indices.reshape(shape), norms.reshape(shape), draws.reshape(shape)
 
     # the first extreme in segment order decides between 0.0 and -0.0
-    bounds = norms[np.arange(n), np.array([norms.argmin(axis=1), norms.argmax(axis=1)])]
-    if not np.abs(bounds).max() <= _F32_MAX:  # before the cast would overflow; refuses NaN too
-        raise Overflow("pseudo-norms exceed the 32-bit float range of the wire format")
-    u_min, u_max = _f32_outward(bounds)
+    u_min, u_max = _f32_outward(
+        norms[np.arange(n), np.array([norms.argmin(axis=1), norms.argmax(axis=1)])])
 
     grid = None
     if s >= 1:
-        # one row's bounds go as scalars, which numpy's ufuncs take by a faster path
+        # one row's bounds go as scalars, which numpy's ufuncs take by a faster path;
+        # every u lies in its row's interval, which was rounded outward around it
         lo, hi = (u_min[:, None], u_max[:, None]) if n > 1 else (u_min[0], u_max[0])
-        _, _, k, p_lower = rounding_cell(norms, lo, hi, s)
+        _, k, p_lower = _cell(norms, lo, hi, s)
         grid = round_in_cell(k, p_lower, draws)
         norms = decode_pseudo_norm(grid, lo, hi, s)
     else:

@@ -56,8 +56,22 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
+# mix64(j) for j < len: the word child tag j folds in, grown on demand to the largest n asked for
+_CHILD_WORDS = np.empty(0, dtype=np.uint64)
+
+
+def _child_words(n: int) -> np.ndarray:
+    """mix64 of the tags 0 .. n-1, read-only."""
+    global _CHILD_WORDS
+    if n > len(_CHILD_WORDS):
+        table = mix64(np.arange(max(n, 2 * len(_CHILD_WORDS)), dtype=np.uint64))
+        table.flags.writeable = False
+        _CHILD_WORDS = table
+    return _CHILD_WORDS[:n]
+
+
 def _unit(words: np.ndarray) -> np.ndarray:
-    return (words >> _R11).astype(np.float64) * _TWO_M53
+    return (words >> _R11) * _TWO_M53  # the product casts the 53-bit integers to f64 exactly
 
 
 def _tag_words(tag) -> list:
@@ -114,6 +128,16 @@ class Stream:
             for word in _tag_words(tag):
                 h = mix64(((h + _GOLDEN) & _MASK64) ^ mix64(word))
         return Stream(h)
+
+    def child_uniforms(self, n: int, k: int) -> np.ndarray:
+        """k uniforms of each of the children 0 .. n-1, ``derive(np.arange(n)).uniforms(k)``.
+
+        In closed form: child j's seed is derive's fold of the tag word mix64(j),
+        which comes from a table, so no tag is mixed per call.
+        """
+        h = self._seed if isinstance(self._seed, int) else self._seed[..., None]
+        seeds = mix64(((h + _GOLDEN) & _MASK64) ^ _child_words(n))
+        return _unit(mix64(seeds[..., None] + np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN_U64))
 
     def _words(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)

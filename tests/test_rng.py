@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hsq import rng
 from hsq.rng import Stream, mix64
 
 MASK = 0xFFFFFFFFFFFFFFFF
@@ -98,6 +99,27 @@ def test_substream_uniforms_match_derived_streams():
                                          for j in range(n)]).reshape(n, k)
                     np.testing.assert_array_equal(draw(s.derive(*pre, np.arange(n), *post), k),
                                                   expected)
+
+
+def test_child_uniforms_match_derived_children_inside_and_beyond_the_table():
+    # child_uniforms takes child j's tag word mix64(j) from a table that grows to
+    # the largest n asked for; inside it and past its end, on plain streams and
+    # on streams of many children, it is derive(np.arange(n)).uniforms(k)
+    parents = (Stream(0), Stream(MASK), Stream(3).derive("x"), Stream(9).derive(np.arange(4)),
+               Stream(2).derive(np.arange(2), np.arange(3)))
+    for parent in parents:
+        parent.uniforms(5)  # the parent's position must not matter
+        size = len(rng._CHILD_WORDS)
+        for n in (0, 1, 3, max(size - 1, 0), size, size + 1, 2 * size + 7, 3):
+            for k in (0, 1, 2, 5):
+                got = parent.child_uniforms(n, k)
+                expected = parent.derive(np.arange(n)).uniforms(k)
+                assert got.shape == expected.shape == np.shape(parent.seed) + (n, k)
+                assert got.tobytes() == expected.tobytes(), (n, k)
+            assert len(rng._CHILD_WORDS) >= n
+    table = rng._child_words(len(rng._CHILD_WORDS))
+    np.testing.assert_array_equal(table, mix64(np.arange(len(table), dtype=np.uint64)))
+    assert not table.flags.writeable
 
 
 def test_array_tags_on_many_children_form_an_outer_product():
