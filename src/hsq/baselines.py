@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Overflow
 from .quantizers import _check_gradient
 from .rng import Stream
 
@@ -54,9 +55,12 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
     # Row @ column is numpy's dot, so each norm is bit-identical to
     # np.linalg.norm of its bucket.
     sq = np.empty(-(-d // bucket_size))
-    sq[:n_full] = (rows[:, None, :] @ rows[:, :, None]).ravel()
-    if tail.size:
-        sq[n_full] = tail @ tail
+    with np.errstate(over="ignore"):  # refused below, as hsq refuses pseudo-norms past f32
+        sq[:n_full] = (rows[:, None, :] @ rows[:, :, None]).ravel()
+        if tail.size:
+            sq[n_full] = tail @ tail
+    if not np.maximum.reduce(sq) < np.inf:  # squares are >= 0, so the largest is inf if any is
+        raise Overflow("a bucket's squared norm overflows float64")
     norms = np.sqrt(sq)
     per_coord = np.repeat(norms, bucket_size)[:d]
     r = np.divide(np.abs(g), per_coord, out=np.zeros(d), where=per_coord != 0.0)
@@ -76,7 +80,7 @@ def decode_qsgd(code: QsgdCode) -> np.ndarray:
 def qsgd_dense_bits(d: int, levels: int, bucket_size: int = QSGD_BUCKET_SIZE) -> float:
     """Payload of the dense encoding: level + sign bits per coordinate,
     plus one 32-bit norm per bucket."""
-    per_coord = levels.bit_length() + 1  # ceil(log2(levels+1)) level bits + sign
+    per_coord = int(levels).bit_length() + 1  # ceil(log2(levels+1)) level bits + sign
     return d * per_coord + 32 * (-(-d // bucket_size))
 
 

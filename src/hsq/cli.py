@@ -15,7 +15,7 @@ JSON object on stderr: config-schema problems list every violating field
 and exit 2; runtime errors exit 1.
 
 Each value is checked by the rule that owns it (``codebook.violations``,
-``QuantizerScheme.violations``, ``wire.length_violations``/``level_violations``,
+``QuantizerScheme.violations``, ``wire.length_violations``, ``quantizers.level_violations``,
 and the count and seed rules ``FedConfig`` applies), never here; a field read
 from a flag is reported as that flag, before any file is read or written.
 """
@@ -38,7 +38,7 @@ from .codebook import (SEEDED_METHODS, generate, generate_violations, load_codeb
                        save_codebook, seed_violations)
 from .errors import ConfigError, HsqError, refuse
 from .problems import Logistic, Problem, Quadratic, TinyMLP
-from .quantizers import Variant, compress
+from .quantizers import Variant, compress, level_violations
 from .rng import Stream
 
 SCHEMA_VERSION = 1
@@ -206,7 +206,7 @@ def _cmd_codebook_gen(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    refuse(wire.level_violations(args.s) + seed_violations(args.seed))
+    refuse(level_violations(args.s) + seed_violations(args.seed))
     cb = load_codebook(args.codebook)
     g = _read_gradient(args.input)
     rng = Stream(args.seed).derive("cli-quantize")

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all hsq modules."""
+"""Exception hierarchy shared by all hsq modules, and the integer rule the argument rules share."""
+
+import numbers
 
 
 class HsqError(Exception):
@@ -46,8 +48,11 @@ class ConfigError(HsqError):
 
 
 def out_of_range(name: str, value, least, most=None, label=None) -> list[str]:
-    """[] if least <= value <= most, else one "name: problem" message; None as value
-    violates, None as a bound is none, and label stands for least in the message."""
+    """[] if value is an int (numpy integers count, bools do not) with least <= value <= most,
+    else one "name: problem" message; None as value violates, None as a bound is none,
+    and label stands for least in the message."""
+    if value is not None and (type(value) is bool or not isinstance(value, numbers.Integral)):
+        return [f"{name}: must be an int, got {value!r}"]
     if value is None or least is not None and value < least:
         return [f"{name}: must be >= {least if label is None else label}, got {value!r}"]
     return [] if most is None or value <= most else [f"{name}: must be <= {most}, got {value!r}"]

@@ -34,9 +34,9 @@ from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, c
 from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
 from .errors import ConfigError, out_of_range, refuse
 from .problems import Problem
-from .quantizers import CompressedGradient, Variant, _decoded, compress
+from .quantizers import CompressedGradient, Variant, _decoded, compress, level_violations
 from .rng import Stream
-from .wire import HEADER_BITS, hsq_payload_bits, length_violations, level_violations
+from .wire import HEADER_BITS, hsq_payload_bits, length_violations
 
 CSV_COLUMNS = ("round", "loss", "grad_norm_sq", "uplink_bits",
                "downlink_bits", "cumulative_bits")

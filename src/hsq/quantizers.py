@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codebook import Codebook
-from .errors import DimensionMismatch, EmptyInput, InvalidGradient, Overflow
+from .codebook import _U32_MAX, Codebook
+from .errors import DimensionMismatch, EmptyInput, InvalidGradient, Overflow, out_of_range
 from .rng import Stream
 
 
@@ -354,8 +354,9 @@ def compress(g: np.ndarray, cb: Codebook, s: int, variant: Variant | str,
     """
     variant = Variant(variant)
     g = _check_gradient(g)
-    if s < 0:
-        raise ValueError(f"level count must be >= 0, got {s}")
+    if bad := level_violations(s):
+        raise ValueError(bad[0])
+    s = int(s)  # a numpy unsigned s would turn the int64 grid arithmetic into floats
 
     indices, norms, grid, u_min, u_max = _compress_rows(g[None], cb, s, variant, rng)
     return CompressedGradient(total_dim=g.shape[0], segment_dim=cb.dim,
@@ -364,19 +365,42 @@ def compress(g: np.ndarray, cb: Codebook, s: int, variant: Variant | str,
                               norms=norms[0], grid=None if grid is None else grid[0])
 
 
+def level_violations(s: int) -> list[str]:
+    """The rule for a pseudo-norm grid: an int s >= 0 levels (0 = raw f32), within the
+    u32 a frame header carries it in."""
+    return out_of_range("s", s, 0, _U32_MAX)
+
+
+def _is_column(a: np.ndarray, n: int, kinds: str) -> bool:
+    """Whether a holds n values along one axis, of a dtype kind in kinds: a well-formed
+    field of a CompressedGradient with n segments."""
+    return a.shape == (n,) and a.dtype.kind in kinds
+
+
 def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
-    """Reconstruct the gradient: concatenate u~ * c per segment, strip padding."""
+    """Reconstruct the gradient: concatenate u~ * c per segment, strip padding.
+
+    Raises InvalidGradient for an object that is not a CompressedGradient and
+    DimensionMismatch for a code that does not fit cb or is malformed: each
+    segment needs an int index in [0, m) and a finite float pseudo-norm.
+    """
+    if not isinstance(cg, CompressedGradient):
+        raise InvalidGradient(f"cannot decode a {type(cg).__name__}, only a CompressedGradient")
     if cg.segment_dim != cb.dim or cg.codeword_count != cb.count:
         raise DimensionMismatch(
             f"compressed gradient carries d'={cg.segment_dim}, m={cg.codeword_count}; "
             f"codebook has d'={cb.dim}, m={cb.count}")
-    if len(cg.indices) != -(-cg.total_dim // cg.segment_dim):
-        raise DimensionMismatch(f"{len(cg.indices)} segments cannot carry d={cg.total_dim} "
+    n_seg = -(-cg.total_dim // cg.segment_dim)
+    indices, norms = np.asarray(cg.indices), np.asarray(cg.norms)
+    if indices.ndim == 1 and len(indices) != n_seg:
+        raise DimensionMismatch(f"{len(indices)} segments cannot carry d={cg.total_dim} "
                                 f"at d'={cg.segment_dim}")
     # as unsigned, a negative index wraps above m, so one comparison checks both ends
-    if len(cg.norms) != len(cg.indices) or (np.asarray(cg.indices, np.uint64) >= cb.count).any():
-        raise DimensionMismatch(f"each segment needs a pseudo-norm and an index in [0, {cb.count})")
-    return _decoded(cg.indices, cg.norms, cb, cg.total_dim)
+    if not (_is_column(indices, n_seg, "iu") and _is_column(norms, n_seg, "f")
+            and (indices.astype(np.uint64) < cb.count).all() and np.isfinite(norms).all()):
+        raise DimensionMismatch(f"each segment needs a pseudo-norm and an index in [0, {cb.count}),"
+                                " a finite float and an int, along one axis")
+    return _decoded(indices, norms, cb, cg.total_dim)
 
 
 def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
@@ -392,10 +416,11 @@ def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:
     first = compressed[0]
     total = decode(first, cb)
     for cg in compressed[1:]:
+        x = decode(cg, cb)
         if cg.total_dim != first.total_dim:
             raise DimensionMismatch(
                 f"cannot aggregate gradients of dims {first.total_dim} and {cg.total_dim}")
-        total += decode(cg, cb)
+        total += x
     return total / len(compressed)
 
 

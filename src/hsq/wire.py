@@ -21,9 +21,9 @@ of the segment's f32 pseudo-norm (IEEE-754, most significant bit
 first). The final byte is zero-padded.
 
 hsq_payload_bits counts the payload without the HEADER_BITS of the
-header; length_violations and level_violations are the rules for the d
-and s header fields. The simulator's table of uplink compressors does
-the bit accounting of every scheme.
+header; length_violations is the rule for the d header field, and
+quantizers.level_violations the one for s. The simulator's table of
+uplink compressors does the bit accounting of every scheme.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .codebook import _U32_MAX
 from .errors import InvalidGradient, Overflow, WireFormatError, out_of_range
-from .quantizers import CompressedGradient, decode_pseudo_norm
+from .quantizers import CompressedGradient, _is_column, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -47,12 +47,12 @@ SCHEME_HSQ = 1
 
 def index_bits(m: int) -> int:
     """Bits for a codeword index: ceil(log2 m), i.e. 0 when m = 1."""
-    return (m - 1).bit_length()
+    return int(m - 1).bit_length()  # int(): numpy integers pass the rules too
 
 
 def level_bits(s: int) -> int:
     """Bits for a grid level: ceil(log2 (s+1)); raw-f32 mode (s=0) uses 32."""
-    return s.bit_length() if s >= 1 else 32
+    return int(s).bit_length() if s >= 1 else 32
 
 
 def _to_bits(words: np.ndarray, width: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
 def _column(values, n_seg: int, kinds: str, name: str) -> np.ndarray:
     """values as an array of n_seg entries of a dtype kind in kinds, else WireFormatError."""
     a = np.asarray(values)
-    if a.shape != (n_seg,) or a.dtype.kind not in kinds:
+    if not _is_column(a, n_seg, kinds):
         raise WireFormatError(
             f"{name} must hold {n_seg} values of dtype kind {kinds!r}; "
             f"got shape {a.shape}, dtype {a.dtype}")
@@ -92,6 +92,8 @@ def encode_frame(cg: CompressedGradient) -> bytes:
     f32 values, and grid-mode pseudo-norms their levels' grid values, bit
     for bit, so that decode_frame returns cg field for field; else it refuses.
     """
+    if not isinstance(cg, CompressedGradient):
+        raise WireFormatError(f"cannot encode a {type(cg).__name__}, only a CompressedGradient")
     if cg.total_dim < 1:
         raise InvalidGradient("cannot encode an empty gradient")
     if cg.segment_dim < 1 or cg.codeword_count < 1 or cg.levels < 0:
@@ -225,8 +227,3 @@ def hsq_payload_bits(d: int, d_prime: int, m: int, s: int) -> int:
 def length_violations(d: int) -> list[str]:
     """The rule for a gradient length: 1 <= d, within the u32 a frame header carries it in."""
     return out_of_range("d", d, 1, _U32_MAX)
-
-
-def level_violations(s: int) -> list[str]:
-    """The rule for a pseudo-norm grid: s >= 0 levels (0 = raw f32), within its u32 header field."""
-    return out_of_range("s", s, 0, _U32_MAX)

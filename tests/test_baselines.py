@@ -7,7 +7,7 @@ from hsq.baselines import (QSGD_BUCKET_SIZE, compress_qsgd, compress_sign,
                            compress_terngrad, decode_qsgd, decode_sign,
                            decode_terngrad, qsgd_dense_bits, sign_bits)
 from hsq.codebook import CodebookMethod, generate
-from hsq.errors import InvalidGradient
+from hsq.errors import InvalidGradient, Overflow
 from hsq.quantizers import Variant, compress
 from hsq.rng import Stream
 from hsq.fedsim import SCHEMES, QuantizerScheme, payload_bits
@@ -143,6 +143,19 @@ def test_qsgd_rejects_bad_params():
         compress_qsgd(np.ones(4), 1, Stream(0), bucket_size=0)
     with pytest.raises(InvalidGradient):
         compress_qsgd(np.array([np.nan]), 1, Stream(0))
+
+
+def test_qsgd_refuses_a_bucket_whose_squared_norm_overflows():
+    # finite input whose bucket norm overflows used to warn and decode to all NaN;
+    # it raises Overflow, as hsq's compress does past the f32 range
+    tail = np.ones(QSGD_BUCKET_SIZE + 3)
+    tail[-1] = 1e200
+    for g in (np.full(1000, 1e200), tail, np.array([-1.4e154, 1.4e154])):
+        with pytest.raises(Overflow):
+            compress_qsgd(g, 15, Stream(0))
+    # just below the limit every bucket still encodes and decodes finitely
+    g = np.full(QSGD_BUCKET_SIZE, 1e150)
+    assert np.all(np.isfinite(decode_qsgd(compress_qsgd(g, 15, Stream(0)))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import hsq
 from hsq.codebook import CodebookMethod, generate
-from hsq.errors import ConfigError
+from hsq.errors import ConfigError, InvalidShape
 from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, SCHEMES, FedConfig, LrSchedule,
                         QuantizerScheme, RoundLog, compression_ratio, curly_l, logs_to_csv,
                         lr_theorem1, lr_theorem3, partition_indices, payload_bits, run,
@@ -19,6 +19,7 @@ from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, SCHEMES, FedConfig, LrSchedule,
 from hsq.problems import Logistic, Quadratic, TinyMLP
 from hsq.quantizers import Variant, compress, decode
 from hsq.rng import Stream
+from hsq.wire import encode_frame
 
 
 def _identity_cfg(**kw):
@@ -378,6 +379,37 @@ def test_grouped_batch_picks_equal_per_client_picks():
                 assert len(batches) == len(expected)
                 for got, want in zip(batches, expected):
                     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(3.0), "4"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_every_integer_rule_refuses_what_is_not_an_int(bad):
+    # s = 1.5 used to pass the hsq rule and end in an AttributeError in the bit
+    # accounting, and compress returned levels=1.5 on a grid [0, 0.5, 1.5]
+    sch = QuantizerScheme(name="hsq", d_prime=16, m=256, s=bad)
+    assert sch.violations() == [f"s: must be an int, got {bad!r}"]
+    with pytest.raises(ConfigError, match="s: must be an int"):
+        payload_bits(sch, 64)
+    with pytest.raises(ConfigError, match="d: must be an int"):
+        payload_bits(QuantizerScheme(name="hsq", d_prime=16, m=256, s=63), bad)
+    cb = generate(CodebookMethod.SOB, 4, 4, seed=0)
+    with pytest.raises(ValueError, match="s: must be an int"):
+        compress(np.ones(4), cb, bad, Variant.UNBIASED, Stream(0))
+    for name, args in (("d_prime", (bad, 4, 0)), ("m", (4, bad, 0)), ("seed", (4, 4, bad))):
+        with pytest.raises(InvalidShape, match=f"{name}: must be an int"):
+            generate(CodebookMethod.SOB, *args)
+
+
+def test_numpy_integers_pass_the_integer_rules():
+    sch = QuantizerScheme(name="hsq", d_prime=np.int64(16), m=np.uint16(256), s=np.int8(63))
+    assert sch.violations() == []
+    assert payload_bits(sch, np.int64(64)) == payload_bits(QuantizerScheme("hsq", 16, 256, 63), 64)
+    assert payload_bits(QuantizerScheme("qsgd", s=np.int64(15)), 512) == 512 * 5 + 32
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, np.int64(4), np.int64(8), np.uint64(3))
+    g = Stream(4).normals(10)
+    want = encode_frame(compress(g, cb, 7, Variant.UNBIASED, Stream(5)))
+    for s in (np.int64(7), np.uint64(7)):
+        assert encode_frame(compress(g, cb, s, Variant.UNBIASED, Stream(5))) == want
 
 
 @pytest.mark.parametrize("variant,s", itertools.product(Variant, (0, 1, 63)))

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import openblas_core
 from hsq.codebook import Codebook, CodebookMethod, generate
-from hsq.errors import DimensionMismatch, EmptyInput, InvalidGradient, Overflow
+from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, Overflow,
+                        WireFormatError)
 from hsq.metrics import check_variance_bound
 from hsq.quantizers import (CompressedGradient, Variant, _compress_rows, _select, aggregate,
                             compress, decode, decode_pseudo_norm, quantize_greedy,
                             round_in_cell, rounding_cell, sample_unbiased_codes,
                             segment_gradient)
 from hsq.rng import Stream
+from hsq.wire import encode_frame
 
 
 def sob(dim):
@@ -300,15 +303,38 @@ def test_decode_checks_segment_count():
             aggregate(batch, cb)
 
 
-@pytest.mark.parametrize("indices,norms", [([-1], [1.0]), ([4], [1.0]), ([0], [])],
-                         ids=["negative-index", "index-m", "no-norm"])
+@pytest.mark.parametrize("indices,norms", [
+    ([-1], [1.0]), ([4], [1.0]), ([0], np.array([], dtype=np.float64)),
+    (np.array([0.0]), [1.0]), ([[0]], [1.0]), ([0], ["1.0"]), ([0], [np.nan]), ([0], [np.inf]),
+    ([0], [[1.0]]), ([0], [1]), (np.array([False]), [1.0]), ([0], np.array([1.0], dtype=object)),
+], ids=["negative-index", "index-m", "no-norm", "float-index", "2-d-index", "str-norm",
+        "nan-norm", "inf-norm", "2-d-norm", "int-norm", "bool-index", "object-norm"])
 def test_decode_rejects_malformed_codes(indices, norms):
-    # one raw-norm segment at d = d' = m = 4, built by hand as a caller could
+    # one raw-norm segment at d = d' = m = 4, built by hand as a caller could;
+    # wire.encode_frame refuses each of them too, by the same predicate
+    cb = sob(4)
     cg = CompressedGradient(total_dim=4, segment_dim=4, codeword_count=4, levels=0,
-                            u_min=0.0, u_max=1.0, indices=np.array(indices, dtype=np.int64),
-                            norms=np.array(norms, dtype=np.float64), grid=None)
-    with pytest.raises(DimensionMismatch, match=r"a pseudo-norm and an index in \[0, 4\)"):
-        decode(cg, sob(4))
+                            u_min=0.0, u_max=1.0, indices=np.asarray(indices),
+                            norms=np.asarray(norms), grid=None)
+    good = compress(np.ones(4), cb, 0, Variant.GREEDY, Stream(0))
+    for call in (lambda: decode(cg, cb), lambda: aggregate([cg], cb),
+                 lambda: aggregate([good, cg], cb)):
+        with pytest.raises(DimensionMismatch, match=r"a pseudo-norm and an index in \[0, 4\)"):
+            call()
+    with pytest.raises(WireFormatError):
+        encode_frame(cg)
+
+
+def test_codec_entry_points_refuse_what_is_not_a_compressed_gradient():
+    cb = sob(4)
+    good = compress(np.ones(4), cb, 0, Variant.GREEDY, Stream(0))
+    for item in (np.ones(4), None, [good]):
+        for call in (lambda: decode(item, cb), lambda: aggregate([item], cb),
+                     lambda: aggregate([good, item], cb)):
+            with pytest.raises(InvalidGradient, match="only a CompressedGradient"):
+                call()
+        with pytest.raises(WireFormatError, match="only a CompressedGradient"):
+            encode_frame(item)
 
 
 def test_decoded_levels_stay_in_interval():
@@ -660,22 +686,6 @@ def test_certified_search_matches_searchsorted_rule(monkeypatch, method, d_prime
             assert took[~in_range & (l1 > 0)].all() and not took[random & (l1 == 0)].any()
 
 
-def _openblas_core() -> str | None:
-    """The kernel name numpy's bundled OpenBLAS chose, None if it cannot be read."""
-    import ctypes
-    import glob
-    import os
-
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
-
 def test_certified_search_matches_searchsorted_rule_under_haswell_kernel():
     """The search test again, in a child process on OpenBLAS's Haswell kernel,
     whose sums round differently; the digest pins are left out, they differ there."""
@@ -684,12 +694,13 @@ def test_certified_search_matches_searchsorted_rule_under_haswell_kernel():
     import sys
     from pathlib import Path
 
-    if _openblas_core() is None:
+    if openblas_core() is None:
         pytest.skip("numpy's bundled OpenBLAS is not readable here")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
                PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, pytest, test_quantizers as t; print(t._openblas_core()); "
+    code = ("import sys, pytest, conftest, test_quantizers as t; "
+            "print(conftest.openblas_core()); "
             "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-k', "
             "'test_certified_search_matches_searchsorted_rule and not haswell', t.__file__]))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
