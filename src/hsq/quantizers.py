@@ -94,10 +94,11 @@ def _project(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-def _blocks(n: int, width: int) -> list[slice]:
+@functools.lru_cache(maxsize=256)  # compress asks twice per call, the same sizes each time
+def _blocks(n: int, width: int) -> tuple[slice, ...]:
     """Slices over range(n) of as many items of width values as fit in _BLOCK, at least one."""
     step = max(1, _BLOCK // max(1, width))  # width 0: k = 0 draws is allowed
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
+    return tuple(slice(lo, lo + step) for lo in range(0, n, step))
 
 
 # Blocks of fewer segments x codewords than this search the full CDF: below it,

@@ -70,6 +70,13 @@ def _child_words(n: int) -> np.ndarray:
     return _CHILD_WORDS[:n]
 
 
+def _words_of(seed: int | np.ndarray, counter: int, n: int) -> np.ndarray:
+    """word(counter + 1) .. word(counter + n) of a seed, or of each seed of an array, along
+    a last axis."""
+    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    return mix64((seed if isinstance(seed, int) else seed[..., None]) + idx * _GOLDEN_U64)
+
+
 def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> _R11) * _TWO_M53  # the product casts the 53-bit integers to f64 exactly
 
@@ -136,14 +143,12 @@ class Stream:
         which comes from a table, so no tag is mixed per call.
         """
         h = self._seed if isinstance(self._seed, int) else self._seed[..., None]
-        seeds = mix64(((h + _GOLDEN) & _MASK64) ^ _child_words(n))
-        return _unit(mix64(seeds[..., None] + np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN_U64))
+        return _unit(_words_of(mix64(((h + _GOLDEN) & _MASK64) ^ _child_words(n)), 0, k))
 
     def _words(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        words = _words_of(self._seed, self._counter, n)
         self._counter += n
-        seed = self._seed if isinstance(self._seed, int) else self._seed[..., None]
-        return mix64(seed + idx * _GOLDEN_U64)
+        return words
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), along a last axis."""
