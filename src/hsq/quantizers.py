@@ -398,7 +398,8 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
                                 f"at d'={cg.segment_dim}")
     # as unsigned, a negative index wraps above m, so one comparison checks both ends
     if not (_is_column(indices, n_seg, "iu") and _is_column(norms, n_seg, "f")
-            and (indices.astype(np.uint64) < cb.count).all() and np.isfinite(norms).all()):
+            and np.logical_and.reduce(indices.astype(np.uint64) < cb.count)
+            and np.logical_and.reduce(np.isfinite(norms))):
         raise DimensionMismatch(f"each segment needs a pseudo-norm and an index in [0, {cb.count}),"
                                 " a finite float and an int, along one axis")
     return _decoded(indices, norms, cb, cg.total_dim)
@@ -417,11 +418,11 @@ def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:
     first = compressed[0]
     total = decode(first, cb)
     for cg in compressed[1:]:
-        x = decode(cg, cb)
-        if cg.total_dim != first.total_dim:
+        # decode refuses what is not a CompressedGradient
+        if isinstance(cg, CompressedGradient) and cg.total_dim != first.total_dim:
             raise DimensionMismatch(
                 f"cannot aggregate gradients of dims {first.total_dim} and {cg.total_dim}")
-        total += x
+        total += decode(cg, cb)
     return total / len(compressed)
 
 
