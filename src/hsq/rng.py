@@ -64,7 +64,7 @@ def _child_words(n: int) -> np.ndarray:
     """mix64 of the tags 0 .. n-1, read-only."""
     global _CHILD_WORDS
     if n > len(_CHILD_WORDS):
-        table = mix64(np.arange(max(n, 2 * len(_CHILD_WORDS)), dtype=np.uint64))
+        table = mix64(np.arange(n, dtype=np.uint64))
         table.flags.writeable = False
         _CHILD_WORDS = table
     return _CHILD_WORDS[:n]
