@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hsq.codebook as cbm
+from conftest import openblas_core
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import InvalidShape, RankDeficient, WireFormatError
 from hsq.rng import Stream
@@ -151,6 +152,53 @@ def test_kmeans_columns_pinned():
 
 
 _KMEANS_DIGEST = "18081bff5ebfb71d2e72880e9fbbfac5091c6208cd9942e630ca22c37532e713"
+
+
+def test_kmeans_columns_pinned_at_larger_shapes():
+    # a pool of 65,536 rows (d' = 16, m = 256) and a wide segment (d' = 64)
+    digest = hashlib.sha256()
+    for dim, count, seed in (16, 256, 0), (64, 64, 0):
+        digest.update(generate(CodebookMethod.KMEANS_GAUSSIAN, dim, count, seed).columns.tobytes())
+    assert digest.hexdigest() == "0571b1612c5d1ca3172cc97da603b05c9a8b48b0f6331ff6ab858abdff193470"
+
+
+@pytest.mark.parametrize("coretype,core", [("Haswell", "Haswell"), ("Prescott", "Katmai")])
+def test_kmeans_columns_pinned_under_other_kernels(coretype, core):
+    """The k-means pin again, in a child process on another OpenBLAS kernel,
+    whose GEMM blocks differently (OpenBLAS names the Prescott kernel Katmai)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if openblas_core() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not readable here")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, pytest, conftest, test_codebook as t; "
+            "print(conftest.openblas_core()); "
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+            "t.__file__ + '::test_kmeans_columns_pinned']))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0] == core
+    assert "1 passed" in proc.stdout
+
+
+def test_lloyd_peak_memory_at_large_pool():
+    import tracemalloc
+
+    pool = Stream(4).normal_matrix(cbm.KMEANS_POOL_FACTOR * 256, 16)  # 8 MiB, not counted
+    init = pool[:256].copy()
+    tracemalloc.start()
+    try:
+        cbm._lloyd(pool, init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak
 
 
 def _ref_lloyd(pool, centers):
