@@ -159,32 +159,51 @@ def _kmeans_columns(dim: int, count: int, stream: Stream) -> np.ndarray:
 def _lloyd(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """KMEANS_ITERATIONS Lloyd steps from the given initial centers (rows), on pool's rows.
 
-    Points are assigned in row blocks. A center moves to its members' sum
-    over their count, the sum taken by one bincount that adds the members'
-    rows in pool order, as ``pool[members].mean(axis=0)`` does. Empty
-    clusters are re-seeded in ascending order from the farthest points.
+    The arithmetic is the plain loop's: squared distances x.c times -2, plus
+    ||x||^2, plus ||c||^2; each point to its first nearest center; each center
+    to its members' mean; empty clusters re-seeded in ascending order from
+    the farthest points. Three cuts save passes and keep the bits:
+
+    - Distances: one GEMM per row block of the rows [x, ||x||^2, 1] against
+      [-2c, 1, ||c||^2]. Scaling by -2 is exact, so each product and partial
+      sum is -2 times the plain one, and a kernel that sums each entry along
+      K in order adds the two trailing terms last, in the plain order.
+    - Center sums: one bincount per coordinate adds the members in pool
+      order from 0.0, as ``pool[members].mean(axis=0)`` does, without an
+      n x d' array of bin numbers.
+    - Reseed distances: a point's own distance is taken only in a step with
+      an empty cluster, from the same GEMM, so the re-seed picks the same points.
+
+    A kernel that sums along K out of order (GEMV for a 1-row block, or an
+    OpenBLAS path that the longer rows select by shape) can round a distance
+    differently in its last bits; an assignment moves then only at a tie
+    within those bits, as across BLAS kernels (ROADMAP item 3).
     """
     from .quantizers import _blocks  # quantizers imports this module
 
     (n, dim), count = pool.shape, centers.shape[0]
     centers = centers.copy()
-    pool_sq = np.einsum("ij,ij->i", pool, pool)
-    assign, dists = np.empty(n, dtype=np.int64), np.empty(n)
+    rows = np.empty((n, dim + 2))
+    rows[:, :dim] = pool
+    rows[:, dim] = np.einsum("ij,ij->i", pool, pool)
+    rows[:, dim + 1] = 1.0
+    cols = np.empty((count, dim + 2))
+    cols[:, dim] = 1.0
+    coords = pool.T.copy()  # each coordinate contiguous, for its bincount
+    blocks, assign, sums = _blocks(n, count), np.empty(n, dtype=np.int64), np.empty((count, dim))
     for _ in range(KMEANS_ITERATIONS):
-        center_sq = np.einsum("ij,ij->i", centers, centers)
-        for at in _blocks(n, count):
-            # squared distances via the expansion ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2,
-            # added in place in that order; a point's own distance is its minimum entry
-            dist = pool[at] @ centers.T
-            dist *= -2.0
-            dist += pool_sq[at, None]
-            dist += center_sq
-            assign[at] = nearest = np.argmin(dist, axis=1)
-            dists[at] = dist[np.arange(len(nearest)), nearest]
+        np.multiply(centers, -2.0, out=cols[:, :dim])
+        cols[:, dim + 1] = np.einsum("ij,ij->i", centers, centers)
+        for at in blocks:
+            assign[at] = np.argmin(rows[at] @ cols.T, axis=1)
         sizes = np.bincount(assign, minlength=count)
-        bins = (assign[:, None] * dim + np.arange(dim)).ravel()  # (center, column) per entry
-        sums = np.bincount(bins, weights=pool.ravel(), minlength=count * dim).reshape(count, dim)
+        for j, coord in enumerate(coords):
+            sums[:, j] = np.bincount(assign, weights=coord, minlength=count)
         live = sizes > 0
+        if not live.all():
+            dists = np.empty(n)
+            for at in blocks:
+                dists[at] = np.take_along_axis(rows[at] @ cols.T, assign[at, None], axis=1)[:, 0]
         centers[live] = sums[live] / sizes[live, None]
         for c in np.flatnonzero(~live):
             # re-seed an empty cluster from the globally farthest point
