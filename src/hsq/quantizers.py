@@ -378,15 +378,23 @@ def _is_column(a: np.ndarray, n: int, kinds: str) -> bool:
     return a.shape == (n,) and a.dtype.kind in kinds
 
 
+def _header_violations(cg: CompressedGradient, *names: str) -> list[str]:
+    """The integer rule over the named header fields of cg, which slice and pack as ints."""
+    return [v for name in names for v in out_of_range(name, getattr(cg, name), None)]
+
+
 def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
     """Reconstruct the gradient: concatenate u~ * c per segment, strip padding.
 
     Raises InvalidGradient for an object that is not a CompressedGradient and
-    DimensionMismatch for a code that does not fit cb or is malformed: each
-    segment needs an int index in [0, m) and a finite float pseudo-norm.
+    DimensionMismatch for a code that does not fit cb or is malformed: int
+    d, d' and m, and for each segment an int index in [0, m) and a finite
+    float pseudo-norm.
     """
     if not isinstance(cg, CompressedGradient):
         raise InvalidGradient(f"cannot decode a {type(cg).__name__}, only a CompressedGradient")
+    if bad := _header_violations(cg, "total_dim", "segment_dim", "codeword_count"):
+        raise DimensionMismatch("; ".join(bad))
     if cg.segment_dim != cb.dim or cg.codeword_count != cb.count:
         raise DimensionMismatch(
             f"compressed gradient carries d'={cg.segment_dim}, m={cg.codeword_count}; "

@@ -35,7 +35,7 @@ import numpy as np
 
 from .codebook import _U32_MAX
 from .errors import InvalidGradient, Overflow, WireFormatError, out_of_range
-from .quantizers import CompressedGradient, _is_column, decode_pseudo_norm
+from .quantizers import CompressedGradient, _header_violations, _is_column, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -94,6 +94,8 @@ def encode_frame(cg: CompressedGradient) -> bytes:
     """
     if not isinstance(cg, CompressedGradient):
         raise WireFormatError(f"cannot encode a {type(cg).__name__}, only a CompressedGradient")
+    if bad := _header_violations(cg, "total_dim", "segment_dim", "codeword_count", "levels"):
+        raise WireFormatError("; ".join(bad))
     if cg.total_dim < 1:
         raise InvalidGradient("cannot encode an empty gradient")
     if cg.segment_dim < 1 or cg.codeword_count < 1 or cg.levels < 0:

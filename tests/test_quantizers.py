@@ -303,23 +303,29 @@ def test_decode_checks_segment_count():
             aggregate(batch, cb)
 
 
-@pytest.mark.parametrize("indices,norms", [
-    ([-1], [1.0]), ([4], [1.0]), ([0], np.array([], dtype=np.float64)),
-    (np.array([0.0]), [1.0]), ([[0]], [1.0]), ([0], ["1.0"]), ([0], [np.nan]), ([0], [np.inf]),
-    ([0], [[1.0]]), ([0], [1]), (np.array([False]), [1.0]), ([0], np.array([1.0], dtype=object)),
+@pytest.mark.parametrize("indices,norms,header", [
+    ([-1], [1.0], {}), ([4], [1.0], {}), ([0], np.array([], dtype=np.float64), {}),
+    (np.array([0.0]), [1.0], {}), ([[0]], [1.0], {}), ([0], ["1.0"], {}), ([0], [np.nan], {}),
+    ([0], [np.inf], {}), ([0], [[1.0]], {}), ([0], [1], {}), (np.array([False]), [1.0], {}),
+    ([0], np.array([1.0], dtype=object), {}),
+    ([0], [1.0], dict(total_dim=4.0)), ([0], [1.0], dict(segment_dim=4.0)),
+    ([0], [1.0], dict(codeword_count=4.0)),
 ], ids=["negative-index", "index-m", "no-norm", "float-index", "2-d-index", "str-norm",
-        "nan-norm", "inf-norm", "2-d-norm", "int-norm", "bool-index", "object-norm"])
-def test_decode_rejects_malformed_codes(indices, norms):
+        "nan-norm", "inf-norm", "2-d-norm", "int-norm", "bool-index", "object-norm",
+        "float-d", "float-d-prime", "float-m"])
+def test_decode_rejects_malformed_codes(indices, norms, header):
     # one raw-norm segment at d = d' = m = 4, built by hand as a caller could;
-    # wire.encode_frame refuses each of them too, by the same predicate
+    # wire.encode_frame refuses each of them too, by the same predicates
     cb = sob(4)
-    cg = CompressedGradient(total_dim=4, segment_dim=4, codeword_count=4, levels=0,
-                            u_min=0.0, u_max=1.0, indices=np.asarray(indices),
-                            norms=np.asarray(norms), grid=None)
+    fields = {**dict(total_dim=4, segment_dim=4, codeword_count=4), **header}
+    cg = CompressedGradient(**fields, levels=0, u_min=0.0, u_max=1.0,
+                            indices=np.asarray(indices), norms=np.asarray(norms), grid=None)
     good = compress(np.ones(4), cb, 0, Variant.GREEDY, Stream(0))
+    match = (f"{next(iter(header))}: must be an int, got 4.0" if header
+             else r"a pseudo-norm and an index in \[0, 4\)")
     for call in (lambda: decode(cg, cb), lambda: aggregate([cg], cb),
                  lambda: aggregate([good, cg], cb)):
-        with pytest.raises(DimensionMismatch, match=r"a pseudo-norm and an index in \[0, 4\)"):
+        with pytest.raises(DimensionMismatch, match=match):
             call()
     with pytest.raises(WireFormatError):
         encode_frame(cg)

@@ -168,6 +168,15 @@ def test_encode_rejects_non_integer_codes():
             encode_frame(_frame(**bad))
 
 
+def test_encode_rejects_non_integer_header_fields():
+    # struct packs only ints; a float d, d', m or s is refused by the integer rule
+    for field, bad in (("total_dim", dict(d=8.0)), ("segment_dim", dict(d_prime=8.0)),
+                       ("codeword_count", dict(m=256.0)), ("levels", dict(s=63.0)),
+                       ("levels", dict(s=1.5)), ("total_dim", dict(d=True))):
+        with pytest.raises(WireFormatError, match=f"{field}: must be an int"):
+            encode_frame(_frame(**bad))
+
+
 def test_encode_rejects_inverted_bounds():
     with pytest.raises(WireFormatError):
         encode_frame(_frame(u_min=1.0, u_max=0.0))
