@@ -282,7 +282,10 @@ def run_validator_suite(seed: int = 0) -> dict:
     def record(name: str, passed: bool, **measured) -> None:
         checks.append({"name": name, "passed": bool(passed), "measured": measured})
 
-    ortho = generate(CodebookMethod.RANDOM_ROTATION, 16, 16, seed)
+    books = {method: generate(method, 16, 16 if method in SQUARE_METHODS else 32, seed)
+             for method in SEEDED_METHODS}
+    ortho, gauss, sob = (books[method] for method in (
+        CodebookMethod.RANDOM_ROTATION, CodebookMethod.RANDOM_GAUSSIAN, CodebookMethod.SOB))
     worst_z = 0.0
     for i, g in enumerate(root.derive("bias-g", np.arange(3)).normals(16)):
         z = check_unbiasedness("unbiased", ortho, g, 20_000, root.derive("bias-mc", i))
@@ -304,20 +307,17 @@ def run_validator_suite(seed: int = 0) -> dict:
         worst_norm_z = max(worst_norm_z, abs(zval))
     record("pseudo-norm-z-scores", worst_norm_z <= 4.0, worst_z=worst_norm_z)
 
-    gauss = generate(CodebookMethod.RANDOM_GAUSSIAN, 16, 32, seed)
     vb = check_variance_bound(gauss, 128, 7, 400, root.derive("varbound"))
     record("variance-bound", vb.passed, empirical=vb.empirical, bound=vb.bound,
            bound_loose=vb.bound_loose)
 
     alpha_ok, alpha_worst = True, {}
-    for method in SEEDED_METHODS:
-        cb = generate(method, 16, 16 if method in SQUARE_METHODS else 32, seed)
+    for method, cb in books.items():
         res = check_alpha(cb, 2000, root.derive("alpha", method.value))
         alpha_ok &= res.passed
         alpha_worst[method.value] = {"worst": res.worst, "floor": res.floor}
     record("alpha-floor", alpha_ok, **alpha_worst)
 
-    sob = generate(CodebookMethod.SOB, 16, 16, seed)
     n_ks = 4000
     g = _unit_rows(root.derive("ks"), n_ks, 16)
     stat = ks_two_sample(beta_correlation(g, sob), beta_correlation(g, ortho))
