@@ -183,10 +183,7 @@ def _lloyd(pool: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     (n, dim), count = pool.shape, centers.shape[0]
     centers = centers.copy()
-    rows = np.empty((n, dim + 2))
-    rows[:, :dim] = pool
-    rows[:, dim] = np.einsum("ij,ij->i", pool, pool)
-    rows[:, dim + 1] = 1.0
+    rows = np.column_stack([pool, np.einsum("ij,ij->i", pool, pool), np.ones(n)])
     cols = np.empty((count, dim + 2))
     cols[:, dim] = 1.0
     coords = pool.T.copy()  # each coordinate contiguous, for its bincount
