@@ -2,11 +2,15 @@
 
 Several pinned digests hold for one OpenBLAS kernel only (ROADMAP item 3):
 a run on a CPU where OpenBLAS picks another kernel shows why they fail.
+run_tests_on_kernel reruns tests in a child process on a kernel chosen by name.
 """
 
 import ctypes
 import glob
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +31,19 @@ def openblas_core() -> str | None:
     """The kernel name numpy's bundled OpenBLAS chose, None if it cannot be read."""
     name = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
     return None if name is None else name.decode()
+
+
+def run_tests_on_kernel(coretype: str, args: list[str]) -> tuple[str, subprocess.CompletedProcess]:
+    """Run pytest on args in a child process on OpenBLAS's coretype kernel, set in the
+    child's environment only; the kernel name the child read, and the process."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, pytest, conftest; print(conftest.openblas_core()); "
+            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{args!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.stdout.partition("\n")[0], proc
 
 
 def pytest_report_header(config):

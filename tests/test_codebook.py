@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hsq.codebook as cbm
-from conftest import openblas_core
+from conftest import openblas_core, run_tests_on_kernel
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import InvalidShape, RankDeficient, WireFormatError
 from hsq.rng import Stream
@@ -166,24 +166,11 @@ def test_kmeans_columns_pinned_at_larger_shapes():
 def test_kmeans_columns_pinned_under_other_kernels(coretype, core):
     """The k-means pin again, in a child process on another OpenBLAS kernel,
     whose GEMM blocks differently (OpenBLAS names the Prescott kernel Katmai)."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     if openblas_core() is None:
         pytest.skip("numpy's bundled OpenBLAS is not readable here")
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
-               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, pytest, conftest, test_codebook as t; "
-            "print(conftest.openblas_core()); "
-            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-            "t.__file__ + '::test_kmeans_columns_pinned']))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
-                          capture_output=True, text=True, timeout=300)
+    read, proc = run_tests_on_kernel(coretype, [__file__ + "::test_kmeans_columns_pinned"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[0] == core
+    assert read == core
     assert "1 passed" in proc.stdout
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import openblas_core
+from conftest import openblas_core, run_tests_on_kernel
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, Overflow,
                         WireFormatError)
@@ -695,24 +695,12 @@ def test_certified_search_matches_searchsorted_rule(monkeypatch, method, d_prime
 def test_certified_search_matches_searchsorted_rule_under_haswell_kernel():
     """The search test again, in a child process on OpenBLAS's Haswell kernel,
     whose sums round differently; the digest pins are left out, they differ there."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     if openblas_core() is None:
         pytest.skip("numpy's bundled OpenBLAS is not readable here")
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, pytest, conftest, test_quantizers as t; "
-            "print(conftest.openblas_core()); "
-            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-k', "
-            "'test_certified_search_matches_searchsorted_rule and not haswell', t.__file__]))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
-                          capture_output=True, text=True, timeout=300)
+    read, proc = run_tests_on_kernel("Haswell", [
+        "-k", "test_certified_search_matches_searchsorted_rule and not haswell", __file__])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[0] == "Haswell"
+    assert read == "Haswell"
     assert f"{len(_SEARCH_GRID)} passed" in proc.stdout
 
 
