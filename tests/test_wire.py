@@ -304,6 +304,28 @@ def test_decode_rejects_set_padding_bit():
             decode_frame(bytes(blob))
 
 
+@pytest.mark.parametrize("s", [0, 63])
+def test_decode_header_fields_at_their_limits_roundtrip_or_raise(s):
+    # d, d', m or s set to 0, 1 or 2**32 - 1, one at a time, in a one-segment frame
+    cg = _frame(s=s, grid=None, norms=(0.5,)) if s == 0 else _frame(s=s)
+    blob = encode_frame(cg)
+    accepted = set()
+    for name, offset in (("d", 7), ("d'", 11), ("m", 15), ("s", 19)):
+        for value in (0, 1, 2 ** 32 - 1):
+            mutant = bytearray(blob)
+            struct.pack_into("<I", mutant, offset, value)
+            try:
+                back = decode_frame(bytes(mutant))
+            except WireFormatError:
+                continue
+            assert encode_frame(back) == mutant
+            accepted.add((name, value))
+    # one segment still parses at d = 1 or d' = 2**32 - 1; a raw f32 norm has the
+    # 32 bits of a level of s = 2**32 - 1, so it parses as that level too
+    raw = {("s", 0), ("s", 2 ** 32 - 1)} if s == 0 else set()
+    assert accepted == {("d", 1), ("d'", 2 ** 32 - 1)} | raw
+
+
 def _flip(blob: bytes, pos: int) -> bytes:
     out = bytearray(blob)
     out[pos // 8] ^= 0x80 >> (pos % 8)  # MSB-first, like the payload
