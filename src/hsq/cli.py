@@ -108,7 +108,6 @@ class _ProblemConfig:
         bad = [f"{n}: required for {self.kind}" for n in required if n not in given]
         bad += [f"{n}: {self.kind} reads {size}, not {n}"
                 for n in given.keys() - {"seed", "num_samples", size}]
-        bad += [] if self.seed is None else seed_violations(self.seed)
         violations.extend(f"problem.{v}" for v in bad)
         try:
             return None if bad else cls(**given)

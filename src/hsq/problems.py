@@ -23,13 +23,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidShape
+from .codebook import seed_violations
+from .errors import InvalidShape, out_of_range
 from .quantizers import segment_gradient
 from .rng import Stream
 
 LOGISTIC_RIDGE = 1e-3
 LOGISTIC_MARGIN = 0.5
 TINYMLP_BLOB_SPREAD = 0.7
+
+
+def _refuse(violations: list[str]) -> None:
+    """Raise the first of a constructor's argument violations as a ValueError."""
+    if violations:
+        raise ValueError(violations[0])
 
 
 class Problem:
@@ -71,12 +78,10 @@ class Quadratic(Problem):
     kind = "quadratic"
 
     def __init__(self, dim: int, seed: int, num_samples: int | None = None):
-        if dim < 1:
-            raise ValueError(f"dim: must be >= 1, got {dim}")
+        _refuse(out_of_range("dim", dim, 1) + seed_violations(seed))
         self.dim = dim
         self.num_samples = num_samples if num_samples is not None else 4 * dim
-        if self.num_samples < dim:
-            raise ValueError(f"num_samples: must be >= dim = {dim}, got {self.num_samples}")
+        _refuse(out_of_range("num_samples", self.num_samples, dim, label=f"dim = {dim}"))
         st = Stream(seed).derive("quadratic", dim, self.num_samples)
         self.A = st.derive("A").normal_matrix(self.num_samples, dim)
         self.x_star = st.derive("xstar").normals(dim)
@@ -111,9 +116,8 @@ class Logistic(Problem):
     kind = "logistic"
 
     def __init__(self, dim: int, seed: int, num_samples: int = 200):
-        for name, value, least in (("dim", dim, 1), ("num_samples", num_samples, 2)):
-            if value < least:
-                raise ValueError(f"{name}: must be >= {least}, got {value}")
+        _refuse(out_of_range("dim", dim, 1) + out_of_range("num_samples", num_samples, 2)
+                + seed_violations(seed))
         self.dim = dim
         self.num_samples = num_samples
         st = Stream(seed).derive("logistic", dim, num_samples)
@@ -178,10 +182,10 @@ class TinyMLP(Problem):
 
     def __init__(self, layer_sizes: tuple[int, ...] = (2, 8, 2), seed: int = 0,
                  num_samples: int = 256):
+        _refuse([v for n in layer_sizes for v in out_of_range("layer_sizes", n, None)]
+                + out_of_range("num_samples", num_samples, 1) + seed_violations(seed))
         if len(layer_sizes) < 2 or min(layer_sizes) < 1:
             raise ValueError(f"layer_sizes: needs >= 2 positive entries, got {layer_sizes}")
-        if num_samples < 1:
-            raise ValueError(f"num_samples: must be >= 1, got {num_samples}")
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.num_classes = self.layer_sizes[-1]
         self.num_samples = num_samples

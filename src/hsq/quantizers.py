@@ -378,39 +378,45 @@ def _is_column(a: np.ndarray, n: int, kinds: str) -> bool:
     return a.shape == (n,) and a.dtype.kind in kinds
 
 
-def _header_violations(cg: CompressedGradient, *names: str) -> list[str]:
-    """The integer rule over the named header fields of cg, which slice and pack as ints."""
-    return [v for name in names for v in out_of_range(name, getattr(cg, name), None)]
+def code_violations(cg: CompressedGradient) -> list[str]:
+    """The rule for a compressed gradient, one "field: problem" message per fault: ints
+    d, d', m >= 1 and s >= 0 within a frame header's u32, and for each of the ceil(d/d')
+    segments an int index in [0, m) and a finite float pseudo-norm, along one axis."""
+    out = [v for name, least in (("total_dim", 1), ("segment_dim", 1), ("codeword_count", 1),
+                                 ("levels", 0))
+           for v in out_of_range(name, getattr(cg, name), least, _U32_MAX)]
+    if out:  # the header sizes the columns
+        return out
+    n_seg, m = -(-cg.total_dim // cg.segment_dim), cg.codeword_count
+    indices, norms = np.asarray(cg.indices), np.asarray(cg.norms)
+    if indices.ndim == 1 and len(indices) != n_seg:
+        return [f"indices: {len(indices)} segments cannot carry d={cg.total_dim} "
+                f"at d'={cg.segment_dim}"]
+    # as unsigned, a negative index wraps above m, so one comparison checks both ends
+    if not (_is_column(indices, n_seg, "iu") and _is_column(norms, n_seg, "f")
+            and np.logical_and.reduce(indices.astype(np.uint64) < m)
+            and np.logical_and.reduce(np.isfinite(norms))):
+        return [f"indices, norms: each segment needs a pseudo-norm and an index in [0, {m}),"
+                " a finite float and an int, along one axis"]
+    return []
 
 
 def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
     """Reconstruct the gradient: concatenate u~ * c per segment, strip padding.
 
     Raises InvalidGradient for an object that is not a CompressedGradient and
-    DimensionMismatch for a code that does not fit cb or is malformed: int
-    d, d' and m, and for each segment an int index in [0, m) and a finite
-    float pseudo-norm.
+    DimensionMismatch for a code that code_violations refuses or that does not
+    fit cb.
     """
     if not isinstance(cg, CompressedGradient):
         raise InvalidGradient(f"cannot decode a {type(cg).__name__}, only a CompressedGradient")
-    if bad := _header_violations(cg, "total_dim", "segment_dim", "codeword_count"):
+    if bad := code_violations(cg):
         raise DimensionMismatch("; ".join(bad))
     if cg.segment_dim != cb.dim or cg.codeword_count != cb.count:
         raise DimensionMismatch(
             f"compressed gradient carries d'={cg.segment_dim}, m={cg.codeword_count}; "
             f"codebook has d'={cb.dim}, m={cb.count}")
-    n_seg = -(-cg.total_dim // cg.segment_dim)
-    indices, norms = np.asarray(cg.indices), np.asarray(cg.norms)
-    if indices.ndim == 1 and len(indices) != n_seg:
-        raise DimensionMismatch(f"{len(indices)} segments cannot carry d={cg.total_dim} "
-                                f"at d'={cg.segment_dim}")
-    # as unsigned, a negative index wraps above m, so one comparison checks both ends
-    if not (_is_column(indices, n_seg, "iu") and _is_column(norms, n_seg, "f")
-            and np.logical_and.reduce(indices.astype(np.uint64) < cb.count)
-            and np.logical_and.reduce(np.isfinite(norms))):
-        raise DimensionMismatch(f"each segment needs a pseudo-norm and an index in [0, {cb.count}),"
-                                " a finite float and an int, along one axis")
-    return _decoded(indices, norms, cb, cg.total_dim)
+    return _decoded(np.asarray(cg.indices), np.asarray(cg.norms), cb, cg.total_dim)
 
 
 def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
@@ -423,14 +429,13 @@ def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:
     """Coordinator-side mean of the decoded gradients."""
     if not compressed:
         raise EmptyInput("nothing to aggregate")
-    first = compressed[0]
-    total = decode(first, cb)
+    total = decode(compressed[0], cb)
     for cg in compressed[1:]:
-        # decode refuses what is not a CompressedGradient
-        if isinstance(cg, CompressedGradient) and cg.total_dim != first.total_dim:
+        decoded = decode(cg, cb)
+        if decoded.shape != total.shape:
             raise DimensionMismatch(
-                f"cannot aggregate gradients of dims {first.total_dim} and {cg.total_dim}")
-        total += decode(cg, cb)
+                f"cannot aggregate gradients of dims {total.shape[0]} and {decoded.shape[0]}")
+        total += decoded
     return total / len(compressed)
 
 

@@ -20,6 +20,7 @@ level bits; when s = 0 the level bits are replaced by the raw 32 bits
 of the segment's f32 pseudo-norm (IEEE-754, most significant bit
 first). The final byte is zero-padded.
 
+encode_frame and decode_frame hold a code to one rule, frame_violations.
 hsq_payload_bits counts the payload without the HEADER_BITS of the
 header; length_violations is the rule for the d header field, and
 quantizers.level_violations the one for s. The simulator's table of
@@ -28,14 +29,13 @@ uplink compressors does the bit accounting of every scheme.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
 
 from .codebook import _U32_MAX
 from .errors import InvalidGradient, Overflow, WireFormatError, out_of_range
-from .quantizers import CompressedGradient, _header_violations, _is_column, decode_pseudo_norm
+from .quantizers import CompressedGradient, _is_column, code_violations, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -68,16 +68,6 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(words, axis=1).view(">u4").ravel()
 
 
-def _column(values, n_seg: int, kinds: str, name: str) -> np.ndarray:
-    """values as an array of n_seg entries of a dtype kind in kinds, else WireFormatError."""
-    a = np.asarray(values)
-    if not _is_column(a, n_seg, kinds):
-        raise WireFormatError(
-            f"{name} must hold {n_seg} values of dtype kind {kinds!r}; "
-            f"got shape {a.shape}, dtype {a.dtype}")
-    return a
-
-
 def _f32_clean(x) -> bool:
     """Whether every value of x is finite and exactly representable in f32."""
     x = np.asarray(x, dtype=np.float64)
@@ -85,59 +75,60 @@ def _f32_clean(x) -> bool:
         return bool(np.all(np.isfinite(x)) and np.all(x.astype(np.float32) == x))
 
 
+def frame_violations(cg: CompressedGradient) -> list[str]:
+    """The rule for a code a frame carries: quantizers.code_violations, plus
+    f32 bounds u_min <= u_max and, at s >= 1, a grid of one level in [0, s]
+    per segment with the norms their grid values as float64 bytes (so -0.0
+    is not 0.0), at s = 0 no grid and f32 norms. decode_frame returns such a
+    code field for field from the bytes encode_frame writes for it.
+    """
+    out = code_violations(cg)
+    if not _f32_clean([cg.u_min, cg.u_max]):
+        out.append(f"u_min, u_max: must be finite f32 values, got {cg.u_min!r}, {cg.u_max!r}")
+    elif cg.u_min > cg.u_max:
+        out.append(f"u_min: must be <= u_max = {cg.u_max!r}, got {cg.u_min!r}")
+    if out:
+        return out
+    s, norms = cg.levels, np.asarray(cg.norms, dtype=np.float64)
+    if s == 0:
+        if cg.grid is not None:
+            return ["grid: s=0 frames carry raw norms, not levels"]
+        return [] if _f32_clean(norms) else ["norms: s=0 pseudo-norms must be finite f32 values"]
+    grid = np.asarray(cg.grid)
+    if not (cg.grid is not None and _is_column(grid, len(norms), "iu")
+            and grid.min() >= 0 and grid.max() <= s):
+        return [f"grid: s={s} frames carry an int level in [0, {s}] per segment, along one axis"]
+    if norms.tobytes() != decode_pseudo_norm(grid, cg.u_min, cg.u_max, s).tobytes():
+        return [f"norms: s={s} pseudo-norms must be their levels' grid values"]
+    return []
+
+
 def encode_frame(cg: CompressedGradient) -> bytes:
     """Serialize a compressed gradient; exact inverse of decode_frame.
 
-    Fields that travel as f32 (u_min, u_max, s=0 pseudo-norms) must be
-    f32 values, and grid-mode pseudo-norms their levels' grid values, bit
-    for bit, so that decode_frame returns cg field for field; else it refuses.
+    Refuses a code that frame_violations refuses: by its first violation, an
+    empty gradient with InvalidGradient, a header field beyond its u32 with
+    Overflow, the rest with WireFormatError.
     """
     if not isinstance(cg, CompressedGradient):
         raise WireFormatError(f"cannot encode a {type(cg).__name__}, only a CompressedGradient")
-    if bad := _header_violations(cg, "total_dim", "segment_dim", "codeword_count", "levels"):
-        raise WireFormatError("; ".join(bad))
-    if cg.total_dim < 1:
-        raise InvalidGradient("cannot encode an empty gradient")
-    if cg.segment_dim < 1 or cg.codeword_count < 1 or cg.levels < 0:
-        raise WireFormatError("segment_dim and codeword_count must be >= 1, levels >= 0")
-    for name, value in (("d", cg.total_dim), ("d'", cg.segment_dim),
-                        ("m", cg.codeword_count), ("s", cg.levels)):
-        if value > _U32_MAX:
-            raise Overflow(f"{name}={value} does not fit in u32")
-    if cg.u_min > cg.u_max:
-        raise WireFormatError(f"u_min={cg.u_min} > u_max={cg.u_max}")
-    if not _f32_clean([cg.u_min, cg.u_max]):
-        raise WireFormatError("u_min/u_max must be finite f32 values")
-
-    n_seg, s = -(-cg.total_dim // cg.segment_dim), cg.levels
-    indices = _column(cg.indices, n_seg, "iu", "indices")
-    norms = _column(cg.norms, n_seg, "f", "norms").astype(np.float64)
-    if indices.min() < 0 or indices.max() >= cg.codeword_count:
-        raise WireFormatError(f"codeword indices must lie in [0, {cg.codeword_count})")
-    if s >= 1:
-        if cg.grid is None:
-            raise WireFormatError(f"s={s} frames carry grid levels")
-        words = _column(cg.grid, n_seg, "iu", "grid")
-        if words.min() < 0 or words.max() > s:
-            raise WireFormatError(f"grid levels must lie in [0, {s}]")
-        if norms.tobytes() != decode_pseudo_norm(words, cg.u_min, cg.u_max, s).tobytes():
-            raise WireFormatError(f"s={s} pseudo-norms must be their levels' grid values")
-    else:
-        if cg.grid is not None:
-            raise WireFormatError("s=0 frames carry raw norms, not levels")
-        if not _f32_clean(norms):
-            raise WireFormatError("s=0 pseudo-norms must be finite f32 values")
-        words = norms.astype(np.float32).view(np.uint32)
-
-    bits = np.hstack([_to_bits(indices, index_bits(cg.codeword_count)),
+    if bad := frame_violations(cg):
+        empty, overflow = bad[0].startswith("total_dim: must be >= "), f"<= {_U32_MAX}," in bad[0]
+        raise (InvalidGradient if empty else Overflow if overflow else WireFormatError)(
+            "; ".join(bad))
+    s = cg.levels
+    words = (np.asarray(cg.grid) if s >= 1 else
+             np.asarray(cg.norms, dtype=np.float64).astype(np.float32).view(np.uint32))
+    bits = np.hstack([_to_bits(np.asarray(cg.indices), index_bits(cg.codeword_count)),
                       _to_bits(words, level_bits(s))])
     header = HEADER.pack(MAGIC, VERSION, SCHEME_HSQ, cg.total_dim, cg.segment_dim,
-                         cg.codeword_count, cg.levels, cg.u_min, cg.u_max)
+                         cg.codeword_count, s, cg.u_min, cg.u_max)
     return header + np.packbits(bits).tobytes()
 
 
 def decode_frame(buf: bytes) -> CompressedGradient:
-    """Parse a frame back into a CompressedGradient.
+    """Parse a frame back into a CompressedGradient that frame_violations passes,
+    else WireFormatError; so encode_frame maps the code it returns back to buf.
 
     In grid mode (s >= 1) the norms are the grid values u_min + level*(u_max-u_min)/s.
     """
@@ -150,12 +141,8 @@ def decode_frame(buf: bytes) -> CompressedGradient:
         raise WireFormatError(f"unsupported version {version}")
     if scheme != SCHEME_HSQ:
         raise WireFormatError(f"unsupported scheme code {scheme}")
-    if d < 1 or d_prime < 1 or m < 1:
-        raise WireFormatError("d, d', m must all be >= 1")
-    if not (math.isfinite(u_min) and math.isfinite(u_max)):
-        raise WireFormatError(f"u_min={u_min}, u_max={u_max} must be finite")
-    if u_min > u_max:
-        raise WireFormatError(f"u_min={u_min} > u_max={u_max}")
+    if d_prime < 1:  # the segment count divides by it
+        raise WireFormatError(f"segment_dim: must be >= 1, got {d_prime}")
 
     n_seg = -(-d // d_prime)
     ib = index_bits(m)
@@ -170,22 +157,22 @@ def decode_frame(buf: bytes) -> CompressedGradient:
     payload = np.frombuffer(buf, dtype=np.uint8, offset=HEADER.size)
     bits = np.unpackbits(payload)[:n_seg * record].reshape(n_seg, record)
     indices = _from_bits(bits[:, :ib]).astype(np.int64)
-    if indices.max() >= m:
-        raise WireFormatError(f"codeword index {indices.max()} out of range for m={m}")
     words = _from_bits(bits[:, ib:])
     if s >= 1:
         grid = words.astype(np.int64)
-        if grid.max() > s:
-            raise WireFormatError(f"level {grid.max()} out of range for s={s}")
-        norms = decode_pseudo_norm(grid, u_min, u_max, s)
+        with np.errstate(invalid="ignore"):  # 0 * inf from bounds the rule refuses
+            norms = decode_pseudo_norm(grid, u_min, u_max, s)
     else:
         raw = words.view(">f4")
         if not np.all(np.isfinite(raw)):  # before the cast, which warns on a signalling NaN
             raise WireFormatError("raw pseudo-norms must be finite")
         grid, norms = None, raw.astype(np.float64)
-    return CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
-                              levels=s, u_min=float(u_min), u_max=float(u_max),
-                              indices=indices, norms=norms, grid=grid)
+    cg = CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
+                            levels=s, u_min=float(u_min), u_max=float(u_max),
+                            indices=indices, norms=norms, grid=grid)
+    if bad := frame_violations(cg):
+        raise WireFormatError("; ".join(bad))
+    return cg
 
 
 def random_frame(stream) -> CompressedGradient:

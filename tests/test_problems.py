@@ -275,6 +275,32 @@ def test_tinymlp_rejects_nonpositive_sample_count(num_samples):
         TinyMLP((2, 8, 2), 0, num_samples=num_samples)
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: Quadratic(2.5, 0), "dim"), (lambda: Quadratic(True, 0), "dim"),
+    (lambda: Quadratic(4, 1.5), "seed"), (lambda: Quadratic(4, -1), "seed"),
+    (lambda: Logistic(4, 0, num_samples=10.0), "num_samples"),
+    (lambda: Logistic(4, 2 ** 64), "seed"),
+    (lambda: TinyMLP((2, 2.5, 2), 0), "layer_sizes"),
+    (lambda: TinyMLP((2, True, 2), 0), "layer_sizes"),
+    (lambda: TinyMLP((2, 8, 2), 0.0), "seed"),
+], ids=["float-dim", "bool-dim", "float-seed", "negative-seed", "float-samples",
+        "seed-2**64", "float-layer", "bool-layer", "float-mlp-seed"])
+def test_problems_refuse_arguments_by_the_integer_and_seed_rules(build, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        build()
+
+
+def test_problems_take_numpy_integers():
+    p = Quadratic(np.int64(4), np.uint64(3), num_samples=np.int32(16))
+    assert (p.dim, p.num_samples) == (4, 16)
+    assert TinyMLP((np.int64(2), 3, np.uint8(2)), np.int64(0)).dim == 17
+
+
+def test_quadratic_reports_its_sample_floor():
+    with pytest.raises(ValueError, match=r"^num_samples: must be >= dim = 4, got 3$"):
+        Quadratic(4, 0, num_samples=3)
+
+
 def test_finite_diff_check_rejects_bad_h():
     with pytest.raises(ValueError):
         finite_diff_check(Quadratic(dim=2, seed=0), np.zeros(2), h=0.0)

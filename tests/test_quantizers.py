@@ -303,6 +303,12 @@ def test_decode_checks_segment_count():
             aggregate(batch, cb)
 
 
+# the integer rule's message for each malformed header value below
+_HEADER_PROBLEMS = {4.0: "must be an int, got 4.0", 0: "must be >= 1, got 0",
+                    -1: "must be >= 0, got -1", 1.5: "must be an int, got 1.5",
+                    2 ** 32: "must be <= 4294967295, got 4294967296"}
+
+
 @pytest.mark.parametrize("indices,norms,header", [
     ([-1], [1.0], {}), ([4], [1.0], {}), ([0], np.array([], dtype=np.float64), {}),
     (np.array([0.0]), [1.0], {}), ([[0]], [1.0], {}), ([0], ["1.0"], {}), ([0], [np.nan], {}),
@@ -310,24 +316,27 @@ def test_decode_checks_segment_count():
     ([0], np.array([1.0], dtype=object), {}),
     ([0], [1.0], dict(total_dim=4.0)), ([0], [1.0], dict(segment_dim=4.0)),
     ([0], [1.0], dict(codeword_count=4.0)),
+    ([0], [1.0], dict(total_dim=0)), ([0], [1.0], dict(levels=-1)),
+    ([0], [1.0], dict(levels=1.5)), ([0], [1.0], dict(levels=2 ** 32)),
 ], ids=["negative-index", "index-m", "no-norm", "float-index", "2-d-index", "str-norm",
         "nan-norm", "inf-norm", "2-d-norm", "int-norm", "bool-index", "object-norm",
-        "float-d", "float-d-prime", "float-m"])
+        "float-d", "float-d-prime", "float-m", "d-0", "negative-s", "float-s", "s-2**32"])
 def test_decode_rejects_malformed_codes(indices, norms, header):
     # one raw-norm segment at d = d' = m = 4, built by hand as a caller could;
-    # wire.encode_frame refuses each of them too, by the same predicates
+    # wire.encode_frame refuses each of them too, by the same rule
     cb = sob(4)
-    fields = {**dict(total_dim=4, segment_dim=4, codeword_count=4), **header}
-    cg = CompressedGradient(**fields, levels=0, u_min=0.0, u_max=1.0,
+    fields = {**dict(total_dim=4, segment_dim=4, codeword_count=4, levels=0), **header}
+    cg = CompressedGradient(**fields, u_min=0.0, u_max=1.0,
                             indices=np.asarray(indices), norms=np.asarray(norms), grid=None)
     good = compress(np.ones(4), cb, 0, Variant.GREEDY, Stream(0))
-    match = (f"{next(iter(header))}: must be an int, got 4.0" if header
+    name, value = next(iter(header.items()), (None, None))
+    match = (f"{name}: {_HEADER_PROBLEMS[value]}" if header
              else r"a pseudo-norm and an index in \[0, 4\)")
     for call in (lambda: decode(cg, cb), lambda: aggregate([cg], cb),
                  lambda: aggregate([good, cg], cb)):
         with pytest.raises(DimensionMismatch, match=match):
             call()
-    with pytest.raises(WireFormatError):
+    with pytest.raises({0: InvalidGradient, 2 ** 32: Overflow}.get(value, WireFormatError)):
         encode_frame(cg)
 
 
