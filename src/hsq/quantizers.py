@@ -436,6 +436,7 @@ def aggregate(compressed: list[CompressedGradient], cb: Codebook) -> np.ndarray:
             raise DimensionMismatch(
                 f"cannot aggregate gradients of dims {total.shape[0]} and {decoded.shape[0]}")
         total += decoded
+        del decoded  # before the next decode, which can then reuse its memory
     return total / len(compressed)
 
 
