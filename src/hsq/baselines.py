@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Overflow
+from .errors import Overflow, out_of_range, refuse_argument
 from .quantizers import _check_gradient
 from .rng import Stream
 
@@ -44,10 +44,7 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
     bucket encodes as norm 0 with all levels 0.
     """
     g = _check_gradient(g)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if bucket_size < 1:
-        raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
+    refuse_argument(out_of_range("levels", levels, 1) + out_of_range("bucket_size", bucket_size, 1))
     d = g.shape[0]
     n_full = d // bucket_size
     rows = g[:n_full * bucket_size].reshape(n_full, bucket_size)

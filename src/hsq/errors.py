@@ -62,3 +62,9 @@ def refuse(violations: list[str]) -> None:
     """Raise a rule's violations, if any, as a ConfigError."""
     if violations:
         raise ConfigError(violations)
+
+
+def refuse_argument(violations: list[str]) -> None:
+    """Raise the first of a library argument's violations, if any, as a ValueError."""
+    if violations:
+        raise ValueError(violations[0])

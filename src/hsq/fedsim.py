@@ -32,7 +32,7 @@ from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, c
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
 from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
-from .errors import ConfigError, out_of_range, refuse
+from .errors import ConfigError, out_of_range, refuse, refuse_argument
 from .problems import Problem
 from .quantizers import CompressedGradient, Variant, _decoded, compress, level_violations
 from .rng import Stream
@@ -252,8 +252,7 @@ def theorem1_gap_bound(smoothness: float, radius: float, vq: float, rounds: int)
 
 def curly_l(smoothness: float, s: int, d: int, d_prime: int) -> float:
     """Effective smoothness L*(1 + 4/s)*d/d'. Undefined for s = 0."""
-    if s < 1:
-        raise ValueError("the effective smoothness constant needs s >= 1")
+    refuse_argument(out_of_range("s", s, 1))
     return smoothness * (1.0 + 4.0 / s) * d / d_prime
 
 def lr_theorem3(rounds: int, curly_l_value: float) -> float:

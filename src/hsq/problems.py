@@ -9,10 +9,15 @@ concurrent calls from several threads.
   the smoothness constant are known exactly.
 * Logistic: binary logistic regression on two separable Gaussian clouds
   (margin 0.5 along a random direction) plus a small ridge term; the
-  optimum value is found once by Newton's method at construction.
+  optimum is found by Newton's method.
 * TinyMLP: a dense tanh network with softmax cross-entropy on Gaussian
   blobs, gradients by hand-rolled backprop. Non-convex; f* is the CE
   infimum 0, which is only a lower bound.
+
+The constants the convergence theorems read (Logistic's x* and f*, and
+both families' smoothness L and radius R) are computed from the data on
+first read and cached, so a run that reads none of them never pays for
+the Newton solve or the O(d^3) eigendecomposition.
 
 Objectives are means over samples, so the mean of the per-sample
 gradients equals the full gradient identically and batch oracles are
@@ -21,22 +26,18 @@ unbiased for any index distribution that is uniform over samples.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .codebook import seed_violations
-from .errors import InvalidShape, out_of_range
+from .errors import InvalidShape, out_of_range, refuse_argument
 from .quantizers import segment_gradient
 from .rng import Stream
 
 LOGISTIC_RIDGE = 1e-3
 LOGISTIC_MARGIN = 0.5
 TINYMLP_BLOB_SPREAD = 0.7
-
-
-def _refuse(violations: list[str]) -> None:
-    """Raise the first of a constructor's argument violations as a ValueError."""
-    if violations:
-        raise ValueError(violations[0])
 
 
 class Problem:
@@ -72,25 +73,30 @@ class Quadratic(Problem):
 
     A is N(0,1) with N = 4*dim rows by default; the smoothness constant
     lambda_max(A^T A)/N and the initial distance R = ||x0 - x*|| are
-    exact.
+    exact, each computed on first read and cached.
     """
 
     kind = "quadratic"
 
     def __init__(self, dim: int, seed: int, num_samples: int | None = None):
-        _refuse(out_of_range("dim", dim, 1) + seed_violations(seed))
+        refuse_argument(out_of_range("dim", dim, 1) + seed_violations(seed))
         self.dim = dim
         self.num_samples = num_samples if num_samples is not None else 4 * dim
-        _refuse(out_of_range("num_samples", self.num_samples, dim, label=f"dim = {dim}"))
+        refuse_argument(out_of_range("num_samples", self.num_samples, dim, label=f"dim = {dim}"))
         st = Stream(seed).derive("quadratic", dim, self.num_samples)
         self.A = st.derive("A").normal_matrix(self.num_samples, dim)
         self.x_star = st.derive("xstar").normals(dim)
         self.b = self.A @ self.x_star
         self.x0 = np.zeros(dim)
         self.f_star = 0.0
-        gram_eigs = np.linalg.eigvalsh(self.A.T @ self.A)
-        self.smoothness = float(gram_eigs[-1]) / self.num_samples
-        self.radius = float(np.linalg.norm(self.x0 - self.x_star))
+
+    @cached_property
+    def smoothness(self) -> float:
+        return float(np.linalg.eigvalsh(self.A.T @ self.A)[-1]) / self.num_samples
+
+    @cached_property
+    def radius(self) -> float:
+        return float(np.linalg.norm(self.x0 - self.x_star))
 
     def objective(self, x: np.ndarray) -> float:
         r = self.A @ self._check_x(x) - self.b
@@ -109,15 +115,16 @@ class Logistic(Problem):
     direction forced to y * (margin/2 + |noise|), so the two classes sit
     a fixed margin apart and accuracy curves are stable across seeds.
     The ridge keeps the optimum finite; it is located by Newton's method
-    at construction (the problem is strongly convex, so a handful of
-    steps reaches machine precision).
+    (the problem is strongly convex, so a handful of steps reaches
+    machine precision). x_star, f_star, smoothness and radius are each
+    computed on first read and cached.
     """
 
     kind = "logistic"
 
     def __init__(self, dim: int, seed: int, num_samples: int = 200):
-        _refuse(out_of_range("dim", dim, 1) + out_of_range("num_samples", num_samples, 2)
-                + seed_violations(seed))
+        refuse_argument(out_of_range("dim", dim, 1) + out_of_range("num_samples", num_samples, 2)
+                        + seed_violations(seed))
         self.dim = dim
         self.num_samples = num_samples
         st = Stream(seed).derive("logistic", dim, num_samples)
@@ -129,11 +136,24 @@ class Logistic(Problem):
         X += np.outer(y * offsets - X @ w_sep, w_sep)
         self.X, self.y = X, y
         self.x0 = np.zeros(dim)
-        self.x_star = self._newton()
-        self.f_star = self.objective(self.x_star)
-        gram_eigs = np.linalg.eigvalsh(X.T @ X)
-        self.smoothness = float(gram_eigs[-1]) / (4 * num_samples) + LOGISTIC_RIDGE
-        self.radius = float(np.linalg.norm(self.x0 - self.x_star))
+
+    @cached_property
+    def x_star(self) -> np.ndarray:
+        return self._newton()
+
+    @cached_property
+    def f_star(self) -> float:
+        return self.objective(self.x_star)
+
+    @cached_property
+    def smoothness(self) -> float:
+        """lambda_max(X^T X) / (4N) + ridge: the logistic loss's curvature is at most 1/4."""
+        gram_eigs = np.linalg.eigvalsh(self.X.T @ self.X)
+        return float(gram_eigs[-1]) / (4 * self.num_samples) + LOGISTIC_RIDGE
+
+    @cached_property
+    def radius(self) -> float:
+        return float(np.linalg.norm(self.x0 - self.x_star))
 
     def objective(self, x: np.ndarray) -> float:
         x = self._check_x(x)
@@ -182,8 +202,8 @@ class TinyMLP(Problem):
 
     def __init__(self, layer_sizes: tuple[int, ...] = (2, 8, 2), seed: int = 0,
                  num_samples: int = 256):
-        _refuse([v for n in layer_sizes for v in out_of_range("layer_sizes", n, None)]
-                + out_of_range("num_samples", num_samples, 1) + seed_violations(seed))
+        refuse_argument([v for n in layer_sizes for v in out_of_range("layer_sizes", n, None)]
+                        + out_of_range("num_samples", num_samples, 1) + seed_violations(seed))
         if len(layer_sizes) < 2 or min(layer_sizes) < 1:
             raise ValueError(f"layer_sizes: needs >= 2 positive entries, got {layer_sizes}")
         self.layer_sizes = tuple(int(n) for n in layer_sizes)

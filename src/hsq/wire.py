@@ -29,6 +29,7 @@ uplink compressors does the bit accounting of every scheme.
 
 from __future__ import annotations
 
+import numbers
 import struct
 
 import numpy as np
@@ -77,13 +78,14 @@ def _f32_clean(x) -> bool:
 
 def frame_violations(cg: CompressedGradient) -> list[str]:
     """The rule for a code a frame carries: quantizers.code_violations, plus
-    f32 bounds u_min <= u_max and, at s >= 1, a grid of one level in [0, s]
+    real f32 bounds u_min <= u_max and, at s >= 1, a grid of one level in [0, s]
     per segment with the norms their grid values as float64 bytes (so -0.0
     is not 0.0), at s = 0 no grid and f32 norms. decode_frame returns such a
     code field for field from the bytes encode_frame writes for it.
     """
     out = code_violations(cg)
-    if not _f32_clean([cg.u_min, cg.u_max]):
+    bounds = (cg.u_min, cg.u_max)
+    if not (all(isinstance(u, numbers.Real) for u in bounds) and _f32_clean(bounds)):
         out.append(f"u_min, u_max: must be finite f32 values, got {cg.u_min!r}, {cg.u_max!r}")
     elif cg.u_min > cg.u_max:
         out.append(f"u_min: must be <= u_max = {cg.u_max!r}, got {cg.u_min!r}")

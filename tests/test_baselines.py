@@ -137,9 +137,9 @@ def test_qsgd_sparse_bits_sqrtd_logd_scaling():
 
 
 def test_qsgd_rejects_bad_params():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^levels: must be >= 1, got 0$"):
         compress_qsgd(np.ones(4), 0, Stream(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bucket_size: must be >= 1, got 0$"):
         compress_qsgd(np.ones(4), 1, Stream(0), bucket_size=0)
     with pytest.raises(InvalidGradient):
         compress_qsgd(np.array([np.nan]), 1, Stream(0))

@@ -62,7 +62,7 @@ def test_theorem1_gap_bound_by_hand():
 def test_curly_l_by_hand():
     # L (1 + 4/s) d/d' with L=2, s=4, d=64, d'=8
     assert curly_l(2.0, 4, 64, 8) == pytest.approx(2.0 * 2.0 * 8.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^s: must be >= 1, got 0$"):
         curly_l(2.0, 0, 64, 8)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hsq.errors import InvalidShape
-from hsq.problems import Logistic, Quadratic, TinyMLP, estimate_second_moment
+from hsq.fedsim import FedConfig, LrSchedule, QuantizerScheme, run
+from hsq.problems import LOGISTIC_RIDGE, Logistic, Quadratic, TinyMLP, estimate_second_moment
 from hsq.rng import Stream
 
 
@@ -74,6 +75,60 @@ def test_quadratic_smoothness_is_largest_curvature():
     # gradient is hessian * (x - x*) exactly
     x = Stream(5).normals(6)
     np.testing.assert_allclose(p.gradient(x), hessian @ (x - p.x_star), atol=1e-10)
+
+
+def _constructor_constants(p):
+    """Reference (x*, f*, L, R) in straight-line arithmetic: Newton's method from
+    x0 = 0 and the Gram matrix's top eigenvalue for Logistic, the planted x* and
+    the top eigenvalue for Quadratic."""
+    x0 = np.zeros(p.dim)
+    if isinstance(p, Quadratic):
+        x_star, f_star = p.x_star, 0.0
+        smoothness = float(np.linalg.eigvalsh(p.A.T @ p.A)[-1]) / p.num_samples
+    else:
+        x_star = x0.copy()
+        for _ in range(50):
+            z = p.y * (p.X @ x_star)
+            sig = 1.0 / (1.0 + np.exp(z))
+            grad = p.X.T @ (-p.y * sig) / p.num_samples + LOGISTIC_RIDGE * x_star
+            w = sig * (1.0 - sig)
+            hess = (p.X.T * w) @ p.X / p.num_samples
+            hess[np.diag_indices_from(hess)] += LOGISTIC_RIDGE
+            step = np.linalg.solve(hess, grad)
+            x_star -= step
+            if np.linalg.norm(step) < 1e-13:
+                break
+        z = -p.y * (p.X @ x_star)
+        loss = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        f_star = float(loss.mean()) + 0.5 * LOGISTIC_RIDGE * float(x_star @ x_star)
+        gram_eigs = np.linalg.eigvalsh(p.X.T @ p.X)
+        smoothness = float(gram_eigs[-1]) / (4 * p.num_samples) + LOGISTIC_RIDGE
+    return x_star, f_star, smoothness, float(np.linalg.norm(x0 - x_star))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Logistic(48, 5, 200),  # the benchmark's sim-logistic-hsq problem
+    lambda: Logistic(10, 4), lambda: Logistic(64, 3, num_samples=203),
+    lambda: Quadratic(64, 7), lambda: Quadratic(6, 3, num_samples=9),
+])
+def test_constants_read_on_demand_match_the_constructor_arithmetic(build):
+    p = build()
+    x_star, f_star, smoothness, radius = _constructor_constants(p)
+    assert p.x_star.tobytes() == x_star.tobytes()
+    assert (p.f_star, p.smoothness, p.radius) == (f_star, smoothness, radius)
+
+
+def test_building_and_running_a_problem_needs_no_solve_or_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a problem's constants were computed without being read")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for p in (Logistic(48, 5, 200), Quadratic(16, 5)):
+        cfg = FedConfig(num_clients=4, clients_per_round=2, rounds=3, local_batch=2,
+                        scheme=QuantizerScheme(name="qsgd", s=15), lr=LrSchedule(eta=0.1),
+                        seed=0)
+        assert len(run(cfg, p).logs) == 3
 
 
 def test_logistic_optimum_is_stationary():

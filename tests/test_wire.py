@@ -185,6 +185,11 @@ def test_encode_rejects_inverted_bounds():
 def test_encode_rejects_non_f32_bounds():
     with pytest.raises(WireFormatError):
         encode_frame(_frame(u_min=0.1, u_max=1.0))  # 0.1 is not f32-exact
+    # not real numbers: refused by the rule before any conversion to float
+    for bad in ("a", 1 + 0j):
+        for bounds in ({"u_min": bad}, {"u_max": bad}):
+            with pytest.raises(WireFormatError, match="u_min, u_max: "):
+                encode_frame(_frame(s=0, grid=None, norms=(0.5,), **bounds))
 
 
 def test_encode_rejects_non_f32_raw_norm():
