@@ -14,10 +14,12 @@ Outputs are JSON (or CSV where noted). Failures print a machine-readable
 JSON object on stderr: config-schema problems list every violating field
 and exit 2; runtime errors exit 1.
 
-Each value is checked by the rule that owns it (``codebook.violations``,
-``QuantizerScheme.violations``, ``wire.length_violations``, ``quantizers.level_violations``,
-and the count and seed rules ``FedConfig`` applies), never here; a field read
-from a flag is reported as that flag, before any file is read or written.
+Each value's type and range are checked by the rule that owns it (``codebook.violations``,
+``QuantizerScheme.violations``, ``LrSchedule.violations``, ``wire.length_violations``,
+``quantizers.level_violations``, and the count and seed rules ``FedConfig`` applies),
+never here: a config file's parser refuses only unknown keys, a nested field that is not
+an object and an enum value that is none of its names. A field read from a flag is
+reported as that flag, before any file is read or written.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import enum
 import json
 import math
 import sys
-import types
 import typing
 
 import numpy as np
@@ -84,8 +85,6 @@ def _read_bytes(path: str) -> bytes:
 _PROBLEMS = {cls.kind: (cls, size, required) for cls, size, required in (
     (Quadratic, "dim", ("seed", "dim")), (Logistic, "dim", ("seed", "dim")),
     (TinyMLP, "layer_sizes", ("seed",)))}
-_MISTYPED = object()
-_TYPE_NAMES = {type(None): "null", bool: "bool", int: "int", float: "finite float", str: "str"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +99,7 @@ class _ProblemConfig:
 
     def build(self, violations: list[str]) -> Problem | None:
         """The problem, or None after violations that name the fields at fault."""
-        if self.kind not in _PROBLEMS:
+        if not isinstance(self.kind, str) or self.kind not in _PROBLEMS:
             violations.append(f"problem.kind: {self.kind!r} is not one of {tuple(_PROBLEMS)}")
             return None
         cls, size, required = _PROBLEMS[self.kind]
@@ -116,38 +115,14 @@ class _ProblemConfig:
             return None
 
 
-def _matches(t, value) -> bool:
-    """Whether a JSON value has type t: an int passes for a float, no NaN or infinity passes."""
-    if typing.get_origin(t) is list:
-        return type(value) is list and all(_matches(typing.get_args(t)[0], v) for v in value)
-    finite = type(value) is not float or math.isfinite(value)
-    return finite and (type(value) is t or (t is float and type(value) is int))
-
-
-def _typed(hint, value, where: str, violations: list[str]):
-    """value as a field typed hint takes it, or _MISTYPED after a violation naming the field.
-
-    JSON ints pass for float fields, booleans only for bool fields, and
-    numbers only if finite (json.load accepts NaN and Infinity)."""
-    if dataclasses.is_dataclass(hint):
-        return _from_json(hint, value, where, violations) or _MISTYPED
-    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    for t in options:
-        if isinstance(t, enum.EnumMeta) and value in [e.value for e in t]:
-            return t(value)
-        if _matches(t, value):
-            return value
-    expected = " or ".join(f"one of {[e.value for e in t]}" if isinstance(t, enum.EnumMeta)
-                           else _TYPE_NAMES.get(t) or str(t) for t in options)
-    violations.append(f"{where}: expected {expected}, got {value!r}")
-    return _MISTYPED
-
-
 def _from_json(cls, raw, where: str, violations: list[str]):
-    """The config dataclass cls from a JSON object, or None if a value is mistyped.
+    """The config dataclass cls from a JSON object, or None after a violation naming where.
 
-    Field names, types and defaults come from cls itself; unknown keys
-    and mistyped values are violations naming the field.
+    Field names and defaults come from cls itself. An unknown key is a
+    violation naming it, a nested config object is read the same way (it
+    keeps its default when it is not an object), and an enum field takes
+    one of its values by name; every other value goes to cls as given, for
+    the rule that owns it.
     """
     if not isinstance(raw, dict):
         violations.append(f"{where}: must be a JSON object, got {raw!r}")
@@ -157,11 +132,17 @@ def _from_json(cls, raw, where: str, violations: list[str]):
     kwargs = {}
     for key, value in raw.items():
         name = f"{where}.{key}" if where else key
-        if key in fields:
-            kwargs[key] = _typed(fields[key], value, name, violations)
-        else:
+        hint = fields.get(key)
+        if hint is None:
             violations.append(f"{name}: unknown field")
-    return None if _MISTYPED in kwargs.values() else cls(**kwargs)
+        elif dataclasses.is_dataclass(hint):
+            if (nested := _from_json(hint, value, name, violations)) is not None:
+                kwargs[key] = nested
+        elif isinstance(hint, enum.EnumMeta) and value not in [e.value for e in hint]:
+            violations.append(f"{name}: expected one of {[e.value for e in hint]}, got {value!r}")
+        else:
+            kwargs[key] = hint(value) if isinstance(hint, enum.EnumMeta) else value
+    return cls(**kwargs)
 
 
 def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
@@ -177,8 +158,7 @@ def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
         violations.append("problem: required")
     elif spec := _from_json(_ProblemConfig, raw["problem"], "problem", violations):
         problem = spec.build(violations)
-    if cfg is not None:  # range checks only once every value has its type
-        violations.extend(cfg.violations())
+    violations.extend(cfg.violations())
     if violations:
         raise ConfigError(violations)
     return cfg, problem

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all hsq modules, and the integer rule the argument rules share."""
+"""Exception hierarchy shared by all hsq modules, and the number rules every argument rule uses."""
 
 import numbers
+import sys
 
 
 class HsqError(Exception):
@@ -56,6 +57,16 @@ def out_of_range(name: str, value, least, most=None, label=None) -> list[str]:
     if value is None or least is not None and value < least:
         return [f"{name}: must be >= {least if label is None else label}, got {value!r}"]
     return [] if most is None or value <= most else [f"{name}: must be <= {most}, got {value!r}"]
+
+
+def real_violations(name: str, value, least, strict: bool = False) -> list[str]:
+    """[] if value is a real number within the f64 range (bools are not) with least < value,
+    or least <= value when not strict, else one "name: problem" message."""
+    if (type(value) is bool or not isinstance(value, numbers.Real)
+            or not -sys.float_info.max <= value <= sys.float_info.max):  # nan fails both
+        return [f"{name}: must be a finite real number, got {value!r}"]
+    return [] if value > least or value == least and not strict else [
+        f"{name}: must be {'>' if strict else '>='} {least}, got {value!r}"]
 
 
 def refuse(violations: list[str]) -> None:

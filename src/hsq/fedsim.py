@@ -22,7 +22,6 @@ compression_ratio), its codebook and the per-client step.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,7 +31,7 @@ from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, c
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
 from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
-from .errors import ConfigError, out_of_range, refuse, refuse_argument
+from .errors import ConfigError, out_of_range, real_violations, refuse, refuse_argument
 from .problems import Problem
 from .quantizers import CompressedGradient, Variant, _decoded, compress, level_violations
 from .rng import Stream
@@ -61,7 +60,7 @@ class QuantizerScheme:
     bucket_size: int = QSGD_BUCKET_SIZE
 
     def violations(self) -> list[str]:
-        if self.name not in SCHEMES:
+        if not isinstance(self.name, str) or self.name not in SCHEMES:
             return [f"name: {self.name!r} not one of {tuple(SCHEMES)}"]
         return SCHEMES[self.name].rule(self)
 
@@ -148,15 +147,20 @@ def compression_ratio(scheme: QuantizerScheme, d: int | None = None,
     return 32.0 * d / bits
 
 
-# kind -> (recipe(rounds, *params), {param: (comparison, bound)}), params in
-# recipe order; a recipe resolves without raising on any values inside the bounds.
+# kind -> (recipe(rounds, *params), {param: (least, strict)}), params in recipe order, each a
+# real > least (>= least if not strict); a recipe resolves without raising inside the bounds.
 LR_KINDS = {
-    "constant": (lambda rounds, eta: float(eta), {"eta": (">", 0)}),
+    "constant": (lambda rounds, eta: float(eta), {"eta": (0, True)}),
     "theorem1": (lambda rounds, smoothness, radius, vq: lr_theorem1(smoothness, radius, vq, rounds),
-                 {"smoothness": (">", 0), "radius": (">", 0), "vq": (">=", 0)}),
-    "theorem3": (lambda rounds, curly_l: lr_theorem3(rounds, curly_l), {"curly_l": (">", 0)}),
+                 {"smoothness": (0, True), "radius": (0, True), "vq": (0, False)}),
+    "theorem3": (lambda rounds, curly_l: lr_theorem3(rounds, curly_l), {"curly_l": (0, True)}),
 }
-_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
+def _bound_violations(kind: str, params: dict) -> list[str]:
+    """The rule of an lr kind's parameters: one "name: problem" per value outside its bounds."""
+    return [v for n, (least, strict) in LR_KINDS[kind][1].items()
+            for v in real_violations(n, params[n], least, strict)]
 
 
 @dataclass(frozen=True)
@@ -176,11 +180,9 @@ class LrSchedule:
     curly_l: float | None = None
 
     def violations(self) -> list[str]:
-        if self.kind not in LR_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in LR_KINDS:
             return [f"lr.kind: {self.kind!r} not one of {tuple(LR_KINDS)}"]
-        return [f"lr.{n}: {self.kind} schedule needs {n} {op} {bound}, got {getattr(self, n)!r}"
-                for n, (op, bound) in LR_KINDS[self.kind][1].items()
-                if getattr(self, n) is None or not _COMPARE[op](getattr(self, n), bound)]
+        return [f"lr.{v}" for v in _bound_violations(self.kind, vars(self))]
 
     def resolve(self, rounds: int) -> float:
         recipe, params = LR_KINDS[self.kind]
@@ -201,12 +203,16 @@ class FedConfig:
     def violations(self) -> list[str]:
         out = count_violations(num_clients=self.num_clients, rounds=self.rounds,
                                local_batch=self.local_batch) + seed_violations(self.seed)
-        out += out_of_range("clients_per_round", self.clients_per_round, 1,
-                            max(self.num_clients, 1))
+        # num_clients bounds clients_per_round only where it is an int
+        most = (None if out_of_range("num_clients", self.num_clients, None)
+                else max(self.num_clients, 1))
+        out += out_of_range("clients_per_round", self.clients_per_round, 1, most)
         out.extend(f"scheme.{v}" for v in self.scheme.violations())
         out.extend(self.lr.violations())
-        if (self.downlink_compressed and self.scheme.name in SCHEMES
-                and not SCHEMES[self.scheme.name].downlink):
+        if type(self.downlink_compressed) is not bool:
+            out.append(f"downlink_compressed: must be a bool, got {self.downlink_compressed!r}")
+        elif (self.downlink_compressed and isinstance(self.scheme.name, str)
+              and self.scheme.name in SCHEMES and not SCHEMES[self.scheme.name].downlink):
             out.append(f"downlink_compressed: scheme {self.scheme.name!r} has no "
                        "compressed downlink")
         return out
@@ -240,25 +246,29 @@ class SimResult:
 
 def lr_theorem1(smoothness: float, radius: float, vq: float, rounds: int) -> float:
     """Constant step size 1/(L + sqrt(V_q * T) / R)."""
-    if radius <= 0 or rounds < 1 or smoothness <= 0 or vq < 0:
-        raise ValueError("need radius > 0, rounds >= 1, smoothness > 0, vq >= 0")
+    refuse_argument(_bound_violations("theorem1", dict(smoothness=smoothness, radius=radius, vq=vq))
+                    + out_of_range("rounds", rounds, 1))
     return 1.0 / (smoothness + math.sqrt(vq * rounds) / radius)
 
 
 def theorem1_gap_bound(smoothness: float, radius: float, vq: float, rounds: int) -> float:
     """Optimality-gap guarantee R*sqrt(V_q/T) + L*R^2/(2T) for the mean iterate."""
+    refuse_argument(_bound_violations("theorem1", dict(smoothness=smoothness, radius=radius, vq=vq))
+                    + out_of_range("rounds", rounds, 1))
     return radius * math.sqrt(vq / rounds) + smoothness * radius ** 2 / (2 * rounds)
 
 
 def curly_l(smoothness: float, s: int, d: int, d_prime: int) -> float:
     """Effective smoothness L*(1 + 4/s)*d/d'. Undefined for s = 0."""
-    refuse_argument(out_of_range("s", s, 1))
+    refuse_argument(real_violations("smoothness", smoothness, 0, strict=True)
+                    + out_of_range("s", s, 1) + count_violations(d=d, d_prime=d_prime))
     return smoothness * (1.0 + 4.0 / s) * d / d_prime
+
 
 def lr_theorem3(rounds: int, curly_l_value: float) -> float:
     """Constant step size 1/sqrt(T * curly_l), paired with batch size sqrt(T)."""
-    if rounds < 1 or curly_l_value <= 0:
-        raise ValueError("need rounds >= 1 and curly_l > 0")
+    refuse_argument(_bound_violations("theorem3", {"curly_l": curly_l_value})
+                    + out_of_range("rounds", rounds, 1))
     return 1.0 / math.sqrt(rounds * curly_l_value)
 
 
@@ -268,8 +278,9 @@ def vq_bound(d: int, cb: Codebook, s: int, b_prime: float, u_range: float = 0.0)
     The norm-quantization term vanishes in exact-norm mode (s = 0),
     where u_range is ignored.
     """
-    if b_prime < 0 or u_range < 0:
-        raise ValueError("b_prime and u_range must be nonnegative")
+    refuse_argument(count_violations(d=d) + level_violations(s)
+                    + real_violations("b_prime", b_prime, 0)
+                    + real_violations("u_range", u_range, 0))
     sigma1_pinv_sq = 1.0 / cb.sigma_min ** 2
     norm_term = (u_range ** 2) / s if s >= 1 else 0.0
     return -(-d // cb.dim) * (cb.count * sigma1_pinv_sq * b_prime + norm_term)

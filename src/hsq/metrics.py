@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
+from .errors import out_of_range, refuse_argument
 from .fedsim import QuantizerScheme, compression_ratio, vq_bound
 from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _decoded, _project,
                          _select, decode_pseudo_norm, round_in_cell, rounding_cell,
@@ -31,11 +32,6 @@ from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _dec
 from .rng import Stream
 
 KS_ALPHA = 0.01  # significance level of ks_threshold
-
-
-def _check_draws(n_draws: int) -> None:
-    if n_draws < 1:
-        raise ValueError(f"need at least one draw, got {n_draws}")
 
 
 def _z_from_moments(mean: np.ndarray, ex2: np.ndarray, target: np.ndarray,
@@ -64,7 +60,7 @@ def check_unbiasedness(variant: Variant | str, cb: Codebook, g: np.ndarray, n_dr
     not — which is precisely how its bias shows up.
     """
     variant = Variant(variant)
-    _check_draws(n_draws)
+    refuse_argument(out_of_range("n_draws", n_draws, 1))
     g = _check_gradient(g)
     segments = segment_gradient(g, cb.dim)
     if variant is Variant.GREEDY:
@@ -94,7 +90,7 @@ def pseudo_norm_z(u: float, u_min: float, u_max: float, s: int, n_draws: int,
     deterministic cases (u on a grid point, or a degenerate interval)
     return 0.
     """
-    _check_draws(n_draws)
+    refuse_argument(out_of_range("n_draws", n_draws, 1))
     uu, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
     if delta == 0.0:
         return 0.0
@@ -130,7 +126,7 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     empirical moment stays below the tight bound plus 4 standard errors
     of the Monte-Carlo mean.
     """
-    _check_draws(n_draws)
+    refuse_argument(out_of_range("n_draws", n_draws, 1))
     b_prime = cb.dim * scale ** 2
     sq_norms = np.empty(n_draws)
     worst_range = 0.0
@@ -165,7 +161,7 @@ def check_alpha(cb: Codebook, n_draws: int, rng: Stream) -> AlphaResult:
     The guarantee (g . Q(g))^2 >= sigma_min(C)^2 / m * ||g||^2 is an
     exact inequality, so the check applies no tolerance.
     """
-    _check_draws(n_draws)
+    refuse_argument(out_of_range("n_draws", n_draws, 1))
     floor = cb.sigma_min ** 2 / cb.count
     worst = float(np.min(beta_correlation(_unit_rows(rng, n_draws, cb.dim), cb))) ** 2
     return AlphaResult(worst=worst, floor=floor, passed=worst >= floor)
@@ -223,7 +219,7 @@ def greedy_vs_unbiased_mse(cb: Codebook, n_draws: int, rng: Stream) -> tuple[flo
     ||g||^2 <= beta * ||p||_1 and the AM-GM inequality), hence also on
     the mean.
     """
-    _check_draws(n_draws)
+    refuse_argument(out_of_range("n_draws", n_draws, 1))
     g = rng.derive(np.arange(n_draws)).normals(cb.dim)
     # totals in draw order: cumsum adds term by term, np.sum pairwise
     return tuple(float(np.cumsum(residual_sq(g, cb))[-1]) / n_draws
@@ -238,9 +234,9 @@ def variance_vs_clients(cb: Codebook, g: np.ndarray, n_values: list[int],
     over n clients; the total variance should fall like 1/n.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape[0] != cb.dim:
-        raise ValueError(f"g must be one segment of length {cb.dim}")
-    _check_draws(n_trials)
+    if g.shape != (cb.dim,):
+        raise ValueError(f"g: must be one segment of length {cb.dim}, got shape {g.shape}")
+    refuse_argument(out_of_range("n_trials", n_trials, 1))
     out = {}
     for n in n_values:
         st = rng.derive("n", n)

@@ -202,6 +202,8 @@ class TinyMLP(Problem):
 
     def __init__(self, layer_sizes: tuple[int, ...] = (2, 8, 2), seed: int = 0,
                  num_samples: int = 256):
+        if not isinstance(layer_sizes, (list, tuple)):
+            raise ValueError(f"layer_sizes: must be a list or tuple, got {layer_sizes!r}")
         refuse_argument([v for n in layer_sizes for v in out_of_range("layer_sizes", n, None)]
                         + out_of_range("num_samples", num_samples, 1) + seed_violations(seed))
         if len(layer_sizes) < 2 or min(layer_sizes) < 1:
@@ -323,8 +325,7 @@ class TinyMLP(Problem):
 def estimate_second_moment(p: Problem, x_samples: list[np.ndarray], d_prime: int) -> float:
     """Largest per-segment second moment E||g'||^2 over the given points, the
     expectation over one uniformly drawn sample taken exactly by enumeration."""
-    if d_prime < 1:
-        raise ValueError(f"d_prime must be >= 1, got {d_prime}")
+    refuse_argument(out_of_range("d_prime", d_prime, 1))
     worst = 0.0
     for x in x_samples:
         moments = np.zeros(-(-p.dim // d_prime))

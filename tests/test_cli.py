@@ -1,4 +1,6 @@
 import argparse
+import copy
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import hsq
 from hsq.cli import build_parser, main
 from hsq.codebook import CodebookMethod, generate, save_codebook
+from hsq.fedsim import SCHEMES, FedConfig, LrSchedule, QuantizerScheme
 from hsq.wire import decode_frame
 
 
@@ -384,6 +387,63 @@ def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert [v.split(":")[0] for v in err["violations"]] == [field]
+
+
+_NOT_A_NUMBER = ["x", [1], {"a": 1}, True, None, float("nan"), float("inf")]
+# what each kind of field refuses: every value above and 1.5 that is not of its type
+_REFUSED = {
+    "int": _NOT_A_NUMBER + [1.5],
+    "name": _NOT_A_NUMBER + [1.5],
+    "enum": _NOT_A_NUMBER + [1.5],
+    "real": _NOT_A_NUMBER + [float("-inf")],
+    "bool": [v for v in _NOT_A_NUMBER if v is not True] + [1, 1.5],
+    # a JSON object is the type of a nested field; one with an unknown key has its own test
+    "object": [v for v in _NOT_A_NUMBER if not isinstance(v, dict)] + [1.5],
+    # null leaves an optional problem field at its default
+    "optional": [v for v in _NOT_A_NUMBER if v is not None] + [1.5],
+}
+_THEOREM1 = {"lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 1.0, "vq": 1.0}}
+# every field of FedConfig, QuantizerScheme, LrSchedule and problem, in a config that reads it
+_FIELDS = [(field, kind, {}) for field, kind in (
+    ("num_clients", "int"), ("clients_per_round", "int"), ("rounds", "int"),
+    ("local_batch", "int"), ("seed", "int"), ("downlink_compressed", "bool"),
+    ("scheme", "object"), ("lr", "object"), ("problem", "object"),
+    ("scheme.name", "name"), ("scheme.d_prime", "int"), ("scheme.m", "int"),
+    ("scheme.s", "int"), ("scheme.variant", "enum"), ("scheme.codebook_method", "enum"),
+    ("lr.kind", "name"), ("lr.eta", "real"), ("problem.kind", "name"),
+    ("problem.seed", "int"), ("problem.dim", "int"), ("problem.num_samples", "optional"))]
+_FIELDS += [("scheme.bucket_size", "int", {"scheme": {"name": "qsgd", "s": 4}}),
+            ("lr.smoothness", "real", _THEOREM1), ("lr.radius", "real", _THEOREM1),
+            ("lr.vq", "real", _THEOREM1),
+            ("lr.curly_l", "real", {"lr": {"kind": "theorem3", "curly_l": 4.0}}),
+            ("problem.layer_sizes", "optional", {"problem": {"kind": "tinymlp", "seed": 0}})]
+
+
+@pytest.mark.parametrize("field, kind, overrides", _FIELDS, ids=[f[0] for f in _FIELDS])
+def test_every_config_field_refuses_a_wrong_value_by_its_name(tmp_path, capsys, field, kind,
+                                                              overrides):
+    # the rules own each value's type: the CLI and the library objects report the field
+    # alone, never a traceback, with the compressed downlink off and on
+    *outer, key = field.split(".")
+    for downlink, value in itertools.product((False, True), _REFUSED[kind]):
+        cfg = copy.deepcopy(_good_config(downlink_compressed=downlink, **overrides))
+        reader = cfg
+        for name in outer:
+            reader = reader[name]
+        reader[key] = value
+        # a scheme that is not an object is the default one, as an absent scheme is
+        read = "identity" if field == "scheme" else cfg["scheme"]["name"]
+        expected = [field] + (["downlink_compressed"] if cfg["downlink_compressed"] is True
+                              and field != "scheme.name" and not SCHEMES[read].downlink else [])
+        assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2, (value, downlink)
+        err = json.loads(capsys.readouterr().err)
+        assert [v.split(":")[0] for v in err["violations"]] == expected, (value, downlink)
+        # the CLI reads an enum by name before any rule; the problem has no config object
+        if outer in ([], ["scheme"], ["lr"]) and kind not in ("object", "enum"):
+            lib = FedConfig(**{**{k: v for k, v in cfg.items() if k != "problem"},
+                               "scheme": QuantizerScheme(**cfg["scheme"]),
+                               "lr": LrSchedule(**cfg["lr"])})
+            assert [v.split(":")[0] for v in lib.violations()] == expected, (value, downlink)
 
 
 def test_simulate_accepts_json_ints_for_float_fields(tmp_path):

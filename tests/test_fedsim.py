@@ -102,6 +102,35 @@ def test_vq_bound_rejects_negative():
         vq_bound(8, cb, 0, -1.0)
 
 
+# each argument's wrong values: a real number's bound edge, below it, nan, +-inf and a
+# bool; an int's least - 1, -1, a bool and 1.5 (curly_l's s is test_curly_l_by_hand's)
+_REAL_BAD = [-1.0, math.nan, math.inf, -math.inf, True]
+_INT_BAD = [-1, True, 1.5]
+_T1 = dict(smoothness=1.0, radius=1.0, vq=1.0, rounds=10)
+_T1_BAD = {"smoothness": [0.0] + _REAL_BAD, "radius": [0.0] + _REAL_BAD,
+           "vq": [-1e-300] + _REAL_BAD, "rounds": [0] + _INT_BAD}
+_SOB4 = generate(CodebookMethod.SOB, 4, 4, seed=0)
+
+
+@pytest.mark.parametrize("fn, good, arg, bad", [
+    pytest.param(fn, good, arg, bad, id=f"{fn.__name__}-{arg}-{bad!r}")
+    for fn, good, wrong in (
+        (lr_theorem1, _T1, _T1_BAD),
+        (theorem1_gap_bound, _T1, _T1_BAD),
+        (lr_theorem3, dict(rounds=10, curly_l_value=4.0),
+         {"curly_l_value": [0.0] + _REAL_BAD, "rounds": [0] + _INT_BAD}),
+        (curly_l, dict(smoothness=2.0, s=4, d=64, d_prime=8),
+         {"smoothness": [0.0] + _REAL_BAD, "d": [0] + _INT_BAD, "d_prime": [0] + _INT_BAD}),
+        (vq_bound, dict(d=8, cb=_SOB4, s=3, b_prime=1.0, u_range=1.0),
+         {"d": [0] + _INT_BAD, "s": [-2] + _INT_BAD, "b_prime": [-1e-300] + _REAL_BAD,
+          "u_range": [-1e-300] + _REAL_BAD}))
+    for arg, values in wrong.items() for bad in values])
+def test_theorem_functions_refuse_each_argument_by_name(fn, good, arg, bad):
+    name = arg.removesuffix("_value")  # lr_theorem3 reports curly_l_value as curly_l
+    with pytest.raises(ValueError, match=f"^{name}: must be "):
+        fn(**{**good, arg: bad})
+
+
 def test_lr_schedule_resolve_dispatch():
     assert LrSchedule(eta=0.3).resolve(100) == 0.3
     assert LrSchedule(kind="theorem1", smoothness=1.0, radius=1.0,

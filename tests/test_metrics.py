@@ -223,7 +223,7 @@ class _NoDraws:
     lambda cb, n: variance_vs_clients(cb, np.ones(4), [1], n, _NoDraws()),
 ], ids=["alpha", "mse", "variance-bound", "unbiasedness", "pseudo-norm-z", "vs-clients"])
 def test_validators_reject_fewer_than_one_draw(validator, n_draws):
-    with pytest.raises(ValueError, match="at least one draw"):
+    with pytest.raises(ValueError, match=rf"^n_(draws|trials): must be >= 1, got {n_draws}$"):
         validator(generate(CodebookMethod.SOB, 4, 4, seed=0), n_draws)
 
 
