@@ -9,7 +9,7 @@ from .fedsim import (FedConfig, LrSchedule, QuantizerScheme, RoundLog, SimResult
                      payload_bits, run, theorem1_gap_bound, vq_bound)
 from .problems import Logistic, Problem, Quadratic, TinyMLP, estimate_second_moment
 from .quantizers import (CompressedGradient, Variant, aggregate, compress, decode,
-                         decode_pseudo_norm, quantize_greedy, segment_gradient)
+                         decode_pseudo_norm, segment_gradient)
 from .rng import Stream
 from .wire import decode_frame, encode_frame, hsq_payload_bits
 
@@ -26,6 +26,6 @@ __all__ = [
     "decode_frame", "decode_pseudo_norm", "encode_frame",
     "estimate_second_moment", "generate",
     "hsq_payload_bits", "load_codebook", "logs_to_csv", "lr_theorem1",
-    "lr_theorem3", "payload_bits", "quantize_greedy", "run", "save_codebook",
+    "lr_theorem3", "payload_bits", "run", "save_codebook",
     "segment_gradient", "theorem1_gap_bound", "vq_bound",
 ]

@@ -28,7 +28,7 @@ from .errors import out_of_range, refuse_argument
 from .fedsim import QuantizerScheme, compression_ratio, vq_bound
 from .quantizers import (Variant, _blocks, _check_gradient, _compress_rows, _decoded, _project,
                          _select, decode_pseudo_norm, round_in_cell, rounding_cell,
-                         sample_unbiased_codes, segment_gradient)
+                         segment_gradient)
 from .rng import Stream
 
 KS_ALPHA = 0.01  # significance level of ks_threshold
@@ -67,19 +67,23 @@ def check_unbiasedness(variant: Variant | str, cb: Codebook, g: np.ndarray, n_dr
         idx, u = _select(segments, cb)
         diff = _decoded(idx[:, 0], u[:, 0], cb, g.shape[0]) - g
         return np.where(diff != 0.0, np.copysign(np.inf, diff), 0.0)
-    z = np.empty(segments.size)
-    for j, seg in enumerate(segments):
-        idx, u = sample_unbiased_codes(seg, cb, n_draws, rng.derive(j))
-        counts = np.bincount(idx, minlength=cb.count) / n_draws
+    z = np.empty(segments.shape)
+    # segment j draws from rng.derive(j), in blocks whose rows x draws and rows x d' x m
+    # temporaries fit _select's block
+    for at in _blocks(len(segments), max(n_draws, cb.dim) * cb.count):
+        block = segments[at]
+        idx, u = _select(block, cb, rng.derive(np.arange(len(segments))[at]).uniforms(n_draws))
+        rows = np.arange(len(block))[:, None]
+        counts = np.bincount((idx + rows * cb.count).ravel(),
+                             minlength=len(block) * cb.count).reshape(-1, cb.count) / n_draws
         # a draw's value is determined by its index (u_j = sign(p_j)*l1),
         # so tabulate the signed pseudo-norm per index from the draws
-        per_index_u = np.zeros(cb.count)
-        per_index_u[idx] = u
-        vals = cb.columns * per_index_u  # column j = u_j * c_j
-        mean = vals @ counts
-        ex2 = (vals ** 2) @ counts
-        z[j * cb.dim:(j + 1) * cb.dim] = _z_from_moments(mean, ex2, seg, n_draws)
-    return z[:g.shape[0]]
+        per_index_u = np.zeros(counts.shape)
+        per_index_u[rows, idx] = u
+        vals = cb.columns * per_index_u[:, None, :]  # column j of row r = u_j * c_j
+        z[at] = _z_from_moments(_project(vals, counts), _project(vals ** 2, counts), block,
+                                n_draws)
+    return z.ravel()[:g.shape[0]]
 
 
 def pseudo_norm_z(u: float, u_min: float, u_max: float, s: int, n_draws: int,
@@ -91,7 +95,8 @@ def pseudo_norm_z(u: float, u_min: float, u_max: float, s: int, n_draws: int,
     return 0.
     """
     refuse_argument(out_of_range("n_draws", n_draws, 1))
-    uu, delta, k, p_lower = rounding_cell(u, u_min, u_max, s)
+    uu = np.minimum(np.maximum(u, u_min), u_max)
+    delta, k, p_lower = rounding_cell(uu, u_min, u_max, s)
     if delta == 0.0:
         return 0.0
     decoded = decode_pseudo_norm(round_in_cell(k, p_lower, rng.uniforms(n_draws)),
@@ -111,13 +116,13 @@ class VarianceBoundResult:
     passed: bool
 
 
-def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream,
-                        scale: float = 1.0) -> VarianceBoundResult:
+def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int,
+                         rng: Stream) -> VarianceBoundResult:
     """Monte-Carlo E||g~||^2 against the second-moment bound.
 
-    Gradients are N(0, scale^2 I_d), so each segment's second moment is
-    exactly B' = d' * scale^2. The tight bound is fedsim.vq_bound with the
-    realized worst pseudo-norm range charged to every draw,
+    Gradients are N(0, I_d), so each segment's second moment is exactly
+    B' = d'. The tight bound is fedsim.vq_bound with the realized worst
+    pseudo-norm range charged to every draw,
 
         ceil(d/d') * (m * sigma1(pinv)^2 * B' + range^2 / s),
 
@@ -127,22 +132,21 @@ def check_variance_bound(cb: Codebook, d: int, s: int, n_draws: int, rng: Stream
     of the Monte-Carlo mean.
     """
     refuse_argument(out_of_range("n_draws", n_draws, 1))
-    b_prime = cb.dim * scale ** 2
     sq_norms = np.empty(n_draws)
     worst_range = 0.0
     # draw i's gradient and quantizer stream come from rng.derive(i), in blocks of draws
     for at in _blocks(n_draws, -(-d // cb.dim) * cb.count):
         st = rng.derive(np.arange(n_draws)[at])
-        g = scale * st.derive("g").normals(d)
+        g = st.derive("g").normals(d)
         indices, norms, _, u_min, u_max = _compress_rows(g, cb, s, Variant.UNBIASED,
                                                          st.derive("q"))
         sq_norms[at] = np.sum(_decoded(indices, norms, cb, d) ** 2, axis=1)
         worst_range = max(worst_range, float(np.max(u_max - u_min)))
     empirical = float(sq_norms.mean())
     mc_slack = 4.0 * float(sq_norms.std()) / math.sqrt(n_draws)
-    bound = vq_bound(d, cb, s, b_prime, worst_range)
+    bound = vq_bound(d, cb, s, cb.dim, worst_range)
     loose_factor = (1.0 + 4.0 / s) if s >= 1 else 1.0
-    bound_loose = vq_bound(d, cb, 0, b_prime) * loose_factor  # s = 0: no norm term
+    bound_loose = vq_bound(d, cb, 0, cb.dim) * loose_factor  # s = 0: no norm term
     return VarianceBoundResult(empirical=empirical, bound=bound,
                                bound_loose=bound_loose, mc_slack=mc_slack,
                                passed=empirical <= bound + mc_slack)
@@ -237,11 +241,11 @@ def variance_vs_clients(cb: Codebook, g: np.ndarray, n_values: list[int],
     if g.shape != (cb.dim,):
         raise ValueError(f"g: must be one segment of length {cb.dim}, got shape {g.shape}")
     refuse_argument(out_of_range("n_trials", n_trials, 1))
+    g = _check_gradient(g)
     out = {}
     for n in n_values:
-        st = rng.derive("n", n)
-        idx, u = sample_unbiased_codes(g, cb, n * n_trials, st)
-        vals = cb.columns[:, idx] * u          # d' x (trials*n)
+        idx, u = _select(g[None], cb, rng.derive("n", n).uniforms(n * n_trials)[None])
+        vals = cb.columns[:, idx[0]] * u[0]  # d' x (trials*n)
         means = vals.reshape(cb.dim, n_trials, n).mean(axis=2)
         out[n] = float(((means - g[:, None]) ** 2).sum(axis=0).mean())
     return out

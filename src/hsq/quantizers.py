@@ -78,6 +78,8 @@ def _check_gradient(g: np.ndarray) -> np.ndarray:
     return g
 
 
+# _check_segment, quantize_greedy and sample_unbiased_codes have no caller in hsq: they stay
+# only while perfbench/tracing.py installs the last two by name (ROADMAP item 1)
 def _check_segment(g_segment: np.ndarray, cb: Codebook) -> np.ndarray:
     g = _check_gradient(g_segment)
     if g.shape[0] != cb.dim:
@@ -234,25 +236,18 @@ def quantize_greedy(g_segment: np.ndarray, cb: Codebook) -> tuple[float, int]:
 
 
 def rounding_cell(u, u_min, u_max, s: int):
-    """Locate u on the s+1 point grid of [u_min, u_max], elementwise.
+    """Locate a u inside [u_min, u_max] on the s+1 point grid of that interval, elementwise.
 
     u and the bounds may be floats or arrays that broadcast, so each row
-    of u can have an interval of its own. Returns (u clamped into the
-    interval, grid step delta, k, p_lower): the clamped u lies between
-    grid points k and k+1 and rounds down to k with probability p_lower,
-    which keeps the rounding unbiased. A degenerate interval has
-    delta = 0, k = 0 and p_lower = 1.
+    of u can have an interval of its own. Returns (grid step delta, k,
+    p_lower): u lies between grid points k and k+1 and rounds down to k
+    with probability p_lower, which keeps the rounding unbiased. A
+    degenerate interval has delta = 0, k = 0 and p_lower = 1.
     """
-    u = np.minimum(np.maximum(u, u_min), u_max)
-    return (u,) + _cell(u, u_min, u_max, s)
-
-
-def _cell(u, u_min, u_max, s: int):
-    """rounding_cell's (delta, k, p_lower) for a u already inside [u_min, u_max]."""
     delta = (u_max - u_min) / s
     dead = delta == 0.0
     step = delta + dead  # 1 on a degenerate interval: no 0/0, and k = 0 as |u - u_min| < 1
-    k = np.minimum(((u - u_min) / step).astype(np.int64), s - 1)
+    k = np.minimum(np.true_divide(u - u_min, step).astype(np.int64), s - 1)
     return delta, k, np.where(dead, 1.0, ((k + 1) * step + u_min - u) / step)
 
 
@@ -330,7 +325,7 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
         # one row's bounds go as scalars, which numpy's ufuncs take by a faster path;
         # every u lies in its row's interval, which was rounded outward around it
         lo, hi = (u_min[:, None], u_max[:, None]) if n > 1 else (u_min[0], u_max[0])
-        _, k, p_lower = _cell(norms, lo, hi, s)
+        _, k, p_lower = rounding_cell(norms, lo, hi, s)
         grid = round_in_cell(k, p_lower, draws)
         norms = decode_pseudo_norm(grid, lo, hi, s)
     else:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hsq import metrics, quantizers
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import InvalidGradient
 from hsq.metrics import (beta_correlation, greedy_residual_sq,
@@ -11,7 +12,7 @@ from hsq.metrics import (beta_correlation, greedy_residual_sq,
                          check_unbiasedness, check_variance_bound,
                          unbiased_expected_residual_sq, variance_vs_clients)
 from hsq.fedsim import vq_bound
-from hsq.quantizers import Variant, compress, quantize_greedy
+from hsq.quantizers import Variant, _select, compress
 from hsq.rng import Stream
 
 
@@ -69,15 +70,21 @@ def test_pseudo_norm_z_degenerate_interval():
     assert pseudo_norm_z(1.5, 1.5, 1.5, 7, 1000, Stream(10)) == 0.0
 
 
+def test_pseudo_norm_z_clamps_into_interval():
+    # a u outside [u_min, u_max] is measured against the nearest end, where
+    # every draw decodes to that end exactly
+    for u in (1.1, 1.0 + 5e-13, -0.1):
+        assert pseudo_norm_z(u, 0.0, 1.0, 4, 1000, Stream(11)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # variance bound
 
 
 def test_variance_bound_formula_terms():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=11)
-    scale = 0.7
-    base = (32 // 8) * 16 * (1.0 / cb.sigma_min ** 2) * (8 * scale ** 2)
-    r = check_variance_bound(cb, d=32, s=7, n_draws=200, rng=Stream(12), scale=scale)
+    base = (32 // 8) * 16 * (1.0 / cb.sigma_min ** 2) * 8.0
+    r = check_variance_bound(cb, d=32, s=7, n_draws=200, rng=Stream(12))
     assert r.bound_loose == pytest.approx(base * (1 + 4 / 7))
     assert r.bound >= base  # tight bound adds a nonnegative range term
     assert r.passed
@@ -154,7 +161,7 @@ def test_greedy_residual_matches_brute_force():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 6, 12, seed=20)
     for i in range(50):
         g = Stream(21).derive(i).normals(6)
-        u, idx = quantize_greedy(g, cb)
+        [[idx]], [[u]] = _select(g[None], cb)
         brute = float(np.sum((g - u * cb.columns[:, idx]) ** 2))
         assert greedy_residual_sq(g, cb) == pytest.approx(brute, abs=1e-10)
 
@@ -250,6 +257,22 @@ def test_variance_vs_clients_rejects_wrong_length():
     cb = generate(CodebookMethod.SOB, 8, 8, seed=0)
     with pytest.raises(ValueError):
         variance_vs_clients(cb, np.ones(5), [1], 10, Stream(0))
+
+
+def test_validators_select_through_select_alone(monkeypatch):
+    # no validator reaches the one-segment wrappers of the selection rule
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-segment selection wrapper was called")
+
+    for name in ("sample_unbiased_codes", "quantize_greedy"):
+        monkeypatch.setattr(quantizers, name, refuse)
+        assert not hasattr(metrics, name)
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=34)
+    g = Stream(35).normals(21)
+    for variant in Variant:
+        assert check_unbiasedness(variant, cb, g, 50, Stream(36)).shape == (21,)
+    assert set(variance_vs_clients(cb, g[:8], [1, 4], 10, Stream(37))) == {1, 4}
+    assert run_validator_suite(0)["all_passed"]
 
 
 # ---------------------------------------------------------------------------

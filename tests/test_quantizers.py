@@ -9,9 +9,8 @@ from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, Overflow
                         WireFormatError)
 from hsq.metrics import check_variance_bound
 from hsq.quantizers import (CompressedGradient, Variant, _compress_rows, _select, aggregate,
-                            compress, decode, decode_pseudo_norm, quantize_greedy,
-                            round_in_cell, rounding_cell, sample_unbiased_codes,
-                            segment_gradient)
+                            compress, decode, decode_pseudo_norm, round_in_cell, rounding_cell,
+                            sample_unbiased_codes, segment_gradient)
 from hsq.rng import Stream
 from hsq.wire import encode_frame
 
@@ -26,14 +25,18 @@ def unbiased_draws(g, cb, draws):
     return idx[0].tolist(), u[0].tolist()
 
 
+def greedy(g, cb):
+    """The greedy selection rule on one segment: (u, codeword index)."""
+    idx, u = _select(np.asarray(g, dtype=np.float64)[None], cb)
+    return float(u[0, 0]), int(idx[0, 0])
+
+
 # ---------------------------------------------------------------------------
 # probabilistic selection
 
 
 def test_unbiased_zero_gradient():
     assert unbiased_draws(np.zeros(4), sob(4), [0.0, 0.5, 0.99]) == ([0, 0, 0], [0.0, 0.0, 0.0])
-    idx, u = sample_unbiased_codes(np.zeros(4), sob(4), 3, Stream(1))
-    assert idx.tolist() == [0, 0, 0] and u.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_unbiased_enumerated_positive():
@@ -98,12 +101,12 @@ def test_sample_unbiased_matches_single_draws():
 
 
 def test_greedy_zero_gradient():
-    assert quantize_greedy(np.zeros(3), sob(3)) == (0.0, 0)
+    assert greedy(np.zeros(3), sob(3)) == (0.0, 0)
 
 
 def test_greedy_enumerated():
     # g=(0.3,-0.9): |corr| = (0.3, 0.9) -> index 1, u = -0.9
-    u, idx = quantize_greedy(np.array([0.3, -0.9]), sob(2))
+    u, idx = greedy(np.array([0.3, -0.9]), sob(2))
     assert idx == 1
     assert u == pytest.approx(-0.9)
     residual = np.array([0.3, -0.9]) - u * sob(2).columns[:, 1]
@@ -111,7 +114,7 @@ def test_greedy_enumerated():
 
 
 def test_greedy_tie_breaks_low_index():
-    u, idx = quantize_greedy(np.array([0.5, 0.5]), sob(2))
+    u, idx = greedy(np.array([0.5, 0.5]), sob(2))
     assert idx == 0 and u == pytest.approx(0.5)
 
 
@@ -120,7 +123,7 @@ def test_greedy_worst_case_orthonormal():
     # with alpha = 1 - 1/m is met with equality
     cb = sob(4)
     g = np.full(4, 0.5)
-    u, idx = quantize_greedy(g, cb)
+    u, idx = greedy(g, cb)
     assert idx == 0
     assert u ** 2 == pytest.approx(0.25)
     assert u ** 2 == pytest.approx((cb.sigma_min ** 2 / cb.count) * float(g @ g))
@@ -129,9 +132,9 @@ def test_greedy_worst_case_orthonormal():
 def test_greedy_scale_equivariance():
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=4)
     g = Stream(6).normals(8)
-    u, idx = quantize_greedy(g, cb)
+    u, idx = greedy(g, cb)
     for lam in (0.5, 2.0, 17.0):
-        u2, idx2 = quantize_greedy(lam * g, cb)
+        u2, idx2 = greedy(lam * g, cb)
         assert idx2 == idx
         assert u2 == pytest.approx(lam * u, rel=1e-12)
 
@@ -142,7 +145,7 @@ def test_greedy_scale_equivariance():
 
 def grid_levels(u, u_min, u_max, s, draws):
     """The grid level that rounding u reaches on each given uniform."""
-    _, _, k, p_lower = rounding_cell(u, u_min, u_max, s)
+    _, k, p_lower = rounding_cell(u, u_min, u_max, s)
     return round_in_cell(k, p_lower, np.asarray(draws)).tolist()
 
 
@@ -154,8 +157,8 @@ def test_pseudo_norm_grid_endpoints():
 
 def test_pseudo_norm_enumerated_probabilities():
     # u=0.3 on [0,1] with s=4: delta=.25, k=1, P(level 1)=0.8, P(level 2)=0.2
-    uu, delta, k, p_lower = rounding_cell(0.3, 0.0, 1.0, 4)
-    assert (uu, delta, k) == (0.3, 0.25, 1) and p_lower == pytest.approx(0.8)
+    delta, k, p_lower = rounding_cell(0.3, 0.0, 1.0, 4)
+    assert (delta, k) == (0.25, 1) and p_lower == pytest.approx(0.8)
     assert grid_levels(0.3, 0.0, 1.0, 4, [0.8 - 1e-9, 0.8 + 1e-9]) == [1, 2]
     assert decode_pseudo_norm(1, 0.0, 1.0, 4) == pytest.approx(0.25)
     assert decode_pseudo_norm(2, 0.0, 1.0, 4) == pytest.approx(0.5)
@@ -170,18 +173,8 @@ def test_pseudo_norm_monte_carlo_unbiased():
     assert abs(decoded.mean() - 0.3) < 4 * se
 
 
-def test_rounding_cell_clamps_into_interval():
-    # compress's u always lies in its own [u_min, u_max]; rounding_cell
-    # clamps anything outside onto the nearest end level
-    draws = [0.0, 0.5, 1.0 - 2 ** -53]
-    assert grid_levels(1.1, 0.0, 1.0, 4, draws) == [4] * 3
-    assert grid_levels(1.0 + 5e-13, 0.0, 1.0, 4, draws) == [4] * 3
-    assert grid_levels(-0.1, 0.0, 1.0, 4, draws) == [0] * 3
-    assert rounding_cell(-0.1, 0.0, 1.0, 4)[0] == 0.0
-
-
 def test_pseudo_norm_degenerate_interval():
-    assert rounding_cell(2.0, 2.0, 2.0, 8)[1:] == (0.0, 0, 1.0)
+    assert rounding_cell(2.0, 2.0, 2.0, 8) == (0.0, 0, 1.0)
     assert grid_levels(2.0, 2.0, 2.0, 8, [0.0, 0.5, 1.0 - 2 ** -53]) == [0] * 3
     assert decode_pseudo_norm(0, 2.0, 2.0, 8) == 2.0
 
@@ -750,9 +743,9 @@ def test_sample_unbiased_peak_memory_flat_in_draws():
     g = Stream(5).normals(16)
     tracemalloc.start()
     try:
-        idx, u = sample_unbiased_codes(g, cb, 200_000, Stream(6))
+        idx, u = _select(g[None], cb, Stream(6).uniforms(200_000)[None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert idx.shape == u.shape == (200_000,)
+    assert idx.shape == u.shape == (1, 200_000)
     assert peak < 8 * 2 ** 20, peak  # the two results alone take 3.05 MiB
