@@ -17,9 +17,9 @@ and exit 2; runtime errors exit 1.
 Each value's type and range are checked by the rule that owns it (``codebook.violations``,
 ``QuantizerScheme.violations``, ``LrSchedule.violations``, ``wire.length_violations``,
 ``quantizers.level_violations``, and the count and seed rules ``FedConfig`` applies),
-never here: a config file's parser refuses only unknown keys, a nested field that is not
-an object and an enum value that is none of its names. A field read from a flag is
-reported as that flag, before any file is read or written.
+never here: a config file's parser refuses only unknown keys and a nested field that is
+not an object. A field read from a flag is reported as that flag, before any file is read
+or written.
 """
 
 from __future__ import annotations
@@ -119,10 +119,9 @@ def _from_json(cls, raw, where: str, violations: list[str]):
     """The config dataclass cls from a JSON object, or None after a violation naming where.
 
     Field names and defaults come from cls itself. An unknown key is a
-    violation naming it, a nested config object is read the same way (it
-    keeps its default when it is not an object), and an enum field takes
-    one of its values by name; every other value goes to cls as given, for
-    the rule that owns it.
+    violation naming it and a nested config object is read the same way (it
+    keeps its default when it is not an object); every other value goes to
+    cls as given, for the rule that owns it.
     """
     if not isinstance(raw, dict):
         violations.append(f"{where}: must be a JSON object, got {raw!r}")
@@ -138,10 +137,8 @@ def _from_json(cls, raw, where: str, violations: list[str]):
         elif dataclasses.is_dataclass(hint):
             if (nested := _from_json(hint, value, name, violations)) is not None:
                 kwargs[key] = nested
-        elif isinstance(hint, enum.EnumMeta) and value not in [e.value for e in hint]:
-            violations.append(f"{name}: expected one of {[e.value for e in hint]}, got {value!r}")
         else:
-            kwargs[key] = hint(value) if isinstance(hint, enum.EnumMeta) else value
+            kwargs[key] = value
     return cls(**kwargs)
 
 

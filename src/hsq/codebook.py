@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShape, RankDeficient, WireFormatError, out_of_range
+from .errors import InvalidShape, RankDeficient, WireFormatError, enum_violations, out_of_range
 from .rng import Stream
 
 UNIT_NORM_TOL = 1e-12
@@ -218,23 +218,26 @@ def seed_violations(seed: int) -> list[str]:
 def violations(method: CodebookMethod | str, d_prime: int, m: int, seed: int = 0) -> list[str]:
     """The codebook rule, one "field: problem" message per field it refuses.
 
-    d' >= 1 and m >= d' (full row rank), m = d' for sob and random-rotation,
-    and d', m and seed within the file header. An invalid d' leaves m only required.
+    A method of CodebookMethod (or its name), d' >= 1 and m >= d' (full row
+    rank), m = d' for sob and random-rotation, and d', m and seed within the
+    file header. An invalid d' leaves m only required.
     """
-    method = CodebookMethod(method)
+    bad_method = enum_violations("codebook_method", method, CodebookMethod)
+    method = None if bad_method else CodebookMethod(method)
     out = out_of_range("d_prime", d_prime, 1, _U32_MAX)
     least, most, label = (None, None, "d_prime") if out else (d_prime, _U32_MAX, None)
     out += out_of_range("m", m, least, most, label)
     if not out and method in SQUARE_METHODS and m != d_prime:
         out.append(f"m: {method.value} codebooks are square, must equal {d_prime}, got {m}")
-    return out + seed_violations(seed)
+    return bad_method + out + seed_violations(seed)
 
 
 def generate_violations(method: CodebookMethod | str, d_prime: int, m: int,
                         seed: int = 0) -> list[str]:
     """The rule of generate: the codebook rule, for a method that a seed can build."""
     out = violations(method, d_prime, m, seed)
-    if CodebookMethod(method) not in SEEDED_METHODS:
+    if (not enum_violations("codebook_method", method, CodebookMethod)
+            and CodebookMethod(method) not in SEEDED_METHODS):
         out.append("codebook_method: custom codebooks are built via Codebook.from_columns")
     return out
 

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all hsq modules, and the number rules every argument rule uses."""
 
+import enum
 import numbers
 import sys
 
@@ -67,6 +68,15 @@ def real_violations(name: str, value, least, strict: bool = False) -> list[str]:
         return [f"{name}: must be a finite real number, got {value!r}"]
     return [] if value > least or value == least and not strict else [
         f"{name}: must be {'>' if strict else '>='} {least}, got {value!r}"]
+
+
+def enum_violations(name: str, value, kind: type[enum.Enum]) -> list[str]:
+    """[] if value is a member of the enum kind or the str value of one, else one
+    "name: problem" message; any other object, an array among them, violates."""
+    values = tuple(e.value for e in kind)
+    if isinstance(value, kind) or isinstance(value, str) and value in values:
+        return []
+    return [f"{name}: {value!r} not one of {values}"]
 
 
 def refuse(violations: list[str]) -> None:

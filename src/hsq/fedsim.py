@@ -31,7 +31,8 @@ from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, c
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
 from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
-from .errors import ConfigError, out_of_range, real_violations, refuse, refuse_argument
+from .errors import (ConfigError, enum_violations, out_of_range, real_violations, refuse,
+                     refuse_argument)
 from .problems import Problem
 from .quantizers import CompressedGradient, Variant, _decoded, compress, level_violations
 from .rng import Stream
@@ -95,6 +96,7 @@ SCHEMES = {
     "identity": Scheme(payload_bits=lambda p, d: 32.0 * d, step=lambda g, *_: g),
     "hsq": Scheme(payload_bits=lambda p, d: hsq_payload_bits(d, p.d_prime, p.m, p.s),
                   rule=lambda p: (generate_violations(p.codebook_method, p.d_prime, p.m)
+                                  + enum_violations("variant", p.variant, Variant)
                                   + level_violations(p.s)),
                   header_bits=HEADER_BITS, natural_d=lambda p: p.d_prime,
                   codebook=lambda p, seed: generate(p.codebook_method, p.d_prime, p.m, seed),
@@ -201,19 +203,24 @@ class FedConfig:
     seed: int = 0
 
     def violations(self) -> list[str]:
-        out = count_violations(num_clients=self.num_clients, rounds=self.rounds,
-                               local_batch=self.local_batch) + seed_violations(self.seed)
+        out = (count_violations(num_clients=self.num_clients, local_batch=self.local_batch)
+               + rounds_violations(self.rounds) + seed_violations(self.seed))
         # num_clients bounds clients_per_round only where it is an int
         most = (None if out_of_range("num_clients", self.num_clients, None)
                 else max(self.num_clients, 1))
         out += out_of_range("clients_per_round", self.clients_per_round, 1, most)
-        out.extend(f"scheme.{v}" for v in self.scheme.violations())
-        out.extend(self.lr.violations())
+        scheme = self.scheme
+        if not isinstance(scheme, QuantizerScheme):
+            out.append(f"scheme: must be a QuantizerScheme, got {scheme!r}")
+            scheme = QuantizerScheme()  # the rest is judged as the CLI reads a non-object scheme
+        out.extend(f"scheme.{v}" for v in scheme.violations())
+        out.extend(self.lr.violations() if isinstance(self.lr, LrSchedule)
+                   else [f"lr: must be an LrSchedule, got {self.lr!r}"])
         if type(self.downlink_compressed) is not bool:
             out.append(f"downlink_compressed: must be a bool, got {self.downlink_compressed!r}")
-        elif (self.downlink_compressed and isinstance(self.scheme.name, str)
-              and self.scheme.name in SCHEMES and not SCHEMES[self.scheme.name].downlink):
-            out.append(f"downlink_compressed: scheme {self.scheme.name!r} has no "
+        elif (self.downlink_compressed and isinstance(scheme.name, str)
+              and scheme.name in SCHEMES and not SCHEMES[scheme.name].downlink):
+            out.append(f"downlink_compressed: scheme {scheme.name!r} has no "
                        "compressed downlink")
         return out
 
@@ -224,6 +231,15 @@ class FedConfig:
 def count_violations(**counts: int) -> list[str]:
     """The count rule: one "name: problem" message per count below 1."""
     return [v for name, n in counts.items() for v in out_of_range(name, n, 1)]
+
+
+# Every round count up to 2^53 is an exact float, so the step-size recipes never overflow
+MAX_ROUNDS = 2 ** 53
+
+
+def rounds_violations(rounds: int) -> list[str]:
+    """The rule for a round count: an int in [1, MAX_ROUNDS]."""
+    return out_of_range("rounds", rounds, 1, MAX_ROUNDS)
 
 
 @dataclass
@@ -247,15 +263,15 @@ class SimResult:
 def lr_theorem1(smoothness: float, radius: float, vq: float, rounds: int) -> float:
     """Constant step size 1/(L + sqrt(V_q * T) / R)."""
     refuse_argument(_bound_violations("theorem1", dict(smoothness=smoothness, radius=radius, vq=vq))
-                    + out_of_range("rounds", rounds, 1))
+                    + rounds_violations(rounds))
     return 1.0 / (smoothness + math.sqrt(vq * rounds) / radius)
 
 
 def theorem1_gap_bound(smoothness: float, radius: float, vq: float, rounds: int) -> float:
     """Optimality-gap guarantee R*sqrt(V_q/T) + L*R^2/(2T) for the mean iterate."""
     refuse_argument(_bound_violations("theorem1", dict(smoothness=smoothness, radius=radius, vq=vq))
-                    + out_of_range("rounds", rounds, 1))
-    return radius * math.sqrt(vq / rounds) + smoothness * radius ** 2 / (2 * rounds)
+                    + rounds_violations(rounds))
+    return radius * math.sqrt(vq / rounds) + smoothness * (radius * radius) / (2 * rounds)
 
 
 def curly_l(smoothness: float, s: int, d: int, d_prime: int) -> float:
@@ -268,7 +284,7 @@ def curly_l(smoothness: float, s: int, d: int, d_prime: int) -> float:
 def lr_theorem3(rounds: int, curly_l_value: float) -> float:
     """Constant step size 1/sqrt(T * curly_l), paired with batch size sqrt(T)."""
     refuse_argument(_bound_violations("theorem3", {"curly_l": curly_l_value})
-                    + out_of_range("rounds", rounds, 1))
+                    + rounds_violations(rounds))
     return 1.0 / math.sqrt(rounds * curly_l_value)
 
 
@@ -278,11 +294,11 @@ def vq_bound(d: int, cb: Codebook, s: int, b_prime: float, u_range: float = 0.0)
     The norm-quantization term vanishes in exact-norm mode (s = 0),
     where u_range is ignored.
     """
-    refuse_argument(count_violations(d=d) + level_violations(s)
+    refuse_argument(length_violations(d) + level_violations(s)
                     + real_violations("b_prime", b_prime, 0)
                     + real_violations("u_range", u_range, 0))
     sigma1_pinv_sq = 1.0 / cb.sigma_min ** 2
-    norm_term = (u_range ** 2) / s if s >= 1 else 0.0
+    norm_term = (u_range * u_range) / s if s >= 1 else 0.0
     return -(-d // cb.dim) * (cb.count * sigma1_pinv_sq * b_prime + norm_term)
 
 

@@ -337,6 +337,9 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     ({"lr": {"kind": "constant", "eta": "0.1"}}, "lr.eta"),
     ({"scheme": {"name": "hsq", "d_prime": 4, "m": 16, "s": 15, "variant": 1}},
      "scheme.variant"),
+    # a recipe would not resolve a round count beyond 2^53 (10^400 overflows a float)
+    ({"rounds": 10 ** 400, "lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 1.0,
+                                  "vq": 1.0}}, "rounds"),
     # in range for the type, out of range for the recipe
     ({"lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 0.0, "vq": 1.0}}, "lr.radius"),
     # json.load reads the non-JSON literals Infinity and NaN as floats
@@ -438,8 +441,8 @@ def test_every_config_field_refuses_a_wrong_value_by_its_name(tmp_path, capsys, 
         assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2, (value, downlink)
         err = json.loads(capsys.readouterr().err)
         assert [v.split(":")[0] for v in err["violations"]] == expected, (value, downlink)
-        # the CLI reads an enum by name before any rule; the problem has no config object
-        if outer in ([], ["scheme"], ["lr"]) and kind not in ("object", "enum"):
+        # the problem has no config object
+        if outer in ([], ["scheme"], ["lr"]) and kind != "object":
             lib = FedConfig(**{**{k: v for k, v in cfg.items() if k != "problem"},
                                "scheme": QuantizerScheme(**cfg["scheme"]),
                                "lr": LrSchedule(**cfg["lr"])})

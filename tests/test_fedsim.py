@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import hsq
+from hsq import fedsim
 from hsq.codebook import CodebookMethod, generate
 from hsq.errors import ConfigError, InvalidShape
-from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, SCHEMES, FedConfig, LrSchedule,
+from hsq.fedsim import (CSV_COLUMNS, LR_KINDS, MAX_ROUNDS, SCHEMES, FedConfig, LrSchedule,
                         QuantizerScheme, RoundLog, compression_ratio, curly_l, logs_to_csv,
                         lr_theorem1, lr_theorem3, partition_indices, payload_bits, run,
                         theorem1_gap_bound, vq_bound)
@@ -102,13 +104,26 @@ def test_vq_bound_rejects_negative():
         vq_bound(8, cb, 0, -1.0)
 
 
+def test_theorem_functions_overflow_to_inf_or_refuse_rounds():
+    # a square beyond the float range is inf, not an OverflowError, and rounds stop at
+    # 2^53, where every count is an exact float
+    cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=0)
+    assert theorem1_gap_bound(1.0, 1e200, 1.0, 10) == math.inf
+    assert vq_bound(8, cb, 3, 1.0, 1e200) == math.inf
+    with pytest.raises(ValueError, match=f"^rounds: must be <= {MAX_ROUNDS}, got 1000"):
+        lr_theorem1(1.0, 1.0, 1.0, 10 ** 400)
+    assert 0.0 < lr_theorem1(1.0, 1.0, 1.0, MAX_ROUNDS) < 1e-7
+    assert [v.split(":")[0] for v in _identity_cfg(rounds=MAX_ROUNDS + 1).violations()] == [
+        "rounds"]
+
+
 # each argument's wrong values: a real number's bound edge, below it, nan, +-inf and a
 # bool; an int's least - 1, -1, a bool and 1.5 (curly_l's s is test_curly_l_by_hand's)
 _REAL_BAD = [-1.0, math.nan, math.inf, -math.inf, True]
 _INT_BAD = [-1, True, 1.5]
 _T1 = dict(smoothness=1.0, radius=1.0, vq=1.0, rounds=10)
 _T1_BAD = {"smoothness": [0.0] + _REAL_BAD, "radius": [0.0] + _REAL_BAD,
-           "vq": [-1e-300] + _REAL_BAD, "rounds": [0] + _INT_BAD}
+           "vq": [-1e-300] + _REAL_BAD, "rounds": [0, 2 ** 53 + 1] + _INT_BAD}
 _SOB4 = generate(CodebookMethod.SOB, 4, 4, seed=0)
 
 
@@ -118,11 +133,11 @@ _SOB4 = generate(CodebookMethod.SOB, 4, 4, seed=0)
         (lr_theorem1, _T1, _T1_BAD),
         (theorem1_gap_bound, _T1, _T1_BAD),
         (lr_theorem3, dict(rounds=10, curly_l_value=4.0),
-         {"curly_l_value": [0.0] + _REAL_BAD, "rounds": [0] + _INT_BAD}),
+         {"curly_l_value": [0.0] + _REAL_BAD, "rounds": [0, 2 ** 53 + 1] + _INT_BAD}),
         (curly_l, dict(smoothness=2.0, s=4, d=64, d_prime=8),
          {"smoothness": [0.0] + _REAL_BAD, "d": [0] + _INT_BAD, "d_prime": [0] + _INT_BAD}),
         (vq_bound, dict(d=8, cb=_SOB4, s=3, b_prime=1.0, u_range=1.0),
-         {"d": [0] + _INT_BAD, "s": [-2] + _INT_BAD, "b_prime": [-1e-300] + _REAL_BAD,
+         {"d": [0, 2 ** 32] + _INT_BAD, "s": [-2] + _INT_BAD, "b_prime": [-1e-300] + _REAL_BAD,
           "u_range": [-1e-300] + _REAL_BAD}))
     for arg, values in wrong.items() for bad in values])
 def test_theorem_functions_refuse_each_argument_by_name(fn, good, arg, bad):
@@ -159,6 +174,64 @@ def test_config_scheme_name_unknown():
     msgs = FedConfig(scheme=QuantizerScheme(name="zipgrad"),
                      lr=LrSchedule(eta=0.1)).violations()
     assert any("scheme.name" in m for m in msgs)
+
+
+@pytest.mark.parametrize("field", ["variant", "codebook_method"])
+def test_hsq_rule_names_an_enum_value_that_is_none_of_its_names(field):
+    sch = QuantizerScheme("hsq", 4, 16, 15, **{field: "x"})
+    assert [v.split(":")[0] for v in sch.violations()] == [field]
+
+
+def test_run_refuses_an_unknown_variant_before_building_a_codebook(monkeypatch):
+    def no_codebook(*args):
+        raise AssertionError("a codebook was built")
+
+    monkeypatch.setattr(fedsim, "generate", no_codebook)
+    cfg = _identity_cfg(scheme=QuantizerScheme("hsq", 4, 16, 15, variant="x"))
+    with pytest.raises(ConfigError) as exc:
+        run(cfg, Quadratic(dim=6, seed=0))
+    assert [v.split(":")[0] for v in exc.value.violations] == ["scheme.variant"]
+
+
+# every field of the three config objects, under each scheme name and lr kind, and the
+# values each rule must refuse by that field's name without raising; _ACCEPTED lists
+# per case the values a field takes, which must pass (no count but rounds has an upper
+# bound, nor do qsgd's s and bucket_size)
+_VALUES = ["x", 1.5, True, None, -1, 2 ** 64, math.nan, [1], np.array([1, 2])]
+_ACCEPTED = {"FedConfig-num_clients": [2 ** 64], "FedConfig-local_batch": [2 ** 64],
+             "scheme=qsgd-s": [2 ** 64], "scheme=qsgd-bucket_size": [2 ** 64],
+             **{f"lr={kind}-{name}": [1.5, 2 ** 64]
+                for kind, (_, params) in LR_KINDS.items() for name in params}}
+# a valid QuantizerScheme per name, from the parameters its rule reads
+_SCHEME_BASE = {"identity": {}, "hsq": dict(d_prime=4, m=16, s=15, variant="unbiased",
+                                            codebook_method="random-gaussian"),
+                "qsgd": dict(s=4, bucket_size=512), "terngrad": {}, "signsgd": {}}
+_RULE_CASES = (
+    [(f"FedConfig-{f.name}", FedConfig, {}, f.name, f.name)
+     for f in dataclasses.fields(FedConfig)]
+    + [(f"scheme={name}-{f.name}", QuantizerScheme, {"name": name, **base}, f.name,
+        f.name if f.name == "name" or f.name in base else None)
+       for name, base in _SCHEME_BASE.items() for f in dataclasses.fields(QuantizerScheme)]
+    + [(f"lr={kind}-{f.name}", LrSchedule, {"kind": kind, **dict.fromkeys(params, 1.0)},
+        f.name, f"lr.{f.name}" if f.name == "kind" or f.name in params else None)
+       for kind, (_, params) in LR_KINDS.items() for f in dataclasses.fields(LrSchedule)])
+
+
+@pytest.mark.parametrize("cls, base, field, named, accepted",
+                         [pytest.param(*case[1:], _ACCEPTED.get(case[0], []), id=case[0])
+                          for case in _RULE_CASES])
+def test_every_config_rule_is_total(cls, base, field, named, accepted):
+    # library callers get a list of "field: problem" strings from violations(), never an
+    # exception; a parameter the scheme or lr kind does not read is ignored
+    assert cls(**base).violations() == []
+    for value in _VALUES:
+        out = cls(**{**base, field: value}).violations()
+        assert isinstance(out, list) and all(isinstance(v, str) for v in out), value
+        fields = [v.split(":")[0] for v in out]
+        if named is None or any(value is ok for ok in accepted):
+            assert fields == [], value
+        else:
+            assert named in fields, value
 
 
 def test_config_hsq_m_smaller_than_d_prime():
