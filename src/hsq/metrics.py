@@ -73,13 +73,12 @@ def check_unbiasedness(variant: Variant | str, cb: Codebook, g: np.ndarray, n_dr
     for at in _blocks(len(segments), max(n_draws, cb.dim) * cb.count):
         block = segments[at]
         idx, u = _select(block, cb, rng.derive(np.arange(len(segments))[at]).uniforms(n_draws))
-        rows = np.arange(len(block))[:, None]
-        counts = np.bincount((idx + rows * cb.count).ravel(),
-                             minlength=len(block) * cb.count).reshape(-1, cb.count) / n_draws
+        flat = (idx + np.arange(len(block))[:, None] * cb.count).ravel()  # row r: r * m + i
+        counts = np.bincount(flat, minlength=len(block) * cb.count).reshape(-1, cb.count) / n_draws
         # a draw's value is determined by its index (u_j = sign(p_j)*l1),
         # so tabulate the signed pseudo-norm per index from the draws
         per_index_u = np.zeros(counts.shape)
-        per_index_u[rows, idx] = u
+        per_index_u.reshape(-1)[flat] = u.reshape(-1)
         vals = cb.columns * per_index_u[:, None, :]  # column j of row r = u_j * c_j
         z[at] = _z_from_moments(_project(vals, counts), _project(vals ** 2, counts), block,
                                 n_draws)
