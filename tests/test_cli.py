@@ -337,9 +337,6 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     ({"lr": {"kind": "constant", "eta": "0.1"}}, "lr.eta"),
     ({"scheme": {"name": "hsq", "d_prime": 4, "m": 16, "s": 15, "variant": 1}},
      "scheme.variant"),
-    # a recipe would not resolve a round count beyond 2^53 (10^400 overflows a float)
-    ({"rounds": 10 ** 400, "lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 1.0,
-                                  "vq": 1.0}}, "rounds"),
     # in range for the type, out of range for the recipe
     ({"lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 0.0, "vq": 1.0}}, "lr.radius"),
     # json.load reads the non-JSON literals Infinity and NaN as floats
@@ -383,6 +380,9 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
      "problem.layer_sizes"),
     ({"problem": {"kind": "logistic", "dim": 8, "layer_sizes": [9, 9], "seed": 0}},
      "problem.layer_sizes"),
+    # a recipe would not resolve a round count beyond 2^53 (10^400 overflows a float)
+    ({"rounds": 10 ** 400, "lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 1.0,
+                                  "vq": 1.0}}, "rounds"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))
@@ -441,7 +441,7 @@ def test_every_config_field_refuses_a_wrong_value_by_its_name(tmp_path, capsys, 
         assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 2, (value, downlink)
         err = json.loads(capsys.readouterr().err)
         assert [v.split(":")[0] for v in err["violations"]] == expected, (value, downlink)
-        # the problem has no config object
+        # the problem has no config object, and a non-object scheme or lr cannot build one
         if outer in ([], ["scheme"], ["lr"]) and kind != "object":
             lib = FedConfig(**{**{k: v for k, v in cfg.items() if k != "problem"},
                                "scheme": QuantizerScheme(**cfg["scheme"]),
