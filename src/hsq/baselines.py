@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codebook import _U32_MAX
 from .errors import Overflow, out_of_range, refuse_argument
 from .quantizers import _check_gradient
 from .rng import Stream
@@ -44,7 +45,8 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
     bucket encodes as norm 0 with all levels 0.
     """
     g = _check_gradient(g)
-    refuse_argument(out_of_range("levels", levels, 1) + out_of_range("bucket_size", bucket_size, 1))
+    refuse_argument(out_of_range("levels", levels, 1, _U32_MAX)
+                    + out_of_range("bucket_size", bucket_size, 1, _U32_MAX))
     d = g.shape[0]
     n_full = d // bucket_size
     rows = g[:n_full * bucket_size].reshape(n_full, bucket_size)
@@ -59,7 +61,7 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
     if not np.maximum.reduce(sq) < np.inf:  # squares are >= 0, so the largest is inf if any is
         raise Overflow("a bucket's squared norm overflows float64")
     norms = np.sqrt(sq)
-    per_coord = np.repeat(norms, bucket_size)[:d]
+    per_coord = _per_coordinate(norms, d, bucket_size)
     r = np.divide(np.abs(g), per_coord, out=np.zeros(d), where=per_coord != 0.0)
     r *= levels
     base = np.minimum(np.floor(r), levels - 1)
@@ -71,7 +73,14 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
 
 def decode_qsgd(code: QsgdCode) -> np.ndarray:
     out = code.level_idx.astype(np.float64) / code.levels * code.signs
-    return out * np.repeat(code.norms, code.bucket_size)[:code.dim]
+    return out * _per_coordinate(code.norms, code.dim, code.bucket_size)
+
+
+def _per_coordinate(norms: np.ndarray, d: int, bucket_size: int) -> np.ndarray:
+    """Each of the d coordinates' bucket norm, in O(d) memory whatever the bucket size."""
+    counts = np.full(len(norms), bucket_size)
+    counts[-1] = d - (len(norms) - 1) * bucket_size  # the tail bucket
+    return np.repeat(norms, counts)
 
 
 def qsgd_dense_bits(d: int, levels: int, bucket_size: int = QSGD_BUCKET_SIZE) -> float:

@@ -30,7 +30,8 @@ import numpy as np
 from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
                         compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
-from .codebook import Codebook, CodebookMethod, generate, generate_violations, seed_violations
+from .codebook import (_U32_MAX, Codebook, CodebookMethod, generate, generate_violations,
+                       seed_violations)
 from .errors import (ConfigError, enum_violations, out_of_range, real_violations, refuse,
                      refuse_argument)
 from .problems import Problem
@@ -103,8 +104,8 @@ SCHEMES = {
                   downlink=True,
                   step=lambda g, p, cb, rng: _hsq_step(compress(g, cb, p.s, p.variant, rng), cb)),
     "qsgd": Scheme(payload_bits=lambda p, d: qsgd_dense_bits(d, p.s, p.bucket_size),
-                   rule=lambda p: (out_of_range("s", p.s, 1)
-                                   + out_of_range("bucket_size", p.bucket_size, 1)),
+                   rule=lambda p: (out_of_range("s", p.s, 1, _U32_MAX)
+                                   + out_of_range("bucket_size", p.bucket_size, 1, _U32_MAX)),
                    natural_d=lambda p: p.bucket_size,
                    step=lambda g, p, cb, rng: decode_qsgd(
                        compress_qsgd(g, p.s, rng, p.bucket_size))),
@@ -277,7 +278,8 @@ def theorem1_gap_bound(smoothness: float, radius: float, vq: float, rounds: int)
 def curly_l(smoothness: float, s: int, d: int, d_prime: int) -> float:
     """Effective smoothness L*(1 + 4/s)*d/d'. Undefined for s = 0."""
     refuse_argument(real_violations("smoothness", smoothness, 0, strict=True)
-                    + out_of_range("s", s, 1) + count_violations(d=d, d_prime=d_prime))
+                    + (level_violations(s) or out_of_range("s", s, 1)) + length_violations(d)
+                    + out_of_range("d_prime", d_prime, 1, _U32_MAX))
     return smoothness * (1.0 + 4.0 / s) * d / d_prime
 
 

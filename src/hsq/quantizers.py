@@ -87,9 +87,10 @@ def _check_segment(g_segment: np.ndarray, cb: Codebook) -> np.ndarray:
     return g
 
 
-def _project(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mat @ g per row g (or g . g with mat = rows[:, None]), rounded like the 1-D product."""
-    return np.matmul(mat, rows[:, :, None])[:, :, 0]
+def _project(mat: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """mat @ g per row g (or g . g with mat = rows[:, None]), rounded like the 1-D product;
+    written into out (rows x mat's rows) if given."""
+    return np.matmul(mat, rows[:, :, None], out=None if out is None else out[:, :, None])[:, :, 0]
 
 
 # Target size of one block's row x draw x codeword temporaries (512 KiB of f64)
@@ -195,33 +196,43 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     return search
 
 
-def _select(segments: np.ndarray, cb: Codebook, draws: np.ndarray | None = None):
+def _select(segments: np.ndarray, cb: Codebook, draws: np.ndarray | None = None,
+            live: np.ndarray | None = None):
     """The selection rule on a batch of finite segments, one per row.
 
     Greedy when ``draws`` is None: the largest |c . g_j|, ties to the
     lowest index, u = c . g_j. Unbiased otherwise: each of row j's k draws
     picks codeword i with probability |p_i| / ||p||_1, p = pinv @ g_j, and
-    u = sign(p_i) ||p||_1. All-zero rows pick 0 with u = 0. Returns
-    (indices, u), rows x k (k = 1 when greedy).
+    u = sign(p_i) ||p||_1. All-zero rows pick 0 with u = 0. ``live`` is
+    np.logical_or.reduce(segments, axis=1), from a caller that needs it
+    too; computed here if None. Returns (indices, u), rows x k (k = 1 when
+    greedy).
     """
     k = 1 if draws is None else draws.shape[1]
     mat = cb.columns.T if draws is None else cb.pinv
-    # both searches and argmax pick 0 on an all-zero row, so only u is masked
+    # a live row's u can still be +-0 (|p| underflows), so the mask is not u != 0; both
+    # searches and argmax pick 0 on an all-zero row, so only u is masked
+    live = (np.logical_or.reduce(segments, axis=1) if live is None else live)[:, None]
     idx, u = np.empty((len(segments), k), dtype=np.int64), np.zeros((len(segments), k))
+    p_first = mag_first = None  # the first block's p and |p|; later blocks (never larger) reuse them
     for at in _blocks(len(segments), k * mat.shape[0]):
-        block = segments[at]
-        p, live = _project(mat, block), np.logical_or.reduce(block, axis=1)[:, None]
+        block, alive = segments[at], live[at]
+        if p_first is None:
+            p = p_first = _project(mat, block)
+            mag = mag_first = np.abs(p)
+        else:
+            p = _project(mat, block, out=p_first[:len(block)])
+            mag = np.abs(p, out=mag_first[:len(block)])
         rows = np.arange(len(p))[:, None]
         if draws is None:
-            i = idx[at] = np.abs(p).argmax(axis=1)[:, None]
-            np.copyto(u[at], p[rows, i], where=live)
+            i = idx[at] = mag.argmax(axis=1)[:, None]
+            np.copyto(u[at], p[rows, i], where=alive)
             continue
-        mag = np.abs(p)
         l1 = np.add.reduce(mag, axis=1, keepdims=True)
         search = (_cdf_search if mag.size < _TWO_LEVEL_MIN else _two_level_search)(mag, l1)
         for c in _blocks(k, mat.shape[0]):  # draws too, if one row's exceed a block
             i = idx[at, c] = search(draws[at, c])
-            np.copysign(l1, p[rows, i], out=u[at, c], where=live)
+            np.copysign(l1, p[rows, i], out=u[at, c], where=alive)
     return idx, u
 
 
@@ -304,17 +315,16 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
     segments = segment_gradient(rows, cb.dim)
     n, n_seg = segments.shape[:2]
     segments = segments.reshape(n * n_seg, cb.dim)
-    # segment j draws from streams.derive(j)
-    draws = streams.child_uniforms(n_seg, 2).reshape(n * n_seg, 2)
-    if variant is Variant.UNBIASED:
-        indices, norms = _select(segments, cb, draws[:, :1])
-        # a segment that drew to select rounds on its next uniform
-        draws = np.where(np.logical_or.reduce(segments, axis=1), draws[:, 1], draws[:, 0])
-    else:
-        indices, norms = _select(segments, cb)
-        draws = draws[:, 0]
+    live = np.logical_or.reduce(segments, axis=1)
+    # segment j draws from streams.derive(j) the uniforms it reads, column 0 being the same
+    # for any count: unbiased selection reads column 0, and rounding (s >= 1) the next one,
+    # or column 0 if the segment drew nothing to select (greedy, or all zero)
+    unbiased = variant is Variant.UNBIASED
+    width = unbiased + (s >= 1)
+    draws = streams.child_uniforms(n_seg, width).reshape(n * n_seg, width) if width else None
+    indices, norms = _select(segments, cb, draws[:, :1] if unbiased else None, live)
     shape = (n, n_seg)
-    indices, norms, draws = indices.reshape(shape), norms.reshape(shape), draws.reshape(shape)
+    indices, norms = indices.reshape(shape), norms.reshape(shape)
 
     # the first extreme in segment order decides between 0.0 and -0.0
     u_min, u_max = _f32_outward(
@@ -326,7 +336,8 @@ def _compress_rows(rows: np.ndarray, cb: Codebook, s: int, variant: Variant, str
         # every u lies in its row's interval, which was rounded outward around it
         lo, hi = (u_min[:, None], u_max[:, None]) if n > 1 else (u_min[0], u_max[0])
         _, k, p_lower = rounding_cell(norms, lo, hi, s)
-        grid = round_in_cell(k, p_lower, draws)
+        grid = round_in_cell(k, p_lower, (np.where(live, draws[:, 1], draws[:, 0]) if unbiased
+                                          else draws[:, 0]).reshape(shape))
         norms = decode_pseudo_norm(grid, lo, hi, s)
     else:
         norms = norms.astype(np.float32).astype(np.float64)  # what the wire carries
@@ -416,7 +427,9 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
 
 def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
     """u * c per segment, concatenated and cut to total_dim along the last axis; others are rows."""
-    decoded = cb.columns.T[indices] * u[..., None]
+    # one gather makes the result's one array; take() would first copy the transposed columns
+    decoded = cb.columns.T[indices]
+    decoded *= u[..., None]
     return decoded.reshape(indices.shape[:-1] + (-1,))[..., :total_dim]
 
 

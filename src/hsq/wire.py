@@ -83,6 +83,18 @@ def frame_violations(cg: CompressedGradient) -> list[str]:
     is not 0.0), at s = 0 no grid and f32 norms. decode_frame returns such a
     code field for field from the bytes encode_frame writes for it.
     """
+    out = _fields_violations(cg)
+    if out or cg.levels == 0:
+        return out
+    if (np.asarray(cg.norms, dtype=np.float64).tobytes()
+            != decode_pseudo_norm(np.asarray(cg.grid), cg.u_min, cg.u_max, cg.levels).tobytes()):
+        return [f"norms: s={cg.levels} pseudo-norms must be their levels' grid values"]
+    return []
+
+
+def _fields_violations(cg: CompressedGradient) -> list[str]:
+    """frame_violations but for its last check, that grid-mode norms are their grid values:
+    the rule for a code whose norms decode_pseudo_norm built from its own grid and bounds."""
     out = code_violations(cg)
     bounds = (cg.u_min, cg.u_max)
     if not (all(isinstance(u, numbers.Real) for u in bounds) and _f32_clean(bounds)):
@@ -100,8 +112,6 @@ def frame_violations(cg: CompressedGradient) -> list[str]:
     if not (cg.grid is not None and _is_column(grid, len(norms), "iu")
             and grid.min() >= 0 and grid.max() <= s):
         return [f"grid: s={s} frames carry an int level in [0, {s}] per segment, along one axis"]
-    if norms.tobytes() != decode_pseudo_norm(grid, cg.u_min, cg.u_max, s).tobytes():
-        return [f"norms: s={s} pseudo-norms must be their levels' grid values"]
     return []
 
 
@@ -172,7 +182,8 @@ def decode_frame(buf: bytes) -> CompressedGradient:
     cg = CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
                             levels=s, u_min=float(u_min), u_max=float(u_max),
                             indices=indices, norms=norms, grid=grid)
-    if bad := frame_violations(cg):
+    # at s >= 1 the norms are the grid values frame_violations would compare them with
+    if bad := _fields_violations(cg):
         raise WireFormatError("; ".join(bad))
     return cg
 

@@ -3,6 +3,7 @@
 Several pinned digests hold for one OpenBLAS kernel only (ROADMAP item 3):
 a run on a CPU where OpenBLAS picks another kernel shows why they fail.
 run_tests_on_kernel reruns tests in a child process on a kernel chosen by name.
+traced_peak measures a call's peak traced memory for the memory tests.
 """
 
 import ctypes
@@ -10,6 +11,7 @@ import glob
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,16 @@ def run_tests_on_kernel(coretype: str, args: list[str]) -> tuple[str, subprocess
     proc = subprocess.run([sys.executable, "-c", code], cwd=root / "tests", env=env,
                           capture_output=True, text=True, timeout=300)
     return proc.stdout.partition("\n")[0], proc
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc counts while fn(*args) runs, arguments made before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_report_header(config):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from hsq.baselines import (QSGD_BUCKET_SIZE, compress_qsgd, compress_sign,
                            compress_terngrad, decode_qsgd, decode_sign,
                            decode_terngrad, qsgd_dense_bits, sign_bits)
@@ -156,6 +157,34 @@ def test_qsgd_refuses_a_bucket_whose_squared_norm_overflows():
     # just below the limit every bucket still encodes and decodes finitely
     g = np.full(QSGD_BUCKET_SIZE, 1e150)
     assert np.all(np.isfinite(decode_qsgd(compress_qsgd(g, 15, Stream(0)))))
+
+
+def test_qsgd_parameters_stay_within_a_u32():
+    # as hsq's s: beyond it the level index overflowed int64 and the bucket count numpy
+    for kwargs, name in ((dict(levels=2 ** 32), "levels"), (dict(bucket_size=2 ** 64), "bucket_size")):
+        with pytest.raises(ValueError, match=f"^{name}: must be <= 4294967295, got "):
+            compress_qsgd(np.ones(4), **{"levels": 1, "rng": Stream(0), **kwargs})
+    assert [v.split(":")[0] for v in QuantizerScheme("qsgd", s=2 ** 32,
+                                                     bucket_size=2 ** 32).violations()] == [
+        "s", "bucket_size"]
+    assert QuantizerScheme("qsgd", s=2 ** 32 - 1, bucket_size=2 ** 32 - 1).violations() == []
+
+
+def test_qsgd_memory_stays_linear_in_d_for_any_bucket_size():
+    # a bucket longer than the gradient is one tail bucket, the code d + 1 gives; the
+    # norms once stood for ceil(d / bucket) x bucket_size values (8 MiB at 2^20)
+    d = 5508
+    g = Stream(12).normals(d)
+    want = compress_qsgd(g, 15, Stream(13), d + 1)
+    for bucket_size in (2 ** 20, 2 ** 31):
+        out = []
+        peak = traced_peak(lambda: out.append(compress_qsgd(g, 15, Stream(13), bucket_size)))
+        assert peak < 2 ** 20, (bucket_size, peak)
+        code, = out
+        for name in ("norms", "level_idx", "signs"):
+            assert getattr(code, name).tobytes() == getattr(want, name).tobytes(), name
+        assert traced_peak(decode_qsgd, code) < 2 ** 20
+        assert decode_qsgd(code).tobytes() == decode_qsgd(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hsq.codebook as cbm
-from conftest import openblas_core, run_tests_on_kernel
+from conftest import openblas_core, run_tests_on_kernel, traced_peak
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import InvalidShape, RankDeficient, WireFormatError
 from hsq.rng import Stream
@@ -175,16 +175,9 @@ def test_kmeans_columns_pinned_under_other_kernels(coretype, core):
 
 
 def test_lloyd_peak_memory_at_large_pool():
-    import tracemalloc
-
     pool = Stream(4).normal_matrix(cbm.KMEANS_POOL_FACTOR * 256, 16)  # 8 MiB, not counted
     init = pool[:256].copy()
-    tracemalloc.start()
-    try:
-        cbm._lloyd(pool, init)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(cbm._lloyd, pool, init)
     assert peak < 20 * 2 ** 20, peak
 
 

@@ -68,6 +68,13 @@ def test_curly_l_by_hand():
         curly_l(2.0, 0, 64, 8)
 
 
+def test_curly_l_refuses_ints_beyond_the_float_range_by_name():
+    # each is bounded by the u32 a frame header carries it in, before any float arithmetic
+    for arg in ("s", "d", "d_prime"):
+        with pytest.raises(ValueError, match=f"^{arg}: must be <= 4294967295, got "):
+            curly_l(**{**dict(smoothness=1.0, s=8, d=64, d_prime=4), arg: 10 ** 400})
+
+
 def test_lr_theorem3_by_hand():
     assert lr_theorem3(100, 4.0) == pytest.approx(0.05)
     with pytest.raises(ValueError):
@@ -118,7 +125,8 @@ def test_theorem_functions_overflow_to_inf_or_refuse_rounds():
 
 
 # each argument's wrong values: a real number's bound edge, below it, nan, +-inf and a
-# bool; an int's least - 1, -1, a bool and 1.5 (curly_l's s is test_curly_l_by_hand's)
+# bool; an int's least - 1, -1, a bool and 1.5, and 2^32 past a u32 bound (curly_l's s
+# below 1 is test_curly_l_by_hand's)
 _REAL_BAD = [-1.0, math.nan, math.inf, -math.inf, True]
 _INT_BAD = [-1, True, 1.5]
 _T1 = dict(smoothness=1.0, radius=1.0, vq=1.0, rounds=10)
@@ -135,7 +143,8 @@ _SOB4 = generate(CodebookMethod.SOB, 4, 4, seed=0)
         (lr_theorem3, dict(rounds=10, curly_l_value=4.0),
          {"curly_l_value": [0.0] + _REAL_BAD, "rounds": [0, 2 ** 53 + 1] + _INT_BAD}),
         (curly_l, dict(smoothness=2.0, s=4, d=64, d_prime=8),
-         {"smoothness": [0.0] + _REAL_BAD, "d": [0] + _INT_BAD, "d_prime": [0] + _INT_BAD}),
+         {"smoothness": [0.0] + _REAL_BAD, "s": [2 ** 32], "d": [0] + _INT_BAD + [2 ** 32],
+          "d_prime": [0] + _INT_BAD + [2 ** 32]}),
         (vq_bound, dict(d=8, cb=_SOB4, s=3, b_prime=1.0, u_range=1.0),
          {"d": [0, 2 ** 32] + _INT_BAD, "s": [-2] + _INT_BAD, "b_prime": [-1e-300] + _REAL_BAD,
           "u_range": [-1e-300] + _REAL_BAD}))
@@ -196,10 +205,9 @@ def test_run_refuses_an_unknown_variant_before_building_a_codebook(monkeypatch):
 # every field of the three config objects, under each scheme name and lr kind, and the
 # values each rule must refuse by that field's name without raising; _ACCEPTED lists
 # per case the values a field takes, which must pass (no count but rounds has an upper
-# bound, nor do qsgd's s and bucket_size)
+# bound)
 _VALUES = ["x", 1.5, True, None, -1, 2 ** 64, math.nan, [1], np.array([1, 2])]
 _ACCEPTED = {"FedConfig-num_clients": [2 ** 64], "FedConfig-local_batch": [2 ** 64],
-             "scheme=qsgd-s": [2 ** 64], "scheme=qsgd-bucket_size": [2 ** 64],
              **{f"lr={kind}-{name}": [1.5, 2 ** 64]
                 for kind, (_, params) in LR_KINDS.items() for name in params}}
 # a valid QuantizerScheme per name, from the parameters its rule reads

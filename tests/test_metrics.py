@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from hsq import metrics, quantizers
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import InvalidGradient
@@ -188,17 +189,10 @@ def test_greedy_dominates_unbiased_per_draw():
 
 
 def test_batched_validators_hold_no_draws_x_codewords_matrix():
-    import tracemalloc
-
     # 20,000 draws x 256 codewords of f64 would be 39 MiB per temporary
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 16, 256, seed=2)
     for validator in (check_alpha, greedy_vs_unbiased_mse):
-        tracemalloc.start()
-        try:
-            validator(cb, 20_000, Stream(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(validator, cb, 20_000, Stream(1))
         assert peak < 16 * 2 ** 20, (validator.__name__, peak)
 
 

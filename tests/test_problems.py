@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from hsq.errors import InvalidShape
 from hsq.fedsim import FedConfig, LrSchedule, QuantizerScheme, run
 from hsq.problems import LOGISTIC_RIDGE, Logistic, Quadratic, TinyMLP, estimate_second_moment
@@ -240,17 +241,10 @@ def test_oracles_do_not_write_their_inputs():
 
 
 def test_mlp_loss_and_gradient_peak_memory():
-    import tracemalloc
-
     # each (2048 x 64) f64 activation or temporary takes 1 MiB
     p = TinyMLP((16, 64, 64, 4), seed=5, num_samples=2048)
     x = p.x0 + 0.1 * Stream(25).normals(p.dim)
-    tracemalloc.start()
-    try:
-        p.loss_and_gradient(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(p.loss_and_gradient, x)
     assert peak < 4 * 2 ** 20, peak
 
 
@@ -291,19 +285,12 @@ def test_mlp_scratch_reuse_is_invisible(sizes):
 
 
 def test_mlp_loss_and_gradient_reuses_its_buffers():
-    import tracemalloc
-
     # the first full-batch call makes the buffers; later calls allocate only
     # (2048 x 4) logit temporaries and the gradient
     p = TinyMLP((16, 64, 64, 4), seed=5, num_samples=2048)
     x = p.x0 + 0.1 * Stream(25).normals(p.dim)
     p.loss_and_gradient(x)
-    tracemalloc.start()
-    try:
-        p.loss_and_gradient(x + 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: p.loss_and_gradient(x + 0.1))
     assert peak < 2 ** 19, peak
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import openblas_core, run_tests_on_kernel
+from conftest import openblas_core, run_tests_on_kernel, traced_peak
 from hsq.codebook import Codebook, CodebookMethod, generate
 from hsq.errors import (DimensionMismatch, EmptyInput, InvalidGradient, Overflow,
                         WireFormatError)
@@ -707,45 +707,76 @@ def test_certified_search_matches_searchsorted_rule_under_haswell_kernel():
 
 
 def test_variance_bound_peak_memory_flat_in_draws():
-    import tracemalloc
-
     cb = generate("random-gaussian", 16, 32, seed=0)
-    peaks = []
-    for n_draws in (400, 20_000):
-        tracemalloc.start()
-        try:
-            check_variance_bound(cb, 128, 7, n_draws, Stream(3))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: check_variance_bound(cb, 128, 7, n_draws, Stream(3)))
+             for n_draws in (400, 20_000)]
     # 20,000 gradients of 128 doubles alone would take 19.5 MiB
     assert peaks[1] < peaks[0] + 2 ** 20 and peaks[1] < 4 * 2 ** 20, peaks
 
 
 def test_compress_peak_memory_flat_in_segments():
-    import tracemalloc
-
     cb = generate("random-gaussian", 16, 256, seed=2)
     g = Stream(5).normals(100_003)
-    tracemalloc.start()
-    try:
-        compress(g, cb, 63, Variant.UNBIASED, Stream(6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: compress(g, cb, 63, Variant.UNBIASED, Stream(6)))
     assert peak < 4 * 2 ** 20, peak
 
 
 def test_sample_unbiased_peak_memory_flat_in_draws():
-    import tracemalloc
-
     cb = generate("random-gaussian", 16, 256, seed=2)
     g = Stream(5).normals(16)
-    tracemalloc.start()
-    try:
-        idx, u = _select(g[None], cb, Stream(6).uniforms(200_000)[None])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out = []
+    peak = traced_peak(lambda: out.extend(_select(g[None], cb, Stream(6).uniforms(200_000)[None])))
+    idx, u = out
     assert idx.shape == u.shape == (1, 200_000)
     assert peak < 8 * 2 ** 20, peak  # the two results alone take 3.05 MiB
+
+
+# the codec at d = 100,003, m = 256, d' = 16 (6,251 segments, 25 blocks of 256): a
+# gradient, its padded copy or a decoded gradient takes 781 KiB, a block's p or |p| 512
+_CODEC_D = 100_003
+
+
+@pytest.mark.parametrize("name, bound_kib", [("compress", 2200), ("decode", 900),
+                                             ("aggregate", 1700)])
+def test_codec_peak_memory_at_d100k(name, bound_kib):
+    # one steady-state call, after a first that fills the tables every call reads (the
+    # block slices, the child tag words); compress holds one block's p and |p| for all
+    # blocks, decode only its output, aggregate its running total and one decoding
+    cb = generate("random-gaussian", 16, 256, seed=2)
+    cgs = [compress(Stream(7).derive(i).normals(_CODEC_D), cb, s, variant, Stream(i))
+           for i, (variant, s) in enumerate((v, s) for v in Variant for s in (0, 63))]
+    g = Stream(5).normals(_CODEC_D)
+    call = {"compress": lambda: compress(g, cb, 63, Variant.UNBIASED, Stream(6)),
+            "decode": lambda: decode(cgs[1], cb), "aggregate": lambda: aggregate(cgs, cb)}[name]
+    call()
+    peak = traced_peak(call)
+    assert peak <= bound_kib * 1024, peak
+
+
+@pytest.mark.parametrize("block", [2 ** e for e in range(12, 18)])
+def test_block_size_leaves_outputs_unchanged(monkeypatch, block):
+    # _select writes every block into the first block's arrays; block sizes from 16 to
+    # 512 segments at m = 256 (the smaller ones take the exact search) end in a shorter
+    # last block, and 1,500 draws of one segment are split into blocks of draws
+    from hsq import quantizers
+
+    cb = generate("random-gaussian", 16, 256, seed=2)
+    g = Stream(9).normals(16 * 1000 + 5)  # 1,001 segments
+    g[16 * 40:16 * 41] = 0.0
+    g[16 * 41:16 * 42] *= 2.0 ** -1070  # live, with |p| underflowing to 0
+    segments, draws = g[:16 * 3].reshape(3, 16), Stream(10).uniforms(3 * 1500).reshape(3, 1500)
+
+    def outputs():
+        quantizers._blocks.cache_clear()  # its slices follow _BLOCK
+        frames = [encode_frame(compress(g, cb, s, variant, Stream(11)))
+                  for variant in Variant for s in (0, 63)]
+        return frames, [a.tobytes() for a in _select(segments, cb, draws)]
+
+    want = outputs()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(quantizers, "_BLOCK", block)
+            got = outputs()
+    finally:
+        quantizers._blocks.cache_clear()
+    assert got == want
