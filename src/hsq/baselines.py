@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import _U32_MAX
-from .errors import Overflow, out_of_range, refuse_argument
-from .quantizers import _check_gradient
+from .errors import DimensionMismatch, Overflow, out_of_range, real_violations, refuse_argument
+from .quantizers import _check_gradient, _is_column
 from .rng import Stream
 
 QSGD_BUCKET_SIZE = 512
@@ -71,8 +71,42 @@ def compress_qsgd(g: np.ndarray, levels: int, rng: Stream,
                     norms=norms, level_idx=level_idx, signs=signs)
 
 
+def _column(name: str, a, n: int, kinds: str, ok, what: str) -> list[str]:
+    """[] if _is_column(a, n, kinds, ok), else one "name: needs n what" message."""
+    good = _is_column(np.asarray(a), n, kinds, ok)
+    return [] if good else [f"{name}: needs {n} {what}, along one axis"]
+
+
+def _is_sign(a: np.ndarray) -> np.ndarray:
+    """Whether each value of a is 1 or -1."""
+    return (a == 1) | (a == -1)
+
+
+def qsgd_violations(code: QsgdCode) -> list[str]:
+    """The rule for a QSGD code, one "field: problem" message per fault: ints dim >= 1 and
+    levels and bucket_size in [1, 2^32 - 1], then ceil(dim / bucket_size) finite float norms
+    >= 0, dim int levels in [0, levels] and dim int signs in {-1, +1}."""
+    d, s, bucket = code.dim, code.levels, code.bucket_size
+    if bad := (out_of_range("dim", d, 1) + out_of_range("levels", s, 1, _U32_MAX)
+               + out_of_range("bucket_size", bucket, 1, _U32_MAX)):
+        return bad  # they size the columns
+    return (_column("norms", code.norms, -(-d // bucket), "f", lambda a: (a >= 0) & (a < np.inf),
+                    "finite floats >= 0")
+            # as unsigned, a negative level wraps above s, so one comparison checks both ends
+            + _column("level_idx", code.level_idx, d, "iu", lambda a: a.astype(np.uint64) <= s,
+                      f"ints in [0, {s}]")
+            + _column("signs", code.signs, d, "iu", _is_sign, "ints in {-1, +1}"))
+
+
 def decode_qsgd(code: QsgdCode) -> np.ndarray:
-    out = code.level_idx.astype(np.float64) / code.levels * code.signs
+    if bad := qsgd_violations(code):
+        raise DimensionMismatch("; ".join(bad))
+    return _qsgd_decoded(code)
+
+
+def _qsgd_decoded(code: QsgdCode) -> np.ndarray:
+    """decode_qsgd without its rule, for a code compress_qsgd just built."""
+    out = np.asarray(code.level_idx, dtype=np.float64) / code.levels * code.signs
     return out * _per_coordinate(code.norms, code.dim, code.bucket_size)
 
 
@@ -116,8 +150,20 @@ def compress_terngrad(g: np.ndarray, rng: Stream) -> TernGradCode:
     return TernGradCode(dim=g.shape[0], scaler=scaler, ternary=ternary)
 
 
+def terngrad_violations(code: TernGradCode) -> list[str]:
+    """The rule for a TernGrad code: an int dim >= 1, a finite real scaler >= 0 and dim int
+    entries in {-1, 0, +1}."""
+    if bad := out_of_range("dim", code.dim, 1):
+        return bad
+    return real_violations("scaler", code.scaler, 0.0) + _column(
+        "ternary", code.ternary, code.dim, "iu", lambda a: (a >= -1) & (a <= 1),
+        "ints in {-1, 0, +1}")
+
+
 def decode_terngrad(code: TernGradCode) -> np.ndarray:
-    return code.scaler * code.ternary.astype(np.float64)
+    if bad := terngrad_violations(code):
+        raise DimensionMismatch("; ".join(bad))
+    return code.scaler * np.asarray(code.ternary, dtype=np.float64)
 
 
 TERNGRAD_SCALER_BITS = 32
@@ -144,8 +190,17 @@ def compress_sign(g: np.ndarray) -> SignCode:
     return SignCode(dim=g.shape[0], signs=np.where(g >= 0, 1, -1).astype(np.int8))
 
 
+def sign_violations(code: SignCode) -> list[str]:
+    """The rule for a sign code: an int dim >= 1 and dim int signs in {-1, +1}."""
+    if bad := out_of_range("dim", code.dim, 1):
+        return bad
+    return _column("signs", code.signs, code.dim, "iu", _is_sign, "ints in {-1, +1}")
+
+
 def decode_sign(code: SignCode) -> np.ndarray:
-    return code.signs.astype(np.float64)
+    if bad := sign_violations(code):
+        raise DimensionMismatch("; ".join(bad))
+    return np.asarray(code.signs, dtype=np.float64)
 
 
 def sign_bits(d: int) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import inspect
 import json
 import math
 import sys
@@ -81,38 +82,31 @@ def _read_bytes(path: str) -> bytes:
 # ---------------------------------------------------------------------------
 # config parsing for `simulate`
 
-# each problem kind's class, the size field it reads and the fields a config must give
-_PROBLEMS = {cls.kind: (cls, size, required) for cls, size, required in (
-    (Quadratic, "dim", ("seed", "dim")), (Logistic, "dim", ("seed", "dim")),
-    (TinyMLP, "layer_sizes", ("seed",)))}
+_PROBLEMS = {cls.kind: cls for cls in (Quadratic, Logistic, TinyMLP)}
 
 
-@dataclasses.dataclass(frozen=True)
-class _ProblemConfig:
-    """The ``problem`` object of a simulate config; _PROBLEMS says which size field a kind reads."""
-
-    kind: str | None = None
-    seed: int | None = None
-    dim: int | None = None
-    num_samples: int | None = None
-    layer_sizes: list[int] | None = None
-
-    def build(self, violations: list[str]) -> Problem | None:
-        """The problem, or None after violations that name the fields at fault."""
-        if not isinstance(self.kind, str) or self.kind not in _PROBLEMS:
-            violations.append(f"problem.kind: {self.kind!r} is not one of {tuple(_PROBLEMS)}")
-            return None
-        cls, size, required = _PROBLEMS[self.kind]
-        given = {n: v for n, v in vars(self).items() if v is not None and n != "kind"}
-        bad = [f"{n}: required for {self.kind}" for n in required if n not in given]
-        bad += [f"{n}: {self.kind} reads {size}, not {n}"
-                for n in given.keys() - {"seed", "num_samples", size}]
-        violations.extend(f"problem.{v}" for v in bad)
-        try:
-            return None if bad else cls(**given)
-        except ValueError as exc:  # the constructors' range checks name their parameter
-            violations.append(f"problem.{exc}")
-            return None
+def _problem_from_json(raw, violations: list[str]) -> Problem | None:
+    """The problem of a simulate config, or None after violations naming the fields at fault.
+    The other fields are the parameters of kind's constructor: one without a default is
+    required, and so is seed; a key it lacks is refused; null leaves a field at its default."""
+    if not isinstance(raw, dict):
+        violations.append(f"problem: must be a JSON object, got {raw!r}")
+        return None
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _PROBLEMS:
+        violations.append(f"problem.kind: {kind!r} is not one of {tuple(_PROBLEMS)}")
+        return None
+    params = inspect.signature(_PROBLEMS[kind]).parameters
+    given = {n: v for n, v in raw.items() if v is not None and n != "kind"}
+    bad = [f"{n}: required for {kind}" for n, p in params.items()
+           if (p.default is p.empty or n == "seed") and n not in given]
+    bad += [f"{n}: unknown field for {kind}" for n in raw if n != "kind" and n not in params]
+    violations.extend(f"problem.{v}" for v in bad)
+    try:
+        return None if bad else _PROBLEMS[kind](**given)
+    except ValueError as exc:  # the constructors' range checks name their parameter
+        violations.append(f"problem.{exc}")
+        return None
 
 
 def _from_json(cls, raw, where: str, violations: list[str]):
@@ -153,8 +147,8 @@ def _config_from_json(raw: dict) -> tuple[fedsim.FedConfig, Problem]:
     problem = None
     if "problem" not in raw:
         violations.append("problem: required")
-    elif spec := _from_json(_ProblemConfig, raw["problem"], "problem", violations):
-        problem = spec.build(violations)
+    else:
+        problem = _problem_from_json(raw["problem"], violations)
     violations.extend(cfg.violations())
     if violations:
         raise ConfigError(violations)

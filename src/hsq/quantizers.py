@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -378,16 +379,26 @@ def level_violations(s: int) -> list[str]:
     return out_of_range("s", s, 0, _U32_MAX)
 
 
-def _is_column(a: np.ndarray, n: int, kinds: str) -> bool:
-    """Whether a holds n values along one axis, of a dtype kind in kinds: a well-formed
-    field of a CompressedGradient with n segments."""
-    return a.shape == (n,) and a.dtype.kind in kinds
+def _is_column(a: np.ndarray, n: int, kinds: str, ok) -> bool:
+    """Whether a holds n values along one axis, of a dtype kind in kinds, and ok(a) holds for
+    each: a well-formed field of a code with n segments (or buckets, or coordinates)."""
+    return a.shape == (n,) and a.dtype.kind in kinds and bool(np.logical_and.reduce(ok(a)))
+
+
+def _f32_clean(x) -> bool:
+    """Whether every value of x is finite and exactly representable in f32."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(x)) and np.all(x.astype(np.float32) == x))
 
 
 def code_violations(cg: CompressedGradient) -> list[str]:
     """The rule for a compressed gradient, one "field: problem" message per fault: ints
-    d, d', m >= 1 and s >= 0 within a frame header's u32, and for each of the ceil(d/d')
-    segments an int index in [0, m) and a finite float pseudo-norm, along one axis."""
+    d, d', m >= 1 and s >= 0 within a frame header's u32; for each of the ceil(d/d')
+    segments an int index in [0, m) and a finite float pseudo-norm, along one axis; real
+    f32 bounds u_min <= u_max; at s = 0 no grid and f32 norms, at s >= 1 an int level in
+    [0, s] per segment with the norms their grid values as float64 bytes (so -0.0 is not
+    0.0). decode, aggregate, wire.encode_frame and wire.decode_frame all apply it."""
     out = [v for name, least in (("total_dim", 1), ("segment_dim", 1), ("codeword_count", 1),
                                  ("levels", 0))
            for v in out_of_range(name, getattr(cg, name), least, _U32_MAX)]
@@ -399,11 +410,28 @@ def code_violations(cg: CompressedGradient) -> list[str]:
         return [f"indices: {len(indices)} segments cannot carry d={cg.total_dim} "
                 f"at d'={cg.segment_dim}"]
     # as unsigned, a negative index wraps above m, so one comparison checks both ends
-    if not (_is_column(indices, n_seg, "iu") and _is_column(norms, n_seg, "f")
-            and np.logical_and.reduce(indices.astype(np.uint64) < m)
-            and np.logical_and.reduce(np.isfinite(norms))):
-        return [f"indices, norms: each segment needs a pseudo-norm and an index in [0, {m}),"
-                " a finite float and an int, along one axis"]
+    if not (_is_column(indices, n_seg, "iu", lambda i: i.astype(np.uint64) < m)
+            and _is_column(norms, n_seg, "f", np.isfinite)):
+        out.append(f"indices, norms: each segment needs a pseudo-norm and an index in [0, {m}),"
+                   " a finite float and an int, along one axis")
+    bounds = (cg.u_min, cg.u_max)
+    if not (all(isinstance(u, numbers.Real) for u in bounds) and _f32_clean(bounds)):
+        out.append(f"u_min, u_max: must be finite f32 values, got {cg.u_min!r}, {cg.u_max!r}")
+    elif cg.u_min > cg.u_max:
+        out.append(f"u_min: must be <= u_max = {cg.u_max!r}, got {cg.u_min!r}")
+    if out:
+        return out
+    s = cg.levels
+    if s == 0:
+        if cg.grid is not None:
+            return ["grid: s=0 codes carry raw norms, not levels"]
+        return [] if _f32_clean(norms) else ["norms: s=0 pseudo-norms must be finite f32 values"]
+    grid = np.asarray(cg.grid)
+    if cg.grid is None or not _is_column(grid, n_seg, "iu", lambda g: (g >= 0) & (g <= s)):
+        return [f"grid: s={s} codes carry an int level in [0, {s}] per segment, along one axis"]
+    if (np.asarray(norms, dtype=np.float64).tobytes()
+            != decode_pseudo_norm(grid, cg.u_min, cg.u_max, s).tobytes()):
+        return [f"norms: s={s} pseudo-norms must be their levels' grid values"]
     return []
 
 

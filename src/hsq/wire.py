@@ -20,23 +20,24 @@ level bits; when s = 0 the level bits are replaced by the raw 32 bits
 of the segment's f32 pseudo-norm (IEEE-754, most significant bit
 first). The final byte is zero-padded.
 
-encode_frame and decode_frame hold a code to one rule, frame_violations.
-hsq_payload_bits counts the payload without the HEADER_BITS of the
-header; length_violations is the rule for the d header field, and
+A code has one rule, quantizers.code_violations, which decode and
+aggregate apply too: encode_frame writes exactly the codes it accepts,
+and decode_frame returns exactly those; this module adds no code rule
+of its own. hsq_payload_bits counts the payload without the HEADER_BITS of
+the header; length_violations is the rule for the d header field, and
 quantizers.level_violations the one for s. The simulator's table of
 uplink compressors does the bit accounting of every scheme.
 """
 
 from __future__ import annotations
 
-import numbers
 import struct
 
 import numpy as np
 
 from .codebook import _U32_MAX
 from .errors import InvalidGradient, Overflow, WireFormatError, out_of_range
-from .quantizers import CompressedGradient, _is_column, code_violations, decode_pseudo_norm
+from .quantizers import CompressedGradient, code_violations, decode_pseudo_norm
 
 MAGIC = b"HSQG"
 VERSION = 1
@@ -69,62 +70,16 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(words, axis=1).view(">u4").ravel()
 
 
-def _f32_clean(x) -> bool:
-    """Whether every value of x is finite and exactly representable in f32."""
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        return bool(np.all(np.isfinite(x)) and np.all(x.astype(np.float32) == x))
-
-
-def frame_violations(cg: CompressedGradient) -> list[str]:
-    """The rule for a code a frame carries: quantizers.code_violations, plus
-    real f32 bounds u_min <= u_max and, at s >= 1, a grid of one level in [0, s]
-    per segment with the norms their grid values as float64 bytes (so -0.0
-    is not 0.0), at s = 0 no grid and f32 norms. decode_frame returns such a
-    code field for field from the bytes encode_frame writes for it.
-    """
-    out = _fields_violations(cg)
-    if out or cg.levels == 0:
-        return out
-    if (np.asarray(cg.norms, dtype=np.float64).tobytes()
-            != decode_pseudo_norm(np.asarray(cg.grid), cg.u_min, cg.u_max, cg.levels).tobytes()):
-        return [f"norms: s={cg.levels} pseudo-norms must be their levels' grid values"]
-    return []
-
-
-def _fields_violations(cg: CompressedGradient) -> list[str]:
-    """frame_violations but for its last check, that grid-mode norms are their grid values:
-    the rule for a code whose norms decode_pseudo_norm built from its own grid and bounds."""
-    out = code_violations(cg)
-    bounds = (cg.u_min, cg.u_max)
-    if not (all(isinstance(u, numbers.Real) for u in bounds) and _f32_clean(bounds)):
-        out.append(f"u_min, u_max: must be finite f32 values, got {cg.u_min!r}, {cg.u_max!r}")
-    elif cg.u_min > cg.u_max:
-        out.append(f"u_min: must be <= u_max = {cg.u_max!r}, got {cg.u_min!r}")
-    if out:
-        return out
-    s, norms = cg.levels, np.asarray(cg.norms, dtype=np.float64)
-    if s == 0:
-        if cg.grid is not None:
-            return ["grid: s=0 frames carry raw norms, not levels"]
-        return [] if _f32_clean(norms) else ["norms: s=0 pseudo-norms must be finite f32 values"]
-    grid = np.asarray(cg.grid)
-    if not (cg.grid is not None and _is_column(grid, len(norms), "iu")
-            and grid.min() >= 0 and grid.max() <= s):
-        return [f"grid: s={s} frames carry an int level in [0, {s}] per segment, along one axis"]
-    return []
-
-
 def encode_frame(cg: CompressedGradient) -> bytes:
     """Serialize a compressed gradient; exact inverse of decode_frame.
 
-    Refuses a code that frame_violations refuses: by its first violation, an
+    Refuses a code that code_violations refuses: by its first violation, an
     empty gradient with InvalidGradient, a header field beyond its u32 with
     Overflow, the rest with WireFormatError.
     """
     if not isinstance(cg, CompressedGradient):
         raise WireFormatError(f"cannot encode a {type(cg).__name__}, only a CompressedGradient")
-    if bad := frame_violations(cg):
+    if bad := code_violations(cg):
         empty, overflow = bad[0].startswith("total_dim: must be >= "), f"<= {_U32_MAX}," in bad[0]
         raise (InvalidGradient if empty else Overflow if overflow else WireFormatError)(
             "; ".join(bad))
@@ -139,7 +94,7 @@ def encode_frame(cg: CompressedGradient) -> bytes:
 
 
 def decode_frame(buf: bytes) -> CompressedGradient:
-    """Parse a frame back into a CompressedGradient that frame_violations passes,
+    """Parse a frame back into a CompressedGradient that code_violations passes,
     else WireFormatError; so encode_frame maps the code it returns back to buf.
 
     In grid mode (s >= 1) the norms are the grid values u_min + level*(u_max-u_min)/s.
@@ -182,8 +137,7 @@ def decode_frame(buf: bytes) -> CompressedGradient:
     cg = CompressedGradient(total_dim=d, segment_dim=d_prime, codeword_count=m,
                             levels=s, u_min=float(u_min), u_max=float(u_max),
                             indices=indices, norms=norms, grid=grid)
-    # at s >= 1 the norms are the grid values frame_violations would compare them with
-    if bad := _fields_violations(cg):
+    if bad := code_violations(cg):
         raise WireFormatError("; ".join(bad))
     return cg
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hsq.baselines import (QSGD_BUCKET_SIZE, compress_qsgd, compress_sign,
                            compress_terngrad, decode_qsgd, decode_sign,
                            decode_terngrad, qsgd_dense_bits, sign_bits)
 from hsq.codebook import CodebookMethod, generate
-from hsq.errors import InvalidGradient, Overflow
+from hsq.errors import DimensionMismatch, InvalidGradient, Overflow
 from hsq.quantizers import Variant, compress
 from hsq.rng import Stream
 from hsq.fedsim import SCHEMES, QuantizerScheme, payload_bits
@@ -260,3 +261,45 @@ def test_every_compressor_refuses_the_same_gradients(compressor, g):
     # one gradient check: 1-D, non-empty and finite
     with pytest.raises(InvalidGradient):
         compressor(g)
+
+
+# d = 10 at bucket size 4: a valid QSGD code has 3 norms, 10 levels and 10 signs
+_CODES = {"qsgd": lambda: compress_qsgd(Stream(5).normals(10), 3, Stream(6), bucket_size=4),
+          "terngrad": lambda: compress_terngrad(Stream(5).normals(10), Stream(6)),
+          "sign": lambda: compress_sign(Stream(5).normals(10))}
+_DECODERS = {"qsgd": decode_qsgd, "terngrad": decode_terngrad, "sign": decode_sign}
+# (code type, fields that differ from a valid code, the field the rule names)
+_BAD_CODES = [
+    ("qsgd", dict(norms=np.ones(5)), "norms"), ("qsgd", dict(norms=np.ones(2)), "norms"),
+    ("qsgd", dict(norms=np.array([1.0, np.nan, 1.0])), "norms"),
+    ("qsgd", dict(norms=np.array([1.0, -1.0, 1.0])), "norms"),
+    ("qsgd", dict(norms=np.ones((3, 1))), "norms"),
+    ("qsgd", dict(level_idx=np.zeros(5, dtype=np.int64)), "level_idx"),
+    ("qsgd", dict(level_idx=np.full(10, 4)), "level_idx"),
+    ("qsgd", dict(level_idx=np.full(10, -1)), "level_idx"),
+    ("qsgd", dict(level_idx=np.zeros(10)), "level_idx"),
+    ("qsgd", dict(signs=np.full(10, 7, dtype=np.int8)), "signs"),
+    ("qsgd", dict(signs=np.zeros(10, dtype=np.int8)), "signs"),
+    ("qsgd", dict(signs=np.ones(9, dtype=np.int8)), "signs"),
+    ("qsgd", dict(dim=0), "dim"), ("qsgd", dict(levels=0), "levels"),
+    ("qsgd", dict(levels=2 ** 32), "levels"), ("qsgd", dict(bucket_size=4.0), "bucket_size"),
+    ("terngrad", dict(ternary=np.zeros(2, dtype=np.int8)), "ternary"),
+    ("terngrad", dict(ternary=np.full(10, 2, dtype=np.int8)), "ternary"),
+    ("terngrad", dict(ternary=np.zeros(10)), "ternary"),
+    ("terngrad", dict(scaler=-1.0), "scaler"), ("terngrad", dict(scaler=math.nan), "scaler"),
+    ("terngrad", dict(dim=True), "dim"),
+    ("sign", dict(signs=np.full(10, 7, dtype=np.int8)), "signs"),
+    ("sign", dict(signs=np.ones(2, dtype=np.int8)), "signs"),
+    ("sign", dict(signs=np.ones(10, dtype=bool)), "signs"),
+    ("sign", dict(dim=-1), "dim"),
+]
+
+
+@pytest.mark.parametrize("kind,fields,field", _BAD_CODES,
+                         ids=[f"{k}-{'-'.join(f)}-{i}" for i, (k, f, _) in enumerate(_BAD_CODES)])
+def test_baseline_decoders_refuse_malformed_codes(kind, fields, field):
+    # a code its encoder cannot build is refused by its field, not decoded or left to numpy
+    good = _CODES[kind]()
+    assert _DECODERS[kind](good).shape == (10,)
+    with pytest.raises(DimensionMismatch, match=f"^{field}: "):
+        _DECODERS[kind](dataclasses.replace(good, **fields))

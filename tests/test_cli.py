@@ -383,6 +383,11 @@ def test_simulate_bad_config_exits_2_with_violations(tmp_path, capsys):
     # a recipe would not resolve a round count beyond 2^53 (10^400 overflows a float)
     ({"rounds": 10 ** 400, "lr": {"kind": "theorem1", "smoothness": 1.0, "radius": 1.0,
                                   "vq": 1.0}}, "rounds"),
+    # the constructor states the fields: one it lacks is refused even when null, and
+    # TinyMLP's seed, which has a default there, is still required
+    ({"problem": {"kind": "tinymlp", "dim": None, "seed": 0}}, "problem.dim"),
+    ({"problem": {"kind": "logistic", "dim": 8, "seed": 0, "noise": 0.1}}, "problem.noise"),
+    ({"problem": {"kind": "tinymlp", "layer_sizes": [2, 2]}}, "problem.seed"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg_path = _write_config(tmp_path, _good_config(**overrides))

@@ -296,40 +296,60 @@ def test_decode_checks_segment_count():
             aggregate(batch, cb)
 
 
-# the integer rule's message for each malformed header value below
-_HEADER_PROBLEMS = {4.0: "must be an int, got 4.0", 0: "must be >= 1, got 0",
-                    -1: "must be >= 0, got -1", 1.5: "must be an int, got 1.5",
-                    2 ** 32: "must be <= 4294967295, got 4294967296"}
+_COLUMNS = r"indices, norms: each segment needs a pseudo-norm and an index in \[0, 4\)"
+_LEVELS = r"grid: s=3 codes carry an int level in \[0, 3\] per segment, along one axis"
+_GRID_VALUES = r"norms: s=3 pseudo-norms must be their levels' grid values"
+# (id, indices, norms, the fields that differ from a valid s = 0 code, the rule's message)
+_MALFORMED = [
+    ("negative-index", [-1], [1.0], {}, _COLUMNS), ("index-m", [4], [1.0], {}, _COLUMNS),
+    ("no-norm", [0], np.array([], dtype=np.float64), {}, _COLUMNS),
+    ("float-index", np.array([0.0]), [1.0], {}, _COLUMNS),
+    ("2-d-index", [[0]], [1.0], {}, _COLUMNS), ("str-norm", [0], ["1.0"], {}, _COLUMNS),
+    ("nan-norm", [0], [np.nan], {}, _COLUMNS), ("inf-norm", [0], [np.inf], {}, _COLUMNS),
+    ("2-d-norm", [0], [[1.0]], {}, _COLUMNS), ("int-norm", [0], [1], {}, _COLUMNS),
+    ("bool-index", np.array([False]), [1.0], {}, _COLUMNS),
+    ("object-norm", [0], np.array([1.0], dtype=object), {}, _COLUMNS),
+    ("float-d", [0], [1.0], dict(total_dim=4.0), "total_dim: must be an int, got 4.0"),
+    ("float-d-prime", [0], [1.0], dict(segment_dim=4.0), "segment_dim: must be an int, got 4.0"),
+    ("float-m", [0], [1.0], dict(codeword_count=4.0), "codeword_count: must be an int, got 4.0"),
+    ("d-0", [0], [1.0], dict(total_dim=0), "total_dim: must be >= 1, got 0"),
+    ("negative-s", [0], [1.0], dict(levels=-1), "levels: must be >= 0, got -1"),
+    ("float-s", [0], [1.0], dict(levels=1.5), "levels: must be an int, got 1.5"),
+    ("s-2**32", [0], [1.0], dict(levels=2 ** 32), "levels: must be <= 4294967295, got 4294967296"),
+    # codes that no frame carries
+    ("u_min-above-u_max", [0], [1.0], dict(u_min=1.0, u_max=0.0),
+     "u_min: must be <= u_max = 0.0, got 1.0"),
+    ("nan-u_max", [0], [1.0], dict(u_max=np.nan),
+     "u_min, u_max: must be finite f32 values, got 0.0, nan"),
+    ("s-0-norm-not-f32", [0], [0.1], {}, "norms: s=0 pseudo-norms must be finite f32 values"),
+    ("s-3-no-grid", [0], [1.0], dict(levels=3), _LEVELS),
+    ("s-3-norm-off-grid", [0], [0.5], dict(levels=3, grid=[1]), _GRID_VALUES),
+    ("s-3-level-9", [0], [3.0], dict(levels=3, grid=[9]), _LEVELS),
+    ("s-3-minus-zero-norm", [0], [-0.0], dict(levels=3, grid=[0]), _GRID_VALUES),
+    ("s-3-negative-level", [0], [-1 / 3], dict(levels=3, grid=[-1]), _LEVELS),
+    ("s-3-float-grid", [0], [1 / 3], dict(levels=3, grid=[1.0]), _LEVELS),
+]
 
 
-@pytest.mark.parametrize("indices,norms,header", [
-    ([-1], [1.0], {}), ([4], [1.0], {}), ([0], np.array([], dtype=np.float64), {}),
-    (np.array([0.0]), [1.0], {}), ([[0]], [1.0], {}), ([0], ["1.0"], {}), ([0], [np.nan], {}),
-    ([0], [np.inf], {}), ([0], [[1.0]], {}), ([0], [1], {}), (np.array([False]), [1.0], {}),
-    ([0], np.array([1.0], dtype=object), {}),
-    ([0], [1.0], dict(total_dim=4.0)), ([0], [1.0], dict(segment_dim=4.0)),
-    ([0], [1.0], dict(codeword_count=4.0)),
-    ([0], [1.0], dict(total_dim=0)), ([0], [1.0], dict(levels=-1)),
-    ([0], [1.0], dict(levels=1.5)), ([0], [1.0], dict(levels=2 ** 32)),
-], ids=["negative-index", "index-m", "no-norm", "float-index", "2-d-index", "str-norm",
-        "nan-norm", "inf-norm", "2-d-norm", "int-norm", "bool-index", "object-norm",
-        "float-d", "float-d-prime", "float-m", "d-0", "negative-s", "float-s", "s-2**32"])
-def test_decode_rejects_malformed_codes(indices, norms, header):
-    # one raw-norm segment at d = d' = m = 4, built by hand as a caller could;
-    # wire.encode_frame refuses each of them too, by the same rule
+@pytest.mark.parametrize("indices,norms,header,match", [row[1:] for row in _MALFORMED],
+                         ids=[row[0] for row in _MALFORMED])
+def test_decode_rejects_malformed_codes(indices, norms, header, match):
+    # one segment at d = d' = m = 4, built by hand as a caller could; decode, aggregate
+    # and wire.encode_frame refuse each of them by the same rule and message
     cb = sob(4)
-    fields = {**dict(total_dim=4, segment_dim=4, codeword_count=4, levels=0), **header}
-    cg = CompressedGradient(**fields, u_min=0.0, u_max=1.0,
-                            indices=np.asarray(indices), norms=np.asarray(norms), grid=None)
+    fields = {**dict(total_dim=4, segment_dim=4, codeword_count=4, levels=0, u_min=0.0,
+                     u_max=1.0, grid=None), **header}
+    grid = None if fields.pop("grid") is None else np.asarray(header["grid"])
+    cg = CompressedGradient(**fields, indices=np.asarray(indices), norms=np.asarray(norms),
+                            grid=grid)
     good = compress(np.ones(4), cb, 0, Variant.GREEDY, Stream(0))
-    name, value = next(iter(header.items()), (None, None))
-    match = (f"{name}: {_HEADER_PROBLEMS[value]}" if header
-             else r"a pseudo-norm and an index in \[0, 4\)")
     for call in (lambda: decode(cg, cb), lambda: aggregate([cg], cb),
                  lambda: aggregate([good, cg], cb)):
         with pytest.raises(DimensionMismatch, match=match):
             call()
-    with pytest.raises({0: InvalidGradient, 2 ** 32: Overflow}.get(value, WireFormatError)):
+    error = (InvalidGradient if header.get("total_dim") == 0 else
+             Overflow if header.get("levels") == 2 ** 32 else WireFormatError)
+    with pytest.raises(error, match=match):
         encode_frame(cg)
 
 
