@@ -101,11 +101,6 @@ def qsgd_violations(code: QsgdCode) -> list[str]:
 def decode_qsgd(code: QsgdCode) -> np.ndarray:
     if bad := qsgd_violations(code):
         raise DimensionMismatch("; ".join(bad))
-    return _qsgd_decoded(code)
-
-
-def _qsgd_decoded(code: QsgdCode) -> np.ndarray:
-    """decode_qsgd without its rule, for a code compress_qsgd just built."""
     out = np.asarray(code.level_idx, dtype=np.float64) / code.levels * code.signs
     return out * _per_coordinate(code.norms, code.dim, code.bucket_size)
 

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, _qsgd_decoded, compress_qsgd,
-                        compress_sign, compress_terngrad, decode_sign, decode_terngrad,
+from .baselines import (QSGD_BUCKET_SIZE, TERNGRAD_SCALER_BITS, compress_qsgd, compress_sign,
+                        compress_terngrad, decode_qsgd, decode_sign, decode_terngrad,
                         qsgd_dense_bits, sign_bits, ternary_bits)
 from .codebook import (_U32_MAX, Codebook, CodebookMethod, generate, generate_violations,
                        seed_violations)
@@ -107,7 +107,7 @@ SCHEMES = {
                    rule=lambda p: (out_of_range("s", p.s, 1, _U32_MAX)
                                    + out_of_range("bucket_size", p.bucket_size, 1, _U32_MAX)),
                    natural_d=lambda p: p.bucket_size,
-                   step=lambda g, p, cb, rng: _qsgd_decoded(
+                   step=lambda g, p, cb, rng: decode_qsgd(
                        compress_qsgd(g, p.s, rng, p.bucket_size))),
     "terngrad": Scheme(payload_bits=lambda p, d: ternary_bits(d),
                        header_bits=TERNGRAD_SCALER_BITS,
