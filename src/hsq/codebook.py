@@ -18,6 +18,7 @@ dense linear-algebra routines.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -116,6 +117,12 @@ class Codebook:
         return cls(dim=dim, count=count, columns=_aligned(columns), pinv=pinv,
                    sigma_min=sigma_min, sigma_max=sigma_max,
                    seed=int(seed), method=method)
+
+    @functools.cached_property
+    def codewords(self) -> np.ndarray:
+        """m-by-d' C-ordered copy of ``columns.T``, one codeword per row, which
+        decode gathers from; derived, never written to a file."""
+        return _aligned(self.columns.T)
 
 
 def _aligned(a: np.ndarray) -> np.ndarray:

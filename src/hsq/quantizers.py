@@ -106,9 +106,9 @@ def _blocks(n: int, width: int) -> tuple[slice, ...]:
 
 
 # Blocks of fewer segments x codewords than this search the full CDF: below it,
-# the two-level search's extra numpy calls cost more than they save (at m = 256
-# the two paths took about as long on a block of 32 to 48 segments)
-_TWO_LEVEL_MIN = 1 << 14
+# the two-level search's extra numpy calls cost more than they save (the two paths
+# took about as long at 20 to 40 segments at m = 256, 192 at m = 32 and 6 to 8 at 1024)
+_TWO_LEVEL_MIN = 3 << 12
 # l1 range in which every quantity of the certificate is a normal, finite double
 _L1_LO, _L1_HI = 2.0 ** -900, 2.0 ** 900
 
@@ -133,61 +133,73 @@ def _group_size(m: int) -> int:
     return max(b for b in range(1, math.isqrt(m) + 1) if m % b == 0)
 
 
+@functools.cache
+def _prefix(n: int) -> np.ndarray:
+    """The (n + 1) x n 0/1 matrix whose row r sums the first r of n values."""
+    out = np.tri(n + 1, n, -1)
+    out.flags.writeable = False
+    return out
+
+
 def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     """_cdf_search's rule by a certified two-level search on unnormalized sums.
 
     The m codewords form groups of b. A draw x picks the group by the running
     sums of the group sums against t = x * l1, and the index inside it by the
     running sums A_{gb-1} .. A_{gb+b-1} of that group's entries, started from
-    the sum before it (A_{-1} = 0). The index i is certified when as many of
-    those A lie at or below t - tau as lie below t + tau, tau = 4 m 2^-53 l1,
-    so that A_{i-1} <= t - tau and A_i >= t + tau, and when l1 lies in
-    [2^-900, 2^900]. Rows with any uncertified draw go through _cdf_search,
-    except rows with l1 = 0, all-zero segments among them: there its CDF is
-    all NaN, so it picks index 0 for every draw.
+    the sum before it (A_{-1} = 0). Both running sums are products with the
+    0/1 matrices of _prefix. The index i is certified when as many of those A
+    lie at or below t - tau as lie below t + tau, tau = 4 m 2^-53 l1, so that
+    A_{i-1} <= t - tau and A_i >= t + tau, and when l1 lies in [2^-900,
+    2^900]. Rows with any uncertified draw go through _cdf_search, except
+    rows with l1 = 0, all-zero segments among them: there its CDF is all NaN,
+    so it picks index 0 for every draw.
 
     Why tau suffices, with u = 2^-53 and S_j the exact sums of mag[:j + 1]:
     in that l1 range t, tau and every sum are normal and finite. The exact
     rule compares c_j = cumsum(mag / l1)[j] <= x, and c_j is j + 1 rounded
     quotients summed in j rounding additions, so |c_j l1 - S_j| <= g(m) S_j
     + m 2^-1075 l1 (g(n) = n u / (1 - n u); the last term is the quotients'
-    underflow). A_j passes through at most b - 1 roundings in its group's
-    sum, G - 1 in the running sum of the G = m / b group sums and b more
-    inside the group, 2b + G - 2 <= m in all, so |A_j - S_j| <= g(m) S_j.
-    S_j <= l1 / (1 - g(m)) as l1 sums the same m terms, t is within u l1 of
-    x l1 (x < 1, as uniforms are) and t -+ tau rounds by at most u l1. So
-    |(A_j - t) - (c_j - x) l1| stays below (2 m + 2) u l1 (1 + O(m u)) < tau:
-    A_{i-1} <= t - tau gives c_{i-1} < x and A_i >= t + tau gives c_i > x,
-    and as c is nondecreasing the exact count is i. The candidate's own
-    rounding only picks which i to check, so the result never depends on
-    the BLAS kernel's sum order.
+    underflow). A product with a 0/1 matrix multiplies exactly and adds a
+    0 exactly, so whatever order the BLAS kernel sums in, a sum of k terms
+    passes each term through at most k - 1 roundings. A_j's terms pass
+    through at most b - 1 in its group's sum, G - 1 in the running sum of
+    the G = m / b group sums, b - 1 in the running sum inside the group and
+    one where that is added to the group's start: 2b + G - 2 <= m in all, so
+    |A_j - S_j| <= g(m) S_j. S_j <= l1 / (1 - g(m)) as l1 sums the same m
+    terms, t is within u l1 of x l1 (x < 1, as uniforms are) and t -+ tau
+    rounds by at most u l1. So |(A_j - t) - (c_j - x) l1| stays below
+    (2 m + 2) u l1 (1 + O(m u)) < tau: A_{i-1} <= t - tau gives c_{i-1} < x
+    and A_i >= t + tau gives c_i > x, and as c is nondecreasing the exact
+    count is i. The candidate's own rounding only picks which i to check,
+    so the result never depends on the kernel's sum order.
+
+    Rows out of that l1 range are marked uncertified by name, not through
+    tau: a row whose projection overflowed holds an inf, and 0 * inf in a
+    product is NaN, which no comparison counts, so lo = hi would pass it.
     """
     n, m = mag.shape
     b = _group_size(m)
-    # the group and run axes go first, so each running sum and count is one
-    # vectorized step over every row
-    starts = np.zeros((m // b + 1, n))  # starts[g]: each row's sum before group g
-    starts[1:] = (mag.reshape(-1, b) @ np.ones(b)).reshape(n, -1).T
-    np.cumsum(starts, axis=0, out=starts)
+    # the group and run axes go first, so each count is one vectorized step over every row;
+    # starts[g]: each row's sum before group g
+    starts = _prefix(m // b) @ (mag.reshape(-1, b) @ np.ones(b)).reshape(n, -1).T
     groups = mag.reshape(n, -1, b).transpose(2, 0, 1)
     rows = np.arange(n)[:, None]
-    in_range = (l1 >= _L1_LO) & (l1 <= _L1_HI)
-    # out of range: tau = inf, so no index is certified, and t stays finite
-    tau = np.where(in_range, (4 * m * 2.0 ** -53) * l1, np.inf)
-    scale = np.where(in_range, l1, 1.0)
+    outside = ~((l1 >= _L1_LO) & (l1 <= _L1_HI))  # a NaN l1 too
+    scale = np.where(outside, 1.0, l1)  # keeps t and tau finite on those rows
+    tau = (4 * m * 2.0 ** -53) * scale
     zero = l1[:, 0] == 0.0  # all of mag is 0, so the exact rule divides 0 by 0
 
     def search(x):
         t = x * scale
         g = (starts[1:-1, :, None] <= t).sum(axis=0)
-        run = np.empty((b + 1,) + x.shape)  # A_{gb-1} .. A_{gb+b-1} per draw
-        run[0] = starts[g, rows]
-        run[1:] = groups[:, rows, g]
-        np.cumsum(run, axis=0, out=run)
+        # A_{gb-1} .. A_{gb+b-1} per draw
+        run = (_prefix(b) @ groups[:, rows, g].reshape(b, -1)).reshape((b + 1,) + x.shape)
+        run += starts[g, rows]
         lo = (run <= t - tau).sum(axis=0)
         hi = (run < t + tau).sum(axis=0)
         i = g * b + lo - 1
-        bad = (lo != hi) | (hi > b)  # hi > b: no A in the group clears t from above
+        bad = (lo != hi) | (hi > b) | outside  # hi > b: no A in the group clears t from above
         if bad.any():
             i[zero] = 0  # what the exact rule's all-NaN CDF gives
             redo = bad.any(axis=1) & ~zero
@@ -455,8 +467,9 @@ def decode(cg: CompressedGradient, cb: Codebook) -> np.ndarray:
 
 def _decoded(indices: np.ndarray, u: np.ndarray, cb: Codebook, total_dim: int) -> np.ndarray:
     """u * c per segment, concatenated and cut to total_dim along the last axis; others are rows."""
-    # one gather makes the result's one array; take() would first copy the transposed columns
-    decoded = cb.columns.T[indices]
+    # one take of whole rows from the C-ordered codeword table makes the result's one
+    # array: a fancy index on columns.T would gather element by element
+    decoded = cb.codewords.take(indices, axis=0)
     decoded *= u[..., None]
     return decoded.reshape(indices.shape[:-1] + (-1,))[..., :total_dim]
 

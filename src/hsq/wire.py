@@ -34,6 +34,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import _U32_MAX
 from .errors import InvalidGradient, Overflow, WireFormatError, out_of_range
@@ -57,19 +58,6 @@ def level_bits(s: int) -> int:
     return int(s).bit_length() if s >= 1 else 32
 
 
-def _to_bits(words: np.ndarray, width: int) -> np.ndarray:
-    """n x width matrix of the low ``width`` bits of each 32-bit word, MSB first."""
-    as_bytes = words.astype(">u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(as_bytes, axis=1)[:, 32 - width:]
-
-
-def _from_bits(bits: np.ndarray) -> np.ndarray:
-    """Inverse of _to_bits: the big-endian 32-bit words (dtype >u4) of the rows."""
-    words = np.zeros((bits.shape[0], 32), dtype=np.uint8)
-    words[:, 32 - bits.shape[1]:] = bits
-    return np.packbits(words, axis=1).view(">u4").ravel()
-
-
 def encode_frame(cg: CompressedGradient) -> bytes:
     """Serialize a compressed gradient; exact inverse of decode_frame.
 
@@ -84,10 +72,16 @@ def encode_frame(cg: CompressedGradient) -> bytes:
         raise (InvalidGradient if empty else Overflow if overflow else WireFormatError)(
             "; ".join(bad))
     s = cg.levels
-    words = (np.asarray(cg.grid) if s >= 1 else
-             np.asarray(cg.norms, dtype=np.float64).astype(np.float32).view(np.uint32))
-    bits = np.hstack([_to_bits(np.asarray(cg.indices), index_bits(cg.codeword_count)),
-                      _to_bits(words, level_bits(s))])
+    lb = level_bits(s)
+    low = (np.asarray(cg.grid) if s >= 1 else
+           np.asarray(cg.norms, dtype=np.float64).astype(np.float32).view(np.uint32))
+    # one 64-bit word per record, the index above the lb level (or raw) bits; the record
+    # is the word's low bits, MSB first
+    record = index_bits(cg.codeword_count) + lb
+    words = (np.asarray(cg.indices).astype(np.uint64) << lb) | low.astype(np.uint64)
+    nb = -(-record // 8)  # the low bytes that hold the record
+    bits = np.unpackbits(words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nb:], axis=1)
+    bits = bits[:, 8 * nb - record:]
     header = HEADER.pack(MAGIC, VERSION, SCHEME_HSQ, cg.total_dim, cg.segment_dim,
                          cg.codeword_count, s, cg.u_min, cg.u_max)
     return header + np.packbits(bits).tobytes()
@@ -121,16 +115,24 @@ def decode_frame(buf: bytes) -> CompressedGradient:
     if buf[-1] & ((1 << (8 * expect - n_seg * record)) - 1):
         raise WireFormatError("padding bits of the last byte must be zero")
 
-    payload = np.frombuffer(buf, dtype=np.uint8, offset=HEADER.size)
-    bits = np.unpackbits(payload)[:n_seg * record].reshape(n_seg, record)
-    indices = _from_bits(bits[:, :ib]).astype(np.int64)
-    words = _from_bits(bits[:, ib:])
+    # each record as one word: the big-endian 64 bits from the record's first byte, shifted
+    # up to its first bit, with the next byte's high bits below them (a record of up to 64
+    # bits can span 9 bytes; the payload gets 8 zero bytes past its end), cut to the record
+    payload = np.frombuffer(buf[HEADER.size:] + bytes(8), dtype=np.uint8)
+    at = np.arange(0, n_seg * record, record)  # each record's first bit
+    first, shift = at >> 3, (at & 7).astype(np.uint64)
+    words = sliding_window_view(payload, 8).view(">u8")[:, 0].take(first).astype(np.uint64)
+    below = payload.take(first + 8).astype(np.uint64) >> (8 - shift)
+    words = ((words << shift) | below) >> (64 - record)
+    lb = record - ib
+    indices = (words >> lb).astype(np.int64)
+    low = words & ((1 << lb) - 1)
     if s >= 1:
-        grid = words.astype(np.int64)
+        grid = low.astype(np.int64)
         with np.errstate(invalid="ignore"):  # 0 * inf from bounds the rule refuses
             norms = decode_pseudo_norm(grid, u_min, u_max, s)
     else:
-        raw = words.view(">f4")
+        raw = low.astype(np.uint32).view(np.float32)
         if not np.all(np.isfinite(raw)):  # before the cast, which warns on a signalling NaN
             raise WireFormatError("raw pseudo-norms must be finite")
         grid, norms = None, raw.astype(np.float64)

@@ -231,6 +231,26 @@ def test_arrays_start_on_64_byte_boundaries(tmp_path):
         assert book.pinv.ctypes.data % 64 == 0 and book.pinv.T.flags.c_contiguous
 
 
+_CUSTOM = np.array([[1.0, 0.0, 0.6, -0.8], [0.0, 1.0, 0.8, 0.6]])
+
+
+@pytest.mark.parametrize("method,dim,count", ALL_METHODS + [(CodebookMethod.CUSTOM, 2, 4)])
+def test_codeword_table_is_the_columns_row_major_and_stays_off_disk(tmp_path, method, dim,
+                                                                   count):
+    # decode gathers whole codewords from cb.codewords; a file still holds only the header
+    # and the columns, and loading one builds the table again
+    cb = (Codebook.from_columns(_CUSTOM) if method is CodebookMethod.CUSTOM
+          else generate(method, dim, count, seed=5))
+    path = tmp_path / "cb.hsqc"
+    cbm.save_codebook(cb, str(path))
+    header = cbm._HEADER.pack(cbm.CODEBOOK_MAGIC, cbm.CODEBOOK_VERSION, dim, count,
+                              cbm._METHOD_CODES[method], cb.seed)
+    assert path.read_bytes() == header + cb.columns.astype("<f8").tobytes()
+    for book in (cb, cbm.load_codebook(str(path))):
+        assert book.codewords.shape == (count, dim) and book.codewords.flags.c_contiguous
+        assert book.codewords.tobytes() == np.ascontiguousarray(cb.columns.T).tobytes()
+
+
 def test_save_load_roundtrip(tmp_path):
     cb = generate(CodebookMethod.RANDOM_GAUSSIAN, 8, 16, seed=42)
     path = tmp_path / "cb.hsqc"

@@ -714,16 +714,66 @@ def test_certified_search_matches_searchsorted_rule(monkeypatch, method, d_prime
             assert took[~in_range & (l1 > 0)].all() and not took[random & (l1 == 0)].any()
 
 
+def _out_of_range_rows(cb, st):
+    """A Gaussian segment, then segments whose l1 = ||pinv @ g||_1 lies just above 2^900
+    and just below 2^-900, and segments whose projection overflows: l1 is inf, and the
+    last one's |p| too where a row of pinv has an l1 norm above 1."""
+    g = st.derive("g").normals(5 * cb.dim).reshape(5, cb.dim)
+    exp = [math.frexp(v)[1] for v in np.abs(g @ cb.pinv.T).sum(axis=1)]  # l1 < 2^exp
+    peak = np.abs(g).max(axis=1)
+    widest = cb.pinv[np.abs(cb.pinv).sum(axis=1).argmax()]
+    return np.vstack([g[0], g[1] * 2.0 ** (901 - exp[1]), g[2] * 2.0 ** (-900 - exp[2]),
+                      g[3] / peak[3] * 2.0 ** 1020, g[4] / peak[4] * 2.0 ** 1023,
+                      np.copysign(np.finfo(np.float64).max, widest)])
+
+
+@pytest.mark.parametrize("method,d_prime,m", _SEARCH_GRID)
+def test_certified_search_sends_out_of_range_rows_to_the_exact_rule(monkeypatch, method,
+                                                                    d_prime, m):
+    # a row of l1 outside [2^-900, 2^900] is never certified, whatever its sums compare as:
+    # an overflowed projection puts inf into the running-sum products, and 0 * inf is NaN
+    from hsq import quantizers
+
+    cb = generate(method, d_prime, m, seed=6)
+    st = Stream(79).derive("range", m)
+    segments = _out_of_range_rows(cb, st)
+    draws = st.derive("x").uniforms(3 * len(segments)).reshape(len(segments), 3)
+    real, fallback = quantizers._cdf_search, set()
+
+    def spy(mag, l1):
+        search = real(mag, l1)
+
+        def recorded(x):
+            fallback.update(map(tuple, x.tolist()))
+            return search(x)
+        return recorded
+
+    monkeypatch.setattr(quantizers, "_TWO_LEVEL_MIN", 0)
+    monkeypatch.setattr(quantizers, "_cdf_search", spy)
+    # the projection overflows on the last rows, and the exact rule divides inf by inf there
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx, _ = _select(segments, cb, draws)
+        mag = np.abs(quantizers._project(cb.pinv, segments))
+        l1 = np.add.reduce(mag, axis=1, keepdims=True)
+        want = [real(mag[[r]], l1[[r]])(draws[[r]])[0].tolist() for r in range(len(segments))]
+    assert idx.tolist() == want
+    l1 = l1[:, 0]
+    assert 2.0 ** -900 <= l1[0] <= 2.0 ** 900
+    assert 2.0 ** 900 < l1[1] < 2.0 ** 901 and 2.0 ** -901 <= l1[2] < 2.0 ** -900
+    assert l1[3] > 2.0 ** 900 and l1[4] == l1[5] == np.inf
+    assert [tuple(x) in fallback for x in draws.tolist()] == [False] + [True] * 5
+
+
 def test_certified_search_matches_searchsorted_rule_under_haswell_kernel():
-    """The search test again, in a child process on OpenBLAS's Haswell kernel,
+    """The search tests again, in a child process on OpenBLAS's Haswell kernel,
     whose sums round differently; the digest pins are left out, they differ there."""
     if openblas_core() is None:
         pytest.skip("numpy's bundled OpenBLAS is not readable here")
     read, proc = run_tests_on_kernel("Haswell", [
-        "-k", "test_certified_search_matches_searchsorted_rule and not haswell", __file__])
+        "-k", "test_certified_search and not haswell", __file__])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert read == "Haswell"
-    assert f"{len(_SEARCH_GRID)} passed" in proc.stdout
+    assert f"{2 * len(_SEARCH_GRID)} passed" in proc.stdout
 
 
 def test_variance_bound_peak_memory_flat_in_draws():

@@ -94,6 +94,38 @@ def test_raw_norm_mode_is_big_endian_ieee():
     assert blob[31:] == struct.pack(">f", -1.5)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 256, 2 ** 25 + 1, 2 ** 26 + 1, 2 ** 32 - 1])
+@pytest.mark.parametrize("s", [0, 1, 63, 2 ** 32 - 1])
+def test_payload_matches_big_int_reference(m, s):
+    # 9 segments start at every bit offset within a byte for an odd record; records of
+    # 58 to 64 bits (m above 2^25 at s = 0) span 9 bytes at some offsets
+    st = Stream(31).derive("records", m, s)
+    n = 9
+    indices = (st.derive("i").uniforms(n) * m).astype(np.int64) % m
+    indices[:2] = 0, m - 1
+    if s:
+        grid = (st.derive("l").uniforms(n) * (s + 1)).astype(np.int64) % (s + 1)
+        grid[:2] = s, 0
+        cg = _frame(d=3 * n - 1, d_prime=3, m=m, s=s, u_min=-1.0, u_max=2.0,
+                    indices=indices, grid=grid)
+        low = grid.tolist()
+    else:
+        norms = np.float32(st.derive("u").normals(n)).astype(np.float64)
+        cg = _frame(d=3 * n - 1, d_prime=3, m=m, s=0, u_min=float(norms.min()),
+                    u_max=float(norms.max()), indices=indices, grid=None, norms=norms)
+        low = [int.from_bytes(struct.pack(">f", u), "big") for u in norms]
+    ib, lb = index_bits(m), level_bits(s)
+    want = 0
+    for i, w in zip(indices.tolist(), low):
+        want = (want << (ib + lb)) | (i << lb) | w
+    nbits = n * (ib + lb)
+    want <<= -nbits % 8
+    blob = encode_frame(cg)
+    assert blob[31:] == want.to_bytes((nbits + 7) // 8, "big")
+    back = decode_frame(blob)
+    assert back == cg
+
+
 # ---------------------------------------------------------------------------
 # roundtrip
 
