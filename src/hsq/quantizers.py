@@ -133,6 +133,11 @@ def _group_size(m: int) -> int:
     return max(b for b in range(1, math.isqrt(m) + 1) if m % b == 0)
 
 
+# Most groups whose running sums are a product with _prefix's matrix: up to 64 the product
+# took 0.3 to 0.7 of cumsum's time, whose loop adds one value at a time; at 96 it was slower
+_PREFIX_GROUPS = 64
+
+
 @functools.cache
 def _prefix(n: int) -> np.ndarray:
     """The (n + 1) x n 0/1 matrix whose row r sums the first r of n values."""
@@ -147,13 +152,16 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     The m codewords form groups of b. A draw x picks the group by the running
     sums of the group sums against t = x * l1, and the index inside it by the
     running sums A_{gb-1} .. A_{gb+b-1} of that group's entries, started from
-    the sum before it (A_{-1} = 0). Both running sums are products with the
-    0/1 matrices of _prefix. The index i is certified when as many of those A
-    lie at or below t - tau as lie below t + tau, tau = 4 m 2^-53 l1, so that
-    A_{i-1} <= t - tau and A_i >= t + tau, and when l1 lies in [2^-900,
-    2^900]. Rows with any uncertified draw go through _cdf_search, except
-    rows with l1 = 0, all-zero segments among them: there its CDF is all NaN,
-    so it picks index 0 for every draw.
+    the sum before it (A_{-1} = 0). The running sums inside a group are a
+    product with the (b + 1) x b 0/1 matrix of _prefix, about m entries as b
+    <= sqrt(m). Those of the G = m / b group sums are one too while G <=
+    _PREFIX_GROUPS, else a cumsum: a (G + 1) x G matrix costs G^2 per row,
+    and G = m for a prime m. The index i is certified when as many of those
+    A lie at or below t - tau as lie below t + tau, tau = 4 m 2^-53 l1, so
+    that A_{i-1} <= t - tau and A_i >= t + tau, and when l1 lies in
+    [2^-900, 2^900]. Rows with any uncertified draw go through _cdf_search,
+    except rows with l1 = 0, all-zero segments among them: there its CDF is
+    all NaN, so it picks index 0 for every draw.
 
     Why tau suffices, with u = 2^-53 and S_j the exact sums of mag[:j + 1]:
     in that l1 range t, tau and every sum are normal and finite. The exact
@@ -162,17 +170,18 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     + m 2^-1075 l1 (g(n) = n u / (1 - n u); the last term is the quotients'
     underflow). A product with a 0/1 matrix multiplies exactly and adds a
     0 exactly, so whatever order the BLAS kernel sums in, a sum of k terms
-    passes each term through at most k - 1 roundings. A_j's terms pass
-    through at most b - 1 in its group's sum, G - 1 in the running sum of
-    the G = m / b group sums, b - 1 in the running sum inside the group and
-    one where that is added to the group's start: 2b + G - 2 <= m in all, so
-    |A_j - S_j| <= g(m) S_j. S_j <= l1 / (1 - g(m)) as l1 sums the same m
-    terms, t is within u l1 of x l1 (x < 1, as uniforms are) and t -+ tau
-    rounds by at most u l1. So |(A_j - t) - (c_j - x) l1| stays below
-    (2 m + 2) u l1 (1 + O(m u)) < tau: A_{i-1} <= t - tau gives c_{i-1} < x
-    and A_i >= t + tau gives c_i > x, and as c is nondecreasing the exact
-    count is i. The candidate's own rounding only picks which i to check,
-    so the result never depends on the kernel's sum order.
+    passes each term through at most k - 1 roundings, as a cumsum does.
+    A_j's terms pass through at most b - 1 in its group's sum (a GEMV),
+    G - 1 in the running sum of the group sums, b - 1 in the running sum
+    inside the group and one where that is added to the group's start:
+    2b + G - 2 <= m in all, so |A_j - S_j| <= g(m) S_j. S_j <= l1 / (1 -
+    g(m)) as l1 sums the same m terms, t is within u l1 of x l1 (x < 1, as
+    uniforms are) and t -+ tau rounds by at most u l1. So |(A_j - t) - (c_j
+    - x) l1| stays below (2 m + 2) u l1 (1 + O(m u)) < tau: A_{i-1} <= t -
+    tau gives c_{i-1} < x and A_i >= t + tau gives c_i > x, and as c is
+    nondecreasing the exact count is i. The candidate's own rounding only
+    picks which i to check, so the result never depends on the kernel's sum
+    order.
 
     Rows out of that l1 range are marked uncertified by name, not through
     tau: a row whose projection overflowed holds an inf, and 0 * inf in a
@@ -182,7 +191,13 @@ def _two_level_search(mag: np.ndarray, l1: np.ndarray):
     b = _group_size(m)
     # the group and run axes go first, so each count is one vectorized step over every row;
     # starts[g]: each row's sum before group g
-    starts = _prefix(m // b) @ (mag.reshape(-1, b) @ np.ones(b)).reshape(n, -1).T
+    sums = (mag.reshape(-1, b) @ np.ones(b)).reshape(n, -1).T
+    if len(sums) <= _PREFIX_GROUPS:
+        starts = _prefix(len(sums)) @ sums
+    else:
+        starts = np.empty((len(sums) + 1, n))
+        starts[0] = 0.0
+        np.cumsum(sums, axis=0, out=starts[1:])
     groups = mag.reshape(n, -1, b).transpose(2, 0, 1)
     rows = np.arange(n)[:, None]
     outside = ~((l1 >= _L1_LO) & (l1 <= _L1_HI))  # a NaN l1 too

@@ -625,10 +625,12 @@ def test_compress_rows_overflow_in_any_row_raises():
 # ---------------------------------------------------------------------------
 # the unbiased rule's certified two-level search against a straight-line rule
 
-# (codebook method, d', m): prime m (groups of one), square codebooks (m = d')
+# (codebook method, d', m): prime m (groups of one; at m = 67 more groups than
+# _PREFIX_GROUPS, so their running sums are a cumsum), square codebooks (m = d')
 # and the codec's shape
-_SEARCH_GRID = (("random-gaussian", 3, 7), ("random-gaussian", 5, 31), ("sob", 16, 16),
-                ("random-rotation", 9, 9), ("random-gaussian", 16, 256))
+_SEARCH_GRID = (("random-gaussian", 3, 7), ("random-gaussian", 5, 31),
+                ("random-gaussian", 5, 67), ("sob", 16, 16), ("random-rotation", 9, 9),
+                ("random-gaussian", 16, 256))
 
 
 def _search_segments(cb, st):
@@ -821,6 +823,17 @@ def test_codec_peak_memory_at_d100k(name, bound_kib):
     call()
     peak = traced_peak(call)
     assert peak <= bound_kib * 1024, peak
+
+
+def test_compress_peak_memory_at_prime_m():
+    # a prime m has groups of b = 1, so G = m groups: the certified search's group running
+    # sums must stay O(G) per row, where a (G + 1) x G prefix matrix would take 134 MB at
+    # m = 4,099; blocks of 15 x 4,099 take that search. No warm-up call, so a table built
+    # on first use counts too
+    cb = generate("random-gaussian", 4, 4099, seed=1)
+    g = Stream(5).normals(4 * 64)
+    peak = traced_peak(compress, g, cb, 63, Variant.UNBIASED, Stream(6))
+    assert peak <= 3072 * 1024, peak
 
 
 @pytest.mark.parametrize("block", [2 ** e for e in range(12, 18)])
